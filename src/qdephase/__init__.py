@@ -53,7 +53,6 @@ from .numerics import (
     QuadratureSettings,
     decay_kernel,
     gamma,
-    integrate_semi_infinite,
     kernel_by_quadrature,
     oscillatory_moment,
     total_moment,
@@ -68,7 +67,6 @@ __all__ = [
     "KernelArgs",
     "gamma",
     "decay_kernel",
-    "integrate_semi_infinite",
     "total_moment",
     "oscillatory_moment",
     "kernel_by_quadrature",

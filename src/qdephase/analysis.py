@@ -24,7 +24,6 @@ from .bath import (
 )
 from .dynamics import (
     InitialStateSpec,
-    PairWeights,
     QubitAmplitudes,
     coherence_factor,
     distance_same_amplitudes,
@@ -46,7 +45,20 @@ __all__ = [
     "find_extremum",
 ]
 
-PLANE_PARAMETERS = ("alpha", "gamma", "mu", "nu", "lambda1", "lambda2")
+# Plane parameter -> (model, lambda1, lambda2, value) -> the overridden triple.
+_OVERRIDES = {
+    "alpha": lambda m, l1, l2, v: (replace(m, bath=replace(m.bath, alpha=v)), l1, l2),
+    "gamma": lambda m, l1, l2, v: (
+        replace(m, displacement=replace(m.displacement, gamma_coef=v)), l1, l2
+    ),
+    "mu": lambda m, l1, l2, v: (replace(m, bath=replace(m.bath, mu=v)), l1, l2),
+    "nu": lambda m, l1, l2, v: (
+        replace(m, displacement=replace(m.displacement, nu=v)), l1, l2
+    ),
+    "lambda1": lambda m, l1, l2, v: (m, v, l2),
+    "lambda2": lambda m, l1, l2, v: (m, l1, v),
+}
+PLANE_PARAMETERS = tuple(_OVERRIDES)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DEFAULT_TIE_TOL = 1e-9
@@ -149,18 +161,6 @@ class Extremum:
     kind: Literal["minimum", "maximum", "none"]
 
 
-def _scenario_distance(
-    model: ModelSpec,
-    w: PairWeights,
-    bscale: float,
-    t: float,
-    backend: Backend,
-    settings: QuadratureSettings | None,
-) -> float:
-    profile = profile_at(model, t, backend=backend, settings=settings)
-    return distance_same_amplitudes(w, profile, bscale)
-
-
 def distance_series(
     model: ModelSpec,
     lambda1: float,
@@ -181,21 +181,8 @@ def distance_series(
     bscale = amps.coherence_scale
 
     times = time_grid.times()
-    n = len(times)
-    dist = np.empty(n)
-    a1 = np.empty(n)
-    a2 = np.empty(n)
-    rr = np.empty(n)
-    ss = np.empty(n)
-    pp = np.empty(n)
-    for i, t in enumerate(times):
-        profile = profile_at(model, float(t), backend=backend, settings=settings)
-        dist[i] = distance_same_amplitudes(w, profile, bscale)
-        a1[i] = abs(coherence_factor(state1, profile, model.epsilon, overlap))
-        a2[i] = abs(coherence_factor(state2, profile, model.epsilon, overlap))
-        rr[i] = profile.r
-        ss[i] = profile.s
-        pp[i] = profile.phi
+    profile = profile_at(model, times, backend=backend, settings=settings)
+    dist = distance_same_amplitudes(w, profile, bscale)
     if normalized:
         dist = dist / bscale
     return DistanceSeries(
@@ -208,11 +195,11 @@ def distance_series(
         grid=time_grid,
         times=times,
         distance=dist,
-        abs_a1=a1,
-        abs_a2=a2,
-        r=rr,
-        s=ss,
-        phi=pp,
+        abs_a1=np.abs(coherence_factor(state1, profile, model.epsilon, overlap)),
+        abs_a2=np.abs(coherence_factor(state2, profile, model.epsilon, overlap)),
+        r=profile.r,
+        s=profile.s,
+        phi=profile.phi,
     )
 
 
@@ -246,71 +233,53 @@ def gain_ratio(model: ModelSpec, lambda1: float, lambda2: float) -> float | None
 
 def find_lambda_c(
     model: ModelSpec,
-    lambda2: float = 0.0,
+    fixed: float = 0.0,
     bracket: tuple[float, float] = (0.01, 0.99),
     tol: float = 1e-4,
+    *,
+    vary: Literal["lambda1", "lambda2"] = "lambda1",
 ) -> float:
     """Critical correlation where the long-time gain turns into loss.
 
-    Bisects gain_ratio(lambda1) - 1 over ``bracket``; requires
-    gain_ratio(lo) > 1 > gain_ratio(hi), otherwise NoBracketError (the gain
-    region may be empty for the given model).
+    Bisects gain_ratio - 1 over ``bracket`` in the weight named by ``vary``
+    while the other weight stays at ``fixed``; requires ratio(lo) > 1 >
+    ratio(hi), otherwise NoBracketError (the gain region may be empty, or
+    the ratio is undefined at a bracket end).  A midpoint where the ratio
+    is undefined (it equals ``fixed``) is stepped past by one ulp.  The
+    bisection stops at ``tol`` or when the bracket can no longer be split.
     """
     lo, hi = bracket
     if not (0.0 <= lo < hi <= 1.0):
         raise DomainError(f"bracket must satisfy 0 <= lo < hi <= 1, got {bracket}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol}")
+    if vary not in ("lambda1", "lambda2"):
+        raise DomainError(f"vary must be 'lambda1' or 'lambda2', got {vary!r}")
 
-    def ratio(lam: float) -> float:
-        value = gain_ratio(model, lam, lambda2)
-        if value is None:
-            raise DomainError(
-                f"gain ratio undefined at lambda1={lam} (degenerate scenario)"
-            )
-        return value
+    def ratio(lam: float) -> float | None:
+        if vary == "lambda1":
+            return gain_ratio(model, lam, fixed)
+        return gain_ratio(model, fixed, lam)
 
     r_lo, r_hi = ratio(lo), ratio(hi)
-    if not (r_lo > 1.0 > r_hi):
+    if r_lo is None or r_hi is None or not (r_lo > 1.0 > r_hi):
         raise NoBracketError(
             f"no sign change across bracket [{lo}, {hi}]: "
-            f"ratio(lo)={r_lo:.6g}, ratio(hi)={r_hi:.6g}; the gain region may be empty"
+            f"ratio(lo)={r_lo}, ratio(hi)={r_hi}; the gain region may be empty"
         )
     while 0.5 * (hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        if ratio(mid) > 1.0:
+        r_mid = ratio(mid)
+        if r_mid is None:
+            mid = math.nextafter(mid, hi)
+            r_mid = ratio(mid)
+        if mid in (lo, hi):
+            break
+        if r_mid > 1.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _apply_override(
-    model: ModelSpec, lambda1: float, lambda2: float, name: str, value: float
-) -> tuple[ModelSpec, float, float]:
-    if name == "alpha":
-        return replace(model, bath=replace(model.bath, alpha=value)), lambda1, lambda2
-    if name == "mu":
-        return replace(model, bath=replace(model.bath, mu=value)), lambda1, lambda2
-    if name == "gamma":
-        return (
-            replace(model, displacement=replace(model.displacement, gamma_coef=value)),
-            lambda1,
-            lambda2,
-        )
-    if name == "nu":
-        return (
-            replace(model, displacement=replace(model.displacement, nu=value)),
-            lambda1,
-            lambda2,
-        )
-    if name == "lambda1":
-        return model, value, lambda2
-    if name == "lambda2":
-        return model, lambda1, value
-    raise DomainError(
-        f"unknown plane parameter {name!r}; expected one of {PLANE_PARAMETERS}"
-    )
 
 
 def _classify(ratio: float | None, tie_tol: float) -> str:
@@ -356,8 +325,8 @@ def region_map(
         raise DomainError("plane axes must contain at least one value each")
 
     def cell_ratio(xv: float, yv: float) -> float | None:
-        m, l1, l2 = _apply_override(model, lambda1, lambda2, x_name, xv)
-        m, l1, l2 = _apply_override(m, l1, l2, y_name, yv)
+        m, l1, l2 = _OVERRIDES[x_name](model, lambda1, lambda2, xv)
+        m, l1, l2 = _OVERRIDES[y_name](m, l1, l2, yv)
         return gain_ratio(m, l1, l2)
 
     labels: list[list[str]] = []
@@ -388,6 +357,8 @@ def region_map(
                 return None
             while hi - lo > res:
                 mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
                 r_mid = h(mid)
                 if r_mid is None:
                     return None
@@ -476,9 +447,8 @@ def find_extremum(series: DistanceSeries) -> Extremum:
     scale = 1.0 / bscale if series.normalized else 1.0
 
     def d_of_t(t: float) -> float:
-        return scale * _scenario_distance(
-            series.model, w, bscale, t, series.backend, None
-        )
+        profile = profile_at(series.model, t, backend=series.backend)
+        return scale * distance_same_amplitudes(w, profile, bscale)
 
     t_star, value = _golden_refine(
         d_of_t,

@@ -11,7 +11,8 @@ functions of time, built from the effective coupling weight
     phi(t) =     Int g_h(w) f(w) sin(w t) dw             (correlation phase)
 
 Each has a closed form through the Euler gamma function and an independent
-quadrature route; ``profile_at`` exposes both as interchangeable backends.
+quadrature route; ``profile_at`` exposes both as interchangeable backends,
+for one time or an array of times.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 from .errors import DomainError
 from .numerics import (
@@ -108,17 +111,19 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class DecoherenceProfile:
-    """The triple (r, s, phi) at one instant, tagged with its backend.
+    """The triple (r, s, phi) at one instant or on a time array, tagged with
+    its backend.
 
-    ``t = inf`` marks the analytic long-time limit.  Invariants (r >= 0,
-    s >= s(0), phi(0) = 0) follow from the defining integrals and are
-    exercised by the test suite rather than revalidated here.
+    Fields are floats for one instant and arrays shaped like ``t`` for a
+    time array.  ``t = inf`` marks the analytic long-time limit.  Invariants
+    (r >= 0, s >= s(0), phi(0) = 0) follow from the defining integrals and
+    are exercised by the test suite rather than revalidated here.
     """
 
-    t: float
-    r: float
-    s: float
-    phi: float
+    t: float | np.ndarray
+    r: float | np.ndarray
+    s: float | np.ndarray
+    phi: float | np.ndarray
     backend: Backend
 
 
@@ -135,16 +140,16 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
     return math.exp(-0.5 * d.gamma_coef * gamma(d.nu) * omega_c**d.nu)
 
 
-def _phi_closed(sqrt_ag: float, kappa: float, omega_c: float, t: float) -> float:
+def _phi_closed(sqrt_ag: float, kappa: float, omega_c: float, t: float | np.ndarray):
     x = omega_c * t
     if kappa < SMALL_EXPONENT_LIMIT:
         # kappa -> 0 limit of Gamma(kappa)*sin(kappa*atan x): atan x itself.
-        return sqrt_ag * math.atan(x)
-    damp = math.exp(-0.5 * kappa * math.log1p(x * x))
-    return sqrt_ag * gamma(kappa) * omega_c**kappa * math.sin(kappa * math.atan(x)) * damp
+        return sqrt_ag * np.arctan(x)
+    damp = np.exp(-0.5 * kappa * np.log1p(x * x))
+    return sqrt_ag * gamma(kappa) * omega_c**kappa * np.sin(kappa * np.arctan(x)) * damp
 
 
-def _profile_closed(m: ModelSpec, t: float) -> DecoherenceProfile:
+def _profile_closed(m: ModelSpec, t: float | np.ndarray) -> DecoherenceProfile:
     b, d = m.bath, m.displacement
     if b.mu < 0.0:
         raise DomainError(
@@ -153,7 +158,7 @@ def _profile_closed(m: ModelSpec, t: float) -> DecoherenceProfile:
         )
     r = 4.0 * decay_kernel(KernelArgs(b.alpha, b.mu, b.omega_c, t))
     if d.gamma_coef == 0.0:
-        return DecoherenceProfile(t=t, r=r, s=0.0, phi=0.0, backend="closed_form")
+        return DecoherenceProfile(t=t, r=r, s=0.0 * r, phi=0.0 * r, backend="closed_form")
     kappa = m.kappa
     sqrt_ag = math.sqrt(b.alpha * d.gamma_coef)
     s = (
@@ -166,12 +171,13 @@ def _profile_closed(m: ModelSpec, t: float) -> DecoherenceProfile:
 
 def _profile_quadrature(
     m: ModelSpec, t: float, settings: QuadratureSettings
-) -> DecoherenceProfile:
+) -> tuple[float, float, float]:
+    """(r, s, phi) at one time by quadrature."""
     b, d = m.bath, m.displacement
     r = 4.0 * kernel_by_quadrature(KernelArgs(b.alpha, b.mu, b.omega_c, t), settings)
     r = max(r, 0.0)
     if d.gamma_coef == 0.0:
-        return DecoherenceProfile(t=t, r=r, s=0.0, phi=0.0, backend="quadrature")
+        return r, 0.0, 0.0
     kappa = m.kappa
     sqrt_ag = math.sqrt(b.alpha * d.gamma_coef)
     s = (
@@ -183,26 +189,35 @@ def _profile_quadrature(
         if t == 0.0
         else oscillatory_moment(sqrt_ag, kappa, b.omega_c, t, "sin", settings)
     )
-    return DecoherenceProfile(t=t, r=r, s=s, phi=phi, backend="quadrature")
+    return r, s, phi
 
 
 def profile_at(
     m: ModelSpec,
-    t: float,
+    t: float | np.ndarray,
     backend: Backend = "closed_form",
     settings: QuadratureSettings | None = None,
 ) -> DecoherenceProfile:
     """Evaluate r(t), s(t), phi(t) with the chosen backend.
 
-    Both backends agree to quadrature tolerance wherever both apply; the
-    quadrature backend additionally serves ohmicity exponents in (-1, 0).
+    ``t`` is one time or an array of times; the profile's fields have the
+    same shape.  Both backends agree to quadrature tolerance wherever both
+    apply; the quadrature backend additionally serves ohmicity exponents in
+    (-1, 0), one time point after another.
     """
-    if not (math.isfinite(t) and t >= 0.0):
+    times = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise DomainError(f"time must be finite and >= 0, got {t}")
     if backend == "closed_form":
-        return _profile_closed(m, t)
+        return _profile_closed(m, times[()])
     if backend == "quadrature":
-        return _profile_quadrature(m, t, settings or QuadratureSettings())
+        qs = settings or QuadratureSettings()
+        r, s, phi = np.vectorize(
+            lambda tk: _profile_quadrature(m, float(tk), qs), otypes=(float, float, float)
+        )(times)
+        return DecoherenceProfile(
+            t=times[()], r=r[()], s=s[()], phi=phi[()], backend="quadrature"
+        )
     raise DomainError(f"unknown backend {backend!r}")
 
 

@@ -276,38 +276,16 @@ def cmd_critical(args: argparse.Namespace) -> int:
     if args.vary == "lambda1":
         fixed = scenario["lambda2"]
         ratio_of = lambda lam: gain_ratio(model, lam, fixed)
-        find = lambda: find_lambda_c(model, fixed, bracket=(lo, hi), tol=args.tol)
     else:
         fixed = scenario["lambda1"] if scenario["lambda1"] is not None else 0.25
         ratio_of = lambda lam: gain_ratio(model, fixed, lam)
-
-        def find() -> float:
-            # same bisection as find_lambda_c with the two weights swapped
-            low, high = lo, hi
-            r_lo, r_hi = ratio_of(low), ratio_of(high)
-            if r_lo is None or r_hi is None or not (r_lo > 1.0 > r_hi):
-                raise NoBracketError(
-                    f"no sign change across bracket [{low}, {high}]: "
-                    f"ratio(lo)={r_lo}, ratio(hi)={r_hi}"
-                )
-            while 0.5 * (high - low) > args.tol:
-                mid = 0.5 * (low + high)
-                r_mid = ratio_of(mid)
-                if r_mid is None:
-                    mid = math.nextafter(mid, high)
-                    r_mid = ratio_of(mid)
-                if r_mid > 1.0:
-                    low = mid
-                else:
-                    high = mid
-            return 0.5 * (low + high)
 
     def json_ratio(value: float | None) -> float | None:
         return value if value is not None and math.isfinite(value) else None
 
     ratio_lo, ratio_hi = json_ratio(ratio_of(lo)), json_ratio(ratio_of(hi))
     try:
-        lambda_c = find()
+        lambda_c = find_lambda_c(model, fixed, bracket=(lo, hi), tol=args.tol, vary=args.vary)
     except NoBracketError:
         payload = {
             "lambda_c": None,

@@ -18,7 +18,6 @@ shared amplitudes (the fast paths).  They agree to 1e-12 by construction.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -162,20 +161,21 @@ def coherence_factor(
     profile: DecoherenceProfile,
     epsilon: float,
     overlap: float,
-) -> complex:
+) -> complex | np.ndarray:
     """The decoherence factor A_lambda(t) multiplying the qubit coherence.
 
     |A| <= 1 always; A_0(t) = e^(-2 i eps t) e^(-r(t)).  For the t = inf
     profile the free phase e^(-2 i eps t) is undefined and set to 1 -- it
-    cancels from every distance anyway.
+    cancels from every distance anyway.  Complex array for a profile on a
+    time array.
     """
     lam = state.lam
     c_norm = normalization_c(lam, overlap)
-    phase = 1.0 + 0.0j if math.isinf(profile.t) else cmath.exp(-2.0j * epsilon * profile.t)
-    body = (1.0 - lam) * math.exp(-profile.r) + lam * math.exp(
+    t = np.where(np.isinf(profile.t), 0.0, profile.t)
+    body = (1.0 - lam) * np.exp(-profile.r) + lam * np.exp(
         profile.s - profile.r
-    ) * cmath.exp(-2.0j * profile.phi)
-    return phase * body / c_norm
+    ) * np.exp(-2.0j * profile.phi)
+    return np.exp(-2.0j * epsilon * t) * body / c_norm
 
 
 def reduced_state(amplitudes: QubitAmplitudes, coherence: complex) -> QubitDensityMatrix:
@@ -246,23 +246,23 @@ def pair_weights(lambda1: float, lambda2: float, overlap: float) -> PairWeights:
     )
 
 
-def _pair_gap(w: PairWeights, profile: DecoherenceProfile) -> float:
+def _pair_gap(w: PairWeights, profile: DecoherenceProfile) -> float | np.ndarray:
     """|A_l1 - A_l2| = |a e^(-r) + b e^(s-r) e^(-2 i phi)| (epsilon-free)."""
-    value = w.a * math.exp(-profile.r) + w.b * math.exp(
-        profile.s - profile.r
-    ) * cmath.exp(-2.0j * profile.phi)
-    return abs(value)
+    return np.abs(
+        w.a * np.exp(-profile.r)
+        + w.b * np.exp(profile.s - profile.r) * np.exp(-2.0j * profile.phi)
+    )
 
 
 def distance_same_amplitudes(
     w: PairWeights, profile: DecoherenceProfile, bscale: float
-) -> float:
+) -> float | np.ndarray:
     """Distance of two states sharing amplitudes but not correlation weight.
 
     Equals bscale * e^(-r) * sqrt(a^2 + b^2 e^(2s) + 2 a b e^s cos(2 phi))
     with bscale = |b+ b-*|; evaluated through exp(-r) and exp(s - r) so the
     intermediate e^(2s) cannot overflow.  The qubit splitting epsilon drops
-    out entirely.
+    out entirely.  Array-valued for a profile on a time array.
     """
     if not (math.isfinite(bscale) and 0.0 <= bscale <= 0.5 + _NORM_TOL):
         raise DomainError(f"bscale = |b+ b-*| must lie in [0, 1/2], got {bscale}")

@@ -3,14 +3,15 @@
 Everything in this module revolves around moments of the weight
 ``w**(p-1) * exp(-w/omega_c)`` on ``[0, inf)``:
 
-* ``gamma``            -- Euler gamma function (Lanczos approximation),
+* ``gamma``            -- Euler gamma function (``math.gamma`` with domain
+  and overflow checks),
 * ``decay_kernel``     -- closed form of the dephasing kernel
-  ``c * Int_0^inf w**(p-1) exp(-w/omega_c) (1 - cos(w t)) dw``,
+  ``c * Int_0^inf w**(p-1) exp(-w/omega_c) (1 - cos(w t)) dw``, for one
+  time or an array of times,
 * ``total_moment`` / ``oscillatory_moment`` / ``kernel_by_quadrature``
   -- adaptive-quadrature evaluations of the same integrals, kept fully
   independent of the closed forms so the two routes can cross-check
-  each other,
-* ``integrate_semi_infinite`` -- generic adaptive integral over ``[0, inf)``.
+  each other.
 
 All functions are pure; nothing here holds mutable state, so concurrent
 calls are safe.
@@ -33,7 +34,6 @@ __all__ = [
     "SMALL_EXPONENT_LIMIT",
     "gamma",
     "decay_kernel",
-    "integrate_semi_infinite",
     "total_moment",
     "oscillatory_moment",
     "kernel_by_quadrature",
@@ -55,19 +55,6 @@ _EFFECTIVE_CUT = 60.0
 # this much slack before declaring failure; end-to-end accuracy is pinned
 # separately by the closed-form/quadrature agreement tests.
 _GATE_SLACK = 50.0
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -105,12 +92,14 @@ class KernelArgs:
 
     ``p > -1`` keeps ``w**(p-1) * (1 - cos(w t))`` integrable at the origin;
     the closed-form branch additionally needs ``p >= 0`` (see decay_kernel).
+    ``t`` may be one time or an array of times for ``decay_kernel``;
+    ``kernel_by_quadrature`` takes one time.
     """
 
     c: float
     p: float
     omega_c: float
-    t: float
+    t: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.c) and self.c >= 0.0):
@@ -119,38 +108,36 @@ class KernelArgs:
             raise DomainError(f"kernel exponent p must be > -1, got {self.p}")
         if not (math.isfinite(self.omega_c) and self.omega_c > 0.0):
             raise DomainError(f"omega_c must be positive, got {self.omega_c}")
-        if not (math.isfinite(self.t) and self.t >= 0.0):
+        t = np.asarray(self.t, dtype=float)
+        if not np.all(np.isfinite(t) & (t >= 0.0)):
             raise DomainError(f"time must be finite and >= 0, got {self.t}")
 
 
 def gamma(x: float) -> float:
-    """Euler gamma function for positive real arguments.
+    """Euler gamma function for positive real arguments (``math.gamma``).
 
-    Lanczos approximation (g = 7, 9 coefficients) with one recurrence step
-    below 0.5; relative error is below 1e-13 throughout (0, 50].
+    Raises DomainError for x <= 0, non-finite x, and x above ~171.62, where
+    the result overflows a double.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma requires a finite x > 0, got {x}")
-    if x < 0.5:
-        return gamma(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma({x}) overflows a double") from None
 
 
-def decay_kernel(args: KernelArgs) -> float:
+def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     """Closed form of ``c * Int_0^inf w**(p-1) e**(-w/omega_c) (1-cos(w t)) dw``.
 
     Equals ``c * gamma(p) * omega_c**p * (1 - cos(p*atan(x)) / (1+x^2)**(p/2))``
-    with ``x = omega_c * t``.  The brace is evaluated via ``expm1`` and a
-    half-angle sine so no precision is lost when ``p`` or ``t`` is small.
-    For ``p`` below SMALL_EXPONENT_LIMIT (including ``p = 0``) the analytic
-    limit ``(c/2) * log(1 + x^2)`` is returned.  Strictly negative exponents
-    are refused here; ``kernel_by_quadrature`` serves that regime.
+    with ``x = omega_c * t``, elementwise over an array ``t``.  The brace is
+    evaluated via ``expm1`` and a half-angle sine so no precision is lost
+    when ``p`` or ``t`` is small.  For ``p`` below SMALL_EXPONENT_LIMIT
+    (including ``p = 0``) the analytic limit ``(c/2) * log(1 + x^2)`` is
+    returned.  Strictly negative exponents are refused here;
+    ``kernel_by_quadrature`` serves that regime.
     """
     c, p, omega_c, t = args.c, args.p, args.omega_c, args.t
     if p < 0.0:
@@ -158,48 +145,13 @@ def decay_kernel(args: KernelArgs) -> float:
             f"closed-form kernel needs p >= 0, got p={p}; "
             "use kernel_by_quadrature for p in (-1, 0)"
         )
-    x = omega_c * t
+    x = omega_c * np.asarray(t, dtype=float)
+    half_log = 0.5 * np.log1p(x * x)
     if p < SMALL_EXPONENT_LIMIT:
-        return 0.5 * c * math.log1p(x * x)
-    theta = math.atan(x)
-    half_log = 0.5 * math.log1p(x * x)
-    a = p * theta
+        return c * half_log
     b = p * half_log
-    brace = -math.expm1(-b) + math.exp(-b) * 2.0 * math.sin(0.5 * a) ** 2
+    brace = -np.expm1(-b) + np.exp(-b) * 2.0 * np.sin(0.5 * p * np.arctan(x)) ** 2
     return c * gamma(p) * omega_c**p * brace
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    settings: QuadratureSettings | None = None,
-    scale: float = 1.0,
-) -> float:
-    """Adaptive integral of ``f`` over ``[0, inf)``.
-
-    The upper limit is truncated at ``tail_cut_multiplier * scale``; pass the
-    natural decay scale of the integrand (e.g. omega_c) as ``scale``.
-    Integrable endpoint singularities no worse than ``w**(p-1)`` with
-    ``p > -1`` are handled by the underlying QAGS extrapolation.
-
-    Raises ConvergenceError when the achieved error estimate exceeds
-    ``max(abs_tol, rel_tol * |value|)``.
-    """
-    s = settings if settings is not None else QuadratureSettings()
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"scale must be positive, got {scale}")
-    upper = s.tail_cut_multiplier * scale
-    value, err = quad(
-        f, 0.0, upper,
-        epsabs=s.abs_tol, epsrel=s.rel_tol, limit=s.max_subdivisions,
-        full_output=1,
-    )[:2]
-    tol = max(s.abs_tol, s.rel_tol * abs(value))
-    if err > tol:
-        raise ConvergenceError(
-            f"semi-infinite integral did not converge: error estimate {err:.3e} "
-            f"exceeds tolerance {tol:.3e} after {s.max_subdivisions} subdivisions"
-        )
-    return value
 
 
 def _upper_limit(omega_c: float, settings: QuadratureSettings) -> float:

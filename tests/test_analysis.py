@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qdephase import analysis
 from qdephase import (
     BathSpec,
     DisplacementSpec,
@@ -32,6 +33,26 @@ def fast_converging_model():
         bath=BathSpec(alpha=0.05, mu=1.0, omega_c=1.0),
         displacement=DisplacementSpec(gamma_coef=0.3, nu=1.0),
     )
+
+
+@pytest.fixture
+def ratio_budget(monkeypatch):
+    """Cap the gain_ratio calls of analysis routines at 500.
+
+    A bisection that stops making progress then fails the test instead of
+    hanging it.
+    """
+    calls = []
+    real = analysis.gain_ratio
+
+    def counted(*args):
+        calls.append(args)
+        if len(calls) > 500:
+            raise AssertionError("more than 500 gain_ratio calls")
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "gain_ratio", counted)
+    return calls
 
 
 class TestTimeGrid:
@@ -201,6 +222,40 @@ class TestFindLambdaC:
         with pytest.raises(DomainError):
             find_lambda_c(benchmark_model, 0.0, bracket=bracket)
 
+    @pytest.mark.parametrize("vary,fixed", [("lambda1", 0.0), ("lambda2", 0.25)])
+    def test_tiny_tolerance_terminates(self, benchmark_model, ratio_budget, vary, fixed):
+        # below float spacing the midpoint equals an endpoint; the bisection
+        # must stop there rather than loop forever
+        lam_c = find_lambda_c(benchmark_model, fixed, tol=1e-300, vary=vary)
+        coarse = find_lambda_c(benchmark_model, fixed, tol=1e-6, vary=vary)
+        assert lam_c == pytest.approx(coarse, abs=1e-6)
+        assert len(ratio_budget) < 200
+
+    @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
+    def test_degenerate_midpoint_is_stepped_past(self, vary):
+        # the first midpoint of (0.01, 0.99) equals the fixed weight 0.5,
+        # where the ratio is undefined
+        model = ModelSpec(
+            epsilon=1.0,
+            bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
+            displacement=DisplacementSpec(gamma_coef=0.03, nu=0.05),
+        )
+        assert 0.5 * (0.01 + 0.99) == 0.5
+        tol = 1e-4
+        lam_c = find_lambda_c(model, 0.5, bracket=(0.01, 0.99), tol=tol, vary=vary)
+        # the ratio is symmetric in the two weights
+        below = gain_ratio(model, 0.5, lam_c - 2 * tol)
+        above = gain_ratio(model, 0.5, lam_c + 2 * tol)
+        assert below > 1.0 > above
+
+    def test_undefined_ratio_at_bracket_end_is_no_bracket(self, benchmark_model):
+        with pytest.raises(NoBracketError):
+            find_lambda_c(benchmark_model, 0.01, bracket=(0.01, 0.99))
+
+    def test_unknown_vary_rejected(self, benchmark_model):
+        with pytest.raises(DomainError):
+            find_lambda_c(benchmark_model, 0.0, vary="alpha")
+
 
 class TestRegionMap:
     def test_benchmark_plane_contains_both_phases(self, benchmark_model):
@@ -284,6 +339,18 @@ class TestRegionMap:
         assert result.boundary_points
         _, lam = result.boundary_points[0]
         assert lam == pytest.approx(oracles.SCENARIO_LAMBDA_C, abs=1e-3)
+
+    def test_zero_boundary_resolution_terminates(self, benchmark_model, ratio_budget):
+        result = region_map(
+            benchmark_model, 0.25, 0.0,
+            plane=("alpha", "lambda1"),
+            x_values=[0.0025], y_values=[0.3, 0.7],
+            refine_boundary=True, boundary_resolution=0.0,
+        )
+        assert len(result.boundary_points) == 1
+        _, lam = result.boundary_points[0]
+        assert lam == pytest.approx(oracles.SCENARIO_LAMBDA_C, abs=1e-3)
+        assert len(ratio_budget) < 200
 
     def test_unknown_plane_parameter(self, benchmark_model):
         with pytest.raises(DomainError):

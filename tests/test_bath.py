@@ -193,6 +193,31 @@ class TestProfileAt:
         with pytest.raises(DomainError):
             profile_at(benchmark_model, 1.0, backend="magic")
 
+    def test_time_array_matches_single_times(self):
+        rng = np.random.default_rng(12)
+        times = np.concatenate([[0.0], np.geomspace(1e-3, 1e6, 40)])
+        for k in range(20):
+            model = random_model(rng)
+            if k % 5 == 0:
+                model = replace(model, displacement=replace(model.displacement, gamma_coef=0.0))
+            whole = profile_at(model, times)
+            assert whole.r.shape == whole.s.shape == whole.phi.shape == times.shape
+            for i, t in enumerate(times):
+                point = profile_at(model, float(t))
+                for field in ("r", "s", "phi"):
+                    assert abs(getattr(whole, field)[i] - getattr(point, field)) <= 1e-15
+
+    def test_quadrature_time_array_matches_single_times(self, benchmark_model):
+        times = np.array([0.0, 0.5, 7.0])
+        whole = profile_at(benchmark_model, times, backend="quadrature")
+        for i, t in enumerate(times):
+            point = profile_at(benchmark_model, float(t), backend="quadrature")
+            assert (whole.r[i], whole.s[i], whole.phi[i]) == (point.r, point.s, point.phi)
+
+    def test_time_array_validation(self, benchmark_model):
+        with pytest.raises(DomainError):
+            profile_at(benchmark_model, np.array([0.0, 1.0, -1.0]))
+
 
 class TestProfileLimit:
     def test_benchmark_values(self, benchmark_model):

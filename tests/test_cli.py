@@ -5,6 +5,7 @@ import json
 import pytest
 
 import oracles
+from qdephase import BathSpec, DisplacementSpec, ModelSpec, find_lambda_c
 from qdephase.cli import CSV_HEADER, main, parse_config
 
 BENCHMARK_CONFIG = """
@@ -138,6 +139,15 @@ class TestEvolve:
         assert main(["evolve", "--config", str(path), "--points", "4"]) == 1
         assert "converge" in capsys.readouterr().err
 
+    def test_gamma_overflow_is_a_domain_error(self, tmp_path, capsys):
+        # Gamma(200) overflows a double: one diagnostic line and exit 2
+        path = tmp_path / "mu200.cfg"
+        path.write_text(BENCHMARK_CONFIG.replace("mu = 0.01", "mu = 200"), encoding="utf-8")
+        assert main(["evolve", "--config", str(path), "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gamma" in err
+        assert err.count("\n") == 1
+
     def test_unnormalized_amplitudes_rejected(self, tmp_path, capsys):
         path = tmp_path / "amp2.cfg"
         path.write_text(
@@ -259,14 +269,21 @@ class TestCritical:
         path.write_text(BENCHMARK_CONFIG, encoding="utf-8")
         code = main(
             ["critical", "--config", str(path), "--vary", "lambda2",
-             "--bracket", "0.3:0.95", "--tol", "1e-3"]
+             "--bracket", "0.01:0.99", "--tol", "1e-3"]
         )
         out = capsys.readouterr().out
         payload = json.loads(out)
-        if code == 0:
-            assert 0.3 < payload["lambda_c"] < 0.95
-        else:
-            assert code == 3
+        assert code == 0
+        assert payload["status"] == "ok"
+        assert payload["ratio_lo"] > 1.0 > payload["ratio_hi"]
+        model = ModelSpec(
+            epsilon=1.0,
+            bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
+            displacement=DisplacementSpec(gamma_coef=0.05, nu=0.05),
+        )
+        expected = find_lambda_c(model, 0.25, bracket=(0.01, 0.99), tol=1e-3, vary="lambda2")
+        assert payload["lambda_c"] == expected
+        assert 0.01 < expected < 0.99
 
 
 class TestValidate:

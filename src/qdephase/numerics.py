@@ -33,6 +33,7 @@ __all__ = [
     "KernelArgs",
     "SMALL_EXPONENT_LIMIT",
     "gamma",
+    "power",
     "decay_kernel",
     "total_moment",
     "oscillatory_moment",
@@ -46,10 +47,6 @@ __all__ = [
 # to ~1e-8 relative, comfortably inside the 1e-6 requirement.
 SMALL_EXPONENT_LIMIT = 1e-7
 
-# Effective integration cutoff in units of omega_c: exp(-60) ~ 8.8e-27 is
-# far below every tolerance used here.
-_EFFECTIVE_CUT = 60.0
-
 # QUADPACK error estimates are bounds, routinely 1-3 orders above the true
 # error and floor-limited near roundoff.  Internal convergence gates allow
 # this much slack before declaring failure; end-to-end accuracy is pinned
@@ -59,7 +56,8 @@ _GATE_SLACK = 50.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 _LONGMAN_PANELS_MIN = 96
-_LONGMAN_PANELS_CAP = 4096
+_LONGMAN_PANELS_CAP = 256
+_LONGMAN_PANELS_MAX = 16384
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class QuadratureSettings:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
-    tail_cut_multiplier: float = 200.0
+    tail_cut_multiplier: float = 60.0
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0):
@@ -128,6 +126,14 @@ def gamma(x: float) -> float:
         raise DomainError(f"gamma({x}) overflows a double") from None
 
 
+def power(base: float, exponent: float) -> float:
+    """``base**exponent`` (``math.pow``); DomainError where it overflows a double."""
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        raise DomainError(f"{base}**{exponent} overflows a double") from None
+
+
 def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     """Closed form of ``c * Int_0^inf w**(p-1) e**(-w/omega_c) (1-cos(w t)) dw``.
 
@@ -151,11 +157,11 @@ def decay_kernel(args: KernelArgs) -> float | np.ndarray:
         return c * half_log
     b = p * half_log
     brace = -np.expm1(-b) + np.exp(-b) * 2.0 * np.sin(0.5 * p * np.arctan(x)) ** 2
-    return c * gamma(p) * omega_c**p * brace
+    return c * gamma(p) * power(omega_c, p) * brace
 
 
 def _upper_limit(omega_c: float, settings: QuadratureSettings) -> float:
-    return omega_c * min(settings.tail_cut_multiplier, _EFFECTIVE_CUT)
+    return omega_c * settings.tail_cut_multiplier
 
 
 def _quad_checked(f, lo, hi, settings, *, abs_tol=None):
@@ -183,21 +189,40 @@ def _graded_head(g: Callable[[float], float], q: float, delta: float, settings) 
     return value * scale, abs(err) * scale
 
 
+def _binomial_mean(values: np.ndarray) -> float:
+    """Mean of ``values`` under Binomial(len - 1, 1/2) weights, built in log
+    space outward from the mode so nothing underflows or loses precision."""
+    k = len(values) - 1
+    mode = k // 2
+    i = np.arange(k, dtype=float)
+    log_ratio = np.log((k - i) / (i + 1.0))
+    log_w = np.concatenate((
+        np.cumsum(-log_ratio[:mode][::-1])[::-1],
+        [0.0],
+        np.cumsum(log_ratio[mode:]),
+    ))
+    w = np.exp(log_w)
+    return float(w @ values / w.sum())
+
+
 def _euler_sum(terms: np.ndarray) -> tuple[float, float]:
-    """Accelerated sum of an alternating series by repeated averaging."""
+    """Accelerated sum of an alternating series by repeated averaging.
+
+    n - 1 rounds of pairwise averaging of the n partial sums leave their
+    Binomial(n-1, 1/2)-weighted mean; the round before ends in the
+    Binomial(n-2, 1/2)-weighted mean of the last n - 1.  Both are formed
+    directly, in O(n), and their gap is the error estimate.
+    """
     partials = np.cumsum(terms)
-    best = partials[-1]
-    prev = None
-    while len(partials) > 1:
-        partials = 0.5 * (partials[:-1] + partials[1:])
-        prev, best = best, partials[-1]
-    est = abs(best - prev) if prev is not None else abs(best)
-    return float(best), float(est)
+    if len(partials) == 1:
+        return float(partials[0]), float(abs(partials[0]))
+    best = _binomial_mean(partials)
+    return best, abs(best - _binomial_mean(partials[1:]))
 
 
 def _longman_tail(
     p: float, omega_c: float, t: float, w0: float,
-    kind: Literal["cos", "sin"], panel_cap: int = _LONGMAN_PANELS_CAP,
+    kind: Literal["cos", "sin"], abs_tol: float,
 ) -> tuple[float, float]:
     """``Int_w0^inf w**(p-1) e**(-w/omega_c) trig(w t) dw`` by half-period panels.
 
@@ -205,20 +230,27 @@ def _longman_tail(
     integrals alternate in sign; the envelope is completely monotone for
     p <= 1, which makes the averaged partial sums converge geometrically.
     The panel window covers the exponential support of the envelope when it
-    can; beyond ``panel_cap`` half-periods (very large t) the averaged
-    extrapolation carries the remaining power-law-decaying series.
+    can; beyond the panel cap (large t) the averaged extrapolation carries
+    the remaining power-law-decaying series.  While its error estimate
+    exceeds ``abs_tol`` the cap grows fourfold, up to _LONGMAN_PANELS_MAX,
+    and only the added panels are evaluated.
     """
     trig = np.cos if kind == "cos" else np.sin
     h = math.pi / t
     support = 45.0 * omega_c
-    needed = int(math.ceil((support - w0) / h)) if support > w0 else 0
-    n_panels = min(panel_cap, max(_LONGMAN_PANELS_MIN, needed))
-    starts = w0 + h * np.arange(n_panels)
-    mids = starts + 0.5 * h
-    w = mids[:, None] + (0.5 * h) * _GL_NODES[None, :]
-    vals = w ** (p - 1.0) * np.exp(-w / omega_c) * trig(w * t)
-    terms = (0.5 * h) * (vals * _GL_WEIGHTS[None, :]).sum(axis=1)
-    return _euler_sum(terms)
+    needed = max(_LONGMAN_PANELS_MIN, math.ceil((support - w0) / h))
+    terms = np.empty(0)
+    cap = _LONGMAN_PANELS_CAP
+    while True:
+        n_panels = min(cap, needed)
+        starts = w0 + h * np.arange(len(terms), n_panels)
+        w = (starts + 0.5 * h)[:, None] + (0.5 * h) * _GL_NODES[None, :]
+        vals = w ** (p - 1.0) * np.exp(-w / omega_c) * trig(w * t)
+        terms = np.concatenate((terms, (0.5 * h) * (vals * _GL_WEIGHTS[None, :]).sum(axis=1)))
+        value, est = _euler_sum(terms)
+        if est <= abs_tol or n_panels == needed or cap >= _LONGMAN_PANELS_MAX:
+            return value, est
+        cap *= 4
 
 
 def total_moment(
@@ -317,11 +349,7 @@ def _osc_unit(p, omega_c, t, kind, settings) -> tuple[float, float]:
             p + 1.0, delta, settings,
         )
 
-    tail, e_tail = _longman_tail(p, omega_c, t, delta, kind)
-    if e_tail > settings.abs_tol:
-        tail, e_tail = _longman_tail(
-            p, omega_c, t, delta, kind, panel_cap=4 * _LONGMAN_PANELS_CAP
-        )
+    tail, e_tail = _longman_tail(p, omega_c, t, delta, kind, settings.abs_tol)
     return head + tail, e_head + e_tail
 
 
@@ -382,11 +410,7 @@ def kernel_by_quadrature(
         return w ** (p - 1.0) * math.exp(-w / omega_c)
 
     smooth, e_smooth = _quad_checked(envelope, delta, upper, s)
-    cosine, e_cos = _longman_tail(p, omega_c, t, delta, "cos")
-    if e_cos > s.abs_tol:
-        cosine, e_cos = _longman_tail(
-            p, omega_c, t, delta, "cos", panel_cap=4 * _LONGMAN_PANELS_CAP
-        )
+    cosine, e_cos = _longman_tail(p, omega_c, t, delta, "cos", s.abs_tol)
 
     value = head + smooth - cosine
     err = e_head + e_smooth + e_cos

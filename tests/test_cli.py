@@ -148,6 +148,18 @@ class TestEvolve:
         assert err.startswith("error:") and "gamma" in err
         assert err.count("\n") == 1
 
+    def test_cutoff_power_overflow_is_a_domain_error(self, tmp_path, capsys):
+        # omega_c**mu = 100**160 overflows a double while Gamma(160) does not
+        path = tmp_path / "mu160.cfg"
+        path.write_text(
+            BENCHMARK_CONFIG.replace("mu = 0.01", "mu = 160") + "omega_c = 100\n",
+            encoding="utf-8",
+        )
+        assert main(["evolve", "--config", str(path), "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+        assert err.count("\n") == 1
+
     def test_unnormalized_amplitudes_rejected(self, tmp_path, capsys):
         path = tmp_path / "amp2.cfg"
         path.write_text(

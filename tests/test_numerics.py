@@ -14,9 +14,10 @@ from qdephase import (
     gamma,
     kernel_by_quadrature,
     oscillatory_moment,
+    profile_at,
     total_moment,
 )
-from qdephase.numerics import SMALL_EXPONENT_LIMIT
+from qdephase.numerics import SMALL_EXPONENT_LIMIT, _euler_sum
 
 
 class TestGamma:
@@ -206,4 +207,47 @@ class TestQuadratureSettings:
         assert s.abs_tol == 1e-10
         assert s.rel_tol == 1e-8
         assert s.max_subdivisions == 2000
-        assert s.tail_cut_multiplier == 200.0
+        assert s.tail_cut_multiplier == 60.0
+
+    def test_tail_cut_multiplier_moves_the_quadrature_cutoff(self, benchmark_model):
+        def r(**kwargs):
+            return profile_at(benchmark_model, 3.0, "quadrature", QuadratureSettings(**kwargs)).r
+
+        assert r(tail_cut_multiplier=60.0) == r()
+        assert abs(r(tail_cut_multiplier=10.0) - r()) > 1e-6 * r()
+
+
+def _euler_sum_by_repeated_averaging(terms):
+    """Reference: average all partial sums pairwise until one value is left."""
+    partials = np.cumsum(terms)
+    best = partials[-1]
+    prev = None
+    while len(partials) > 1:
+        partials = 0.5 * (partials[:-1] + partials[1:])
+        prev, best = best, partials[-1]
+    est = abs(best - prev) if prev is not None else abs(best)
+    return float(best), float(est)
+
+
+class TestEulerSum:
+    @pytest.mark.parametrize("n", [1, 2, 3, 96, 97, 4096, 16384])
+    def test_matches_repeated_averaging(self, n):
+        k = np.arange(n)
+        rng = np.random.default_rng(n)
+        for terms in (
+            (-1.0) ** k / (k + 1.0) ** 0.3,
+            (-1.0) ** k * np.exp(-k / 50.0) * rng.uniform(0.5, 1.5, n),
+        ):
+            value, est = _euler_sum(terms)
+            ref_value, ref_est = _euler_sum_by_repeated_averaging(terms)
+            assert value == pytest.approx(ref_value, rel=1e-13)
+            assert est == pytest.approx(ref_est, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(1.0, 0.5, 1.0, 1e4, "sin"), (1.0, 1.7, 1.0, 1e5, "cos"), (0.3, -0.5, 1.0, 300.0, "sin")],
+    )
+    def test_panel_window_escalation_terminates_and_agrees(self, args):
+        # abs_tol = 1e-300 is never met, so the window grows to its ceiling
+        escalated = oscillatory_moment(*args, settings=QuadratureSettings(abs_tol=1e-300))
+        assert escalated == pytest.approx(oscillatory_moment(*args), rel=1e-12)

@@ -29,10 +29,9 @@ from .numerics import (
     KernelArgs,
     QuadratureSettings,
     decay_kernel,
-    gamma,
+    gamma_moment,
     kernel_by_quadrature,
     oscillatory_moment,
-    power,
     total_moment,
 )
 
@@ -138,7 +137,7 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
         raise DomainError(f"omega_c must be positive, got {omega_c}")
     if d.gamma_coef == 0.0:
         return 1.0
-    return math.exp(-0.5 * d.gamma_coef * gamma(d.nu) * power(omega_c, d.nu))
+    return math.exp(-gamma_moment(0.5 * d.gamma_coef, d.nu, omega_c))
 
 
 def _phi_closed(sqrt_ag: float, kappa: float, omega_c: float, t: float | np.ndarray):
@@ -147,7 +146,7 @@ def _phi_closed(sqrt_ag: float, kappa: float, omega_c: float, t: float | np.ndar
         # kappa -> 0 limit of Gamma(kappa)*sin(kappa*atan x): atan x itself.
         return sqrt_ag * np.arctan(x)
     damp = np.exp(-0.5 * kappa * np.log1p(x * x))
-    return sqrt_ag * gamma(kappa) * power(omega_c, kappa) * np.sin(kappa * np.arctan(x)) * damp
+    return gamma_moment(sqrt_ag, kappa, omega_c) * np.sin(kappa * np.arctan(x)) * damp
 
 
 def _profile_closed(m: ModelSpec, t: float | np.ndarray) -> DecoherenceProfile:
@@ -164,30 +163,28 @@ def _profile_closed(m: ModelSpec, t: float | np.ndarray) -> DecoherenceProfile:
     sqrt_ag = math.sqrt(b.alpha * d.gamma_coef)
     s = (
         2.0 * decay_kernel(KernelArgs(sqrt_ag, kappa, b.omega_c, t))
-        - 0.5 * d.gamma_coef * gamma(d.nu) * power(b.omega_c, d.nu)
+        - gamma_moment(0.5 * d.gamma_coef, d.nu, b.omega_c)
     )
     phi = _phi_closed(sqrt_ag, kappa, b.omega_c, t)
     return DecoherenceProfile(t=t, r=r, s=s, phi=phi, backend="closed_form")
 
 
 def _profile_quadrature(
-    m: ModelSpec, t: float, s0: float, settings: QuadratureSettings
-) -> tuple[float, float, float]:
-    """(r, s, phi) at one time by quadrature; ``s0`` is the static offset s(0)."""
+    m: ModelSpec, t: float | np.ndarray, settings: QuadratureSettings | None
+) -> DecoherenceProfile:
     b, d = m.bath, m.displacement
     r = 4.0 * kernel_by_quadrature(KernelArgs(b.alpha, b.mu, b.omega_c, t), settings)
-    r = max(r, 0.0)
+    r = np.maximum(r, 0.0)
     if d.gamma_coef == 0.0:
-        return r, 0.0, 0.0
+        return DecoherenceProfile(t=t, r=r, s=0.0 * r, phi=0.0 * r, backend="quadrature")
     kappa = m.kappa
     sqrt_ag = math.sqrt(b.alpha * d.gamma_coef)
-    s = 2.0 * kernel_by_quadrature(KernelArgs(sqrt_ag, kappa, b.omega_c, t), settings) + s0
-    phi = (
-        0.0
-        if t == 0.0
-        else oscillatory_moment(sqrt_ag, kappa, b.omega_c, t, "sin", settings)
+    s = (
+        2.0 * kernel_by_quadrature(KernelArgs(sqrt_ag, kappa, b.omega_c, t), settings)
+        - 0.5 * total_moment(d.gamma_coef, d.nu, b.omega_c, settings)
     )
-    return r, s, phi
+    phi = oscillatory_moment(sqrt_ag, kappa, b.omega_c, t, "sin", settings)
+    return DecoherenceProfile(t=t, r=r, s=s, phi=phi, backend="quadrature")
 
 
 def profile_at(
@@ -201,7 +198,7 @@ def profile_at(
     ``t`` is one time or an array of times; the profile's fields have the
     same shape.  Both backends agree to quadrature tolerance wherever both
     apply; the quadrature backend additionally serves ohmicity exponents in
-    (-1, 0), one time point after another.
+    (-1, 0).  Both evaluate a whole time array in one numpy pass.
     """
     times = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0.0)):
@@ -209,15 +206,7 @@ def profile_at(
     if backend == "closed_form":
         return _profile_closed(m, times[()])
     if backend == "quadrature":
-        qs = settings or QuadratureSettings()
-        d = m.displacement
-        s0 = -0.5 * total_moment(d.gamma_coef, d.nu, m.bath.omega_c, qs)
-        r, s, phi = np.vectorize(
-            lambda tk: _profile_quadrature(m, float(tk), s0, qs), otypes=(float, float, float)
-        )(times)
-        return DecoherenceProfile(
-            t=times[()], r=r[()], s=s[()], phi=phi[()], backend="quadrature"
-        )
+        return _profile_quadrature(m, times[()], settings)
     raise DomainError(f"unknown backend {backend!r}")
 
 
@@ -234,12 +223,12 @@ def profile_limit(m: ModelSpec) -> DecoherenceProfile:
             f"r(t) diverges as t -> inf for mu <= 0 (got mu={b.mu}); "
             "all coherences vanish and the long-time distance limit is 0"
         )
-    r_inf = 4.0 * b.alpha * gamma(b.mu) * power(b.omega_c, b.mu)
+    r_inf = gamma_moment(4.0 * b.alpha, b.mu, b.omega_c)
     if d.gamma_coef == 0.0:
         return DecoherenceProfile(t=math.inf, r=r_inf, s=0.0, phi=0.0, backend="closed_form")
     kappa = m.kappa
     s_inf = (
-        2.0 * math.sqrt(b.alpha * d.gamma_coef) * gamma(kappa) * power(b.omega_c, kappa)
-        - 0.5 * d.gamma_coef * gamma(d.nu) * power(b.omega_c, d.nu)
+        gamma_moment(2.0 * math.sqrt(b.alpha * d.gamma_coef), kappa, b.omega_c)
+        - gamma_moment(0.5 * d.gamma_coef, d.nu, b.omega_c)
     )
     return DecoherenceProfile(t=math.inf, r=r_inf, s=s_inf, phi=0.0, backend="closed_form")

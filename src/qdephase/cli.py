@@ -47,9 +47,9 @@ CSV_HEADER = "t,distance,abs_A1,abs_A2,r,s,phi"
 _FLOAT_KEYS = (
     "alpha", "gamma", "mu", "nu", "omega_c", "epsilon",
     "lambda1", "lambda2", "b_plus", "b_minus",
-    "t_min", "t_max", "abs_tol", "rel_tol", "tail_cut_multiplier",
+    "t_min", "t_max", "abs_tol", "rel_tol",
 )
-_INT_KEYS = ("points", "max_subdivisions")
+_INT_KEYS = ("points",)
 _STR_KEYS = ("grid", "backend", "out")
 _BOOL_KEYS = ("normalized",)
 CONFIG_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS + _BOOL_KEYS
@@ -131,11 +131,7 @@ def _scenario(cfg: dict) -> dict:
     backend = _BACKEND_ALIASES.get(str(merged["backend"]))
     if backend is None:
         raise ConfigError(f"backend must be 'closed' or 'quad', got {merged['backend']!r}")
-    settings_kwargs = {
-        key: merged[key]
-        for key in ("abs_tol", "rel_tol", "max_subdivisions", "tail_cut_multiplier")
-        if key in merged
-    }
+    settings_kwargs = {key: merged[key] for key in ("abs_tol", "rel_tol") if key in merged}
     model = ModelSpec(
         epsilon=merged["epsilon"],
         bath=BathSpec(alpha=merged["alpha"], mu=merged["mu"], omega_c=merged["omega_c"]),

@@ -5,26 +5,28 @@ Everything in this module revolves around moments of the weight
 
 * ``gamma``            -- Euler gamma function (``math.gamma`` with domain
   and overflow checks),
+* ``gamma_moment``     -- the closed-form total moment
+  ``c * gamma(p) * omega_c**p``, guarded against overflow,
 * ``decay_kernel``     -- closed form of the dephasing kernel
   ``c * Int_0^inf w**(p-1) exp(-w/omega_c) (1 - cos(w t)) dw``, for one
   time or an array of times,
 * ``total_moment`` / ``oscillatory_moment`` / ``kernel_by_quadrature``
-  -- adaptive-quadrature evaluations of the same integrals, kept fully
-  independent of the closed forms so the two routes can cross-check
-  each other.
+  -- double-exponential quadrature of the same integrals, kept fully
+  independent of the closed forms (no gamma function anywhere) so the two
+  routes can cross-check each other.
 
-All functions are pure; nothing here holds mutable state, so concurrent
-calls are safe.
+All functions are pure; nothing here holds mutable state (the node tables
+are cached constants), so concurrent calls are safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
 
@@ -33,7 +35,7 @@ __all__ = [
     "KernelArgs",
     "SMALL_EXPONENT_LIMIT",
     "gamma",
-    "power",
+    "gamma_moment",
     "decay_kernel",
     "total_moment",
     "oscillatory_moment",
@@ -47,41 +49,28 @@ __all__ = [
 # to ~1e-8 relative, comfortably inside the 1e-6 requirement.
 SMALL_EXPONENT_LIMIT = 1e-7
 
-# QUADPACK error estimates are bounds, routinely 1-3 orders above the true
-# error and floor-limited near roundoff.  Internal convergence gates allow
-# this much slack before declaring failure; end-to-end accuracy is pinned
-# separately by the closed-form/quadrature agreement tests.
-_GATE_SLACK = 50.0
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-_LONGMAN_PANELS_MIN = 96
-_LONGMAN_PANELS_CAP = 256
-_LONGMAN_PANELS_MAX = 16384
+# Every quadrature rule is a trapezoidal sum in a variable u with step
+# _STEP / 2**level, for level = 0 .. _LEVELS - 1.
+_STEP = 0.125
+_LEVELS = 6
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances and limits for the adaptive-quadrature backend."""
+    """Tolerances of the quadrature backend.
+
+    A result is accepted once two successive step halvings agree to within
+    ``max(abs_tol, rel_tol * |value|)`` at every time.
+    """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-    tail_cut_multiplier: float = 60.0
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0):
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
         if not (self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
-        if not (self.tail_cut_multiplier >= 10.0):
-            raise DomainError(
-                f"tail_cut_multiplier must be >= 10, got {self.tail_cut_multiplier}"
-            )
 
 
 @dataclass(frozen=True)
@@ -90,8 +79,7 @@ class KernelArgs:
 
     ``p > -1`` keeps ``w**(p-1) * (1 - cos(w t))`` integrable at the origin;
     the closed-form branch additionally needs ``p >= 0`` (see decay_kernel).
-    ``t`` may be one time or an array of times for ``decay_kernel``;
-    ``kernel_by_quadrature`` takes one time.
+    ``t`` may be one time or an array of times.
     """
 
     c: float
@@ -106,9 +94,14 @@ class KernelArgs:
             raise DomainError(f"kernel exponent p must be > -1, got {self.p}")
         if not (math.isfinite(self.omega_c) and self.omega_c > 0.0):
             raise DomainError(f"omega_c must be positive, got {self.omega_c}")
-        t = np.asarray(self.t, dtype=float)
-        if not np.all(np.isfinite(t) & (t >= 0.0)):
-            raise DomainError(f"time must be finite and >= 0, got {self.t}")
+        _check_times(self.t)
+
+
+def _check_times(t) -> np.ndarray:
+    times = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise DomainError(f"time must be finite and >= 0, got {t}")
+    return times
 
 
 def gamma(x: float) -> float:
@@ -126,12 +119,19 @@ def gamma(x: float) -> float:
         raise DomainError(f"gamma({x}) overflows a double") from None
 
 
-def power(base: float, exponent: float) -> float:
-    """``base**exponent`` (``math.pow``); DomainError where it overflows a double."""
+def gamma_moment(c: float, p: float, omega_c: float) -> float:
+    """``c * gamma(p) * omega_c**p``, the closed form of ``c * Int_0^inf
+    w**(p-1) e**(-w/omega_c) dw``, for p > 0.
+
+    Raises DomainError where a factor or the product overflows a double.
+    """
     try:
-        return math.pow(base, exponent)
+        value = c * math.gamma(p) * math.pow(omega_c, p)
     except OverflowError:
-        raise DomainError(f"{base}**{exponent} overflows a double") from None
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{c} * gamma({p}) * {omega_c}**{p} overflows a double")
+    return value
 
 
 def decay_kernel(args: KernelArgs) -> float | np.ndarray:
@@ -157,100 +157,136 @@ def decay_kernel(args: KernelArgs) -> float | np.ndarray:
         return c * half_log
     b = p * half_log
     brace = -np.expm1(-b) + np.exp(-b) * 2.0 * np.sin(0.5 * p * np.arctan(x)) ** 2
-    return c * gamma(p) * power(omega_c, p) * brace
+    return gamma_moment(c, p, omega_c) * brace
 
 
-def _upper_limit(omega_c: float, settings: QuadratureSettings) -> float:
-    return omega_c * settings.tail_cut_multiplier
+# ---------------------------------------------------------------------------
+# Double-exponential (DE) quadrature.  Each quantity is split at a point
+# delta > 0 into
+#
+#   head      Int_0^delta w**(q-1) g(w) dw with g smooth: w = delta*v**(1/r),
+#             r = min(q, 1), absorbs the endpoint power, then tanh-sinh in v;
+#   envelope  Int_delta^inf w**(p-1) e**(-w/omega_c) dw: w = delta/v, then
+#             tanh-sinh in v (the integrand vanishes double exponentially
+#             at v = 0);
+#   sine      Int_0^inf F(y) sin(t*y) dy with F(y) = (delta+y)**(p-1)
+#             e**(-(delta+y)/omega_c), by the Ooura-Mori DE formula for
+#             Fourier-type integrals (J. Comput. Appl. Math. 112 (1999) 229).
+#
+# delta sits on a zero of the trig factor, so every oscillatory tail is the
+# same sine integral.  The rules run on [times x nodes] arrays and share one
+# level-halving loop and one convergence gate; each time leaves the loop at
+# its own level, so its value does not depend on the other times.
 
 
-def _quad_checked(f, lo, hi, settings, *, abs_tol=None):
-    eps = settings.abs_tol if abs_tol is None else abs_tol
-    value, err = quad(
-        f, lo, hi,
-        epsabs=eps, epsrel=settings.rel_tol, limit=settings.max_subdivisions,
-        full_output=1,
-    )[:2]
-    return value, err
+@cache
+def _tanh_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-sinh nodes in logit form, z = pi*sinh(u), and weights h*dz/du."""
+    h = _STEP / 2**level
+    u = h * np.arange(-math.ceil(3.2 / h), math.ceil(4.5 / h) + 1)
+    return _frozen(math.pi * np.sinh(u), h * math.pi * np.cosh(u))
 
 
-def _graded_head(g: Callable[[float], float], q: float, delta: float, settings) -> tuple[float, float]:
-    """``Int_0^delta w**(q-1) g(w) dw`` via the substitution ``w = delta*v**(1/q)``.
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only arrays: the cached node tables are shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
-    Valid for q > 0 and smooth g; the transformed integrand is regular.
+
+def _unit_nodes(level: int, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes v = 1/(1 + e**(shift - z)) on (0, 1) and weights, one row per shift.
+
+    The shift moves the centre of the rule to v = 1/(1 + e**shift), where
+    the integrand of that row has its scale.
     """
-    inv_q = 1.0 / q
-
-    def transformed(v: float) -> float:
-        return g(delta * v**inv_q)
-
-    value, err = _quad_checked(transformed, 0.0, 1.0, settings, abs_tol=1e-14)
-    scale = delta**q / q
-    return value * scale, abs(err) * scale
+    z, dz = _tanh_sinh(level)
+    ez = np.exp(shift - z)
+    v = 1.0 / (1.0 + ez)
+    return v, dz * ez * v * v
 
 
-def _binomial_mean(values: np.ndarray) -> float:
-    """Mean of ``values`` under Binomial(len - 1, 1/2) weights, built in log
-    space outward from the mode so nothing underflows or loses precision."""
-    k = len(values) - 1
-    mode = k // 2
-    i = np.arange(k, dtype=float)
-    log_ratio = np.log((k - i) / (i + 1.0))
-    log_w = np.concatenate((
-        np.cumsum(-log_ratio[:mode][::-1])[::-1],
-        [0.0],
-        np.cumsum(log_ratio[mode:]),
-    ))
-    w = np.exp(log_w)
-    return float(w @ values / w.sum())
+@cache
+def _ooura_mori(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_n = M*phi(nh) and weights pi*sin(x_n)*phi'(nh) with
+    ``Int_0^inf f(x) sin(x) dx ~= sum f(x_n) w_n``, M = pi/h.
 
-
-def _euler_sum(terms: np.ndarray) -> tuple[float, float]:
-    """Accelerated sum of an alternating series by repeated averaging.
-
-    n - 1 rounds of pairwise averaging of the n partial sums leave their
-    Binomial(n-1, 1/2)-weighted mean; the round before ends in the
-    Binomial(n-2, 1/2)-weighted mean of the last n - 1.  Both are formed
-    directly, in O(n), and their gap is the error estimate.
+    phi(u) = u / (1 - exp(-2u - alpha(1 - e**-u) - beta(e**u - 1))); the
+    nodes approach the zeros n*pi of sin double exponentially, so the sum
+    needs no truncation of the integrand.  sin(x_n) is evaluated as
+    (-1)**n sin(M*(phi - u)) for n > 0 to keep its tiny values accurate.
     """
-    partials = np.cumsum(terms)
-    if len(partials) == 1:
-        return float(partials[0]), float(abs(partials[0]))
-    best = _binomial_mean(partials)
-    return best, abs(best - _binomial_mean(partials[1:]))
+    h = _STEP / 2**level
+    m = math.pi / h
+    beta = 0.25
+    alpha = beta / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+    g1 = 2.0 + alpha + beta
+    n = np.arange(-math.ceil(10.0 / h), math.ceil(5.5 / h) + 1)
+    u = h * n
+    with np.errstate(all="ignore"):
+        g = 2.0 * u - alpha * np.expm1(-u) + beta * np.expm1(u)
+        e, d = np.exp(-g), -np.expm1(-g)
+        phi = np.where(n == 0, 1.0 / g1, u / d)
+        dphi = np.where(
+            n == 0,
+            0.5 + 0.5 * (alpha - beta) / g1**2,
+            (1.0 - u * (2.0 + alpha * np.exp(-u) + beta * np.exp(u)) * e / d) / d,
+        )
+        sine = np.where(n > 0, (-1.0) ** n * np.sin(m * u * e / d), np.sin(m * phi))
+        weight = math.pi * sine * dphi
+    keep = np.abs(weight) > 1e-30  # also drops the far-left 0/0 and inf/inf
+    return _frozen(m * phi[keep], weight[keep])
 
 
-def _longman_tail(
-    p: float, omega_c: float, t: float, w0: float,
-    kind: Literal["cos", "sin"], abs_tol: float,
-) -> tuple[float, float]:
-    """``Int_w0^inf w**(p-1) e**(-w/omega_c) trig(w t) dw`` by half-period panels.
+def _de_integral(
+    what: str, c: float, p: float, omega_c: float, t: np.ndarray, delta: np.ndarray,
+    q: float, g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    envelope_tail: bool, sine_sign: float, settings: QuadratureSettings | None,
+) -> np.ndarray:
+    """``c * (head + [envelope] + sine_sign * sine)`` for 1-D ``t`` and ``delta``.
 
-    ``w0`` must sit on a zero of the trig factor so consecutive panel
-    integrals alternate in sign; the envelope is completely monotone for
-    p <= 1, which makes the averaged partial sums converge geometrically.
-    The panel window covers the exponential support of the envelope when it
-    can; beyond the panel cap (large t) the averaged extrapolation carries
-    the remaining power-law-decaying series.  While its error estimate
-    exceeds ``abs_tol`` the cap grows fourfold, up to _LONGMAN_PANELS_MAX,
-    and only the added panels are evaluated.
+    ``g(w, t)`` is the smooth head factor.  Every level halves the step of
+    all rules; a time is done once two successive levels agree to within
+    ``max(abs_tol, rel_tol * |value|)``.
     """
-    trig = np.cos if kind == "cos" else np.sin
-    h = math.pi / t
-    support = 45.0 * omega_c
-    needed = max(_LONGMAN_PANELS_MIN, math.ceil((support - w0) / h))
-    terms = np.empty(0)
-    cap = _LONGMAN_PANELS_CAP
-    while True:
-        n_panels = min(cap, needed)
-        starts = w0 + h * np.arange(len(terms), n_panels)
-        w = (starts + 0.5 * h)[:, None] + (0.5 * h) * _GL_NODES[None, :]
-        vals = w ** (p - 1.0) * np.exp(-w / omega_c) * trig(w * t)
-        terms = np.concatenate((terms, (0.5 * h) * (vals * _GL_WEIGHTS[None, :]).sum(axis=1)))
-        value, est = _euler_sum(terms)
-        if est <= abs_tol or n_panels == needed or cap >= _LONGMAN_PANELS_MAX:
-            return value, est
-        cap *= 4
+    s = settings if settings is not None else QuadratureSettings()
+    r = min(q, 1.0)
+    rows = np.arange(len(t))
+    tc, dc = t[:, None], delta[:, None]
+    # centre the head where w = delta*v**(1/r) reaches omega_c when delta is
+    # larger, the envelope tail where w = delta/v does (clipped so that
+    # e**(shift - z) stays finite)
+    head_shift = np.minimum(r * np.log1p(dc / omega_c), 650.0)
+    tail_shift = np.minimum(np.log(omega_c / dc), 650.0)
+    out = np.empty(len(t))
+    prev = np.full(len(t), np.nan)
+    for level in range(_LEVELS):
+        v, dv = _unit_nodes(level, head_shift)
+        head = (v ** (q / r - 1.0) * g(dc * v ** (1.0 / r), tc) * dv).sum(1)
+        value = dc[:, 0] ** q / r * head
+        if envelope_tail:
+            v, dv = _unit_nodes(level, tail_shift)
+            tail = (np.exp(-(p + 1.0) * np.log(v) - dc / (omega_c * v)) * dv).sum(1)
+            value += dc[:, 0] ** p * tail
+        if sine_sign:
+            y, dy = _ooura_mori(level)
+            w = dc + y / tc
+            value += sine_sign / tc[:, 0] * (w ** (p - 1.0) * np.exp(-w / omega_c) * dy).sum(1)
+        value *= c
+        gap = np.abs(value - prev)
+        tol = np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
+        done = gap <= tol
+        out[rows[done]] = value[done]
+        if done.all():
+            return out
+        more = ~done
+        rows, prev, gap, tol = rows[more], value[more], gap[more], tol[more]
+        tc, dc, head_shift, tail_shift = tc[more], dc[more], head_shift[more], tail_shift[more]
+    worst = int(np.argmax(gap / tol))
+    raise ConvergenceError(
+        f"{what} (p={p}, t={t[rows[worst]]}) did not converge: "
+        f"level gap {gap[worst]:.3e} > {tol[worst]:.3e}"
+    )
 
 
 def total_moment(
@@ -258,166 +294,86 @@ def total_moment(
     settings: QuadratureSettings | None = None,
 ) -> float:
     """``c * Int_0^inf w**(p-1) e**(-w/omega_c) dw`` by quadrature (p > 0)."""
-    s = settings if settings is not None else QuadratureSettings()
     if not (math.isfinite(p) and p > 0.0):
         raise DomainError(f"total moment diverges for p <= 0, got p={p}")
     if not (omega_c > 0.0 and math.isfinite(omega_c)):
         raise DomainError(f"omega_c must be positive, got {omega_c}")
     if c == 0.0:
         return 0.0
-    upper = _upper_limit(omega_c, s)
+    value = _de_integral(
+        "total moment", c, p, omega_c, np.zeros(1), np.full(1, omega_c), p,
+        lambda w, _: np.exp(-w / omega_c), True, 0.0, settings,
+    )
+    return float(value[0])
 
-    def envelope(w: float) -> float:
-        return w ** (p - 1.0) * math.exp(-w / omega_c)
 
-    if p >= 1.0:
-        value, err = _quad_checked(envelope, 0.0, upper, s)
-    else:
-        head, e1 = _graded_head(lambda w: math.exp(-w / omega_c), p, omega_c, s)
-        tail, e2 = _quad_checked(envelope, omega_c, upper, s)
-        value, err = head + tail, e1 + e2
-    tol = _GATE_SLACK * max(s.abs_tol, s.rel_tol * abs(value))
-    if err > tol:
-        raise ConvergenceError(
-            f"total moment (p={p}) did not converge: estimate {err:.3e} > {tol:.3e}"
+def _moment(
+    what: str, c: float, p: float, omega_c: float, t, settings,
+    zero_value: float, delta_periods: float, q: float,
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray], envelope_tail: bool, sine_sign: float,
+) -> float | np.ndarray:
+    """Shared driver: ``zero_value`` at t = 0, the DE sum at every t > 0."""
+    times = _check_times(t)
+    out = np.full(times.shape, zero_value)
+    pos = times > 0.0
+    if c != 0.0 and np.any(pos):
+        tp = times[pos]
+        out[pos] = _de_integral(
+            what, c, p, omega_c, tp, delta_periods * math.pi / tp, q,
+            g, envelope_tail, sine_sign, settings,
         )
-    return c * value
+    return out[()]
 
 
 def oscillatory_moment(
-    c: float, p: float, omega_c: float, t: float,
+    c: float, p: float, omega_c: float, t: float | np.ndarray,
     kind: Literal["cos", "sin"],
     settings: QuadratureSettings | None = None,
-) -> float:
+) -> float | np.ndarray:
     """``c * Int_0^inf w**(p-1) e**(-w/omega_c) trig(w t) dw`` by quadrature.
 
-    The cosine moment needs p > 0; the sine moment converges for p > -1.
-    Exponents above 1 are reduced with the exact integration-by-parts
-    recurrence; p <= 1 uses a graded head panel up to the first trig zero
-    plus accelerated half-period panel summation, which stays accurate for
-    arbitrarily large t.
+    ``t`` is one time or an array of times.  The cosine moment needs p > 0;
+    the sine moment converges for p > -1.  The head runs to the first zero
+    of the trig factor (pi/(2t) for cos, pi/t for sin); the rest is one
+    Ooura-Mori sine integral, accurate for arbitrarily large t.
     """
-    s = settings if settings is not None else QuadratureSettings()
     if kind not in ("cos", "sin"):
         raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"time must be finite and >= 0, got {t}")
+    if not (math.isfinite(p) and math.isfinite(omega_c) and omega_c > 0.0):
+        raise DomainError(f"need a finite p and omega_c > 0, got p={p}, omega_c={omega_c}")
     if kind == "cos" and p <= 0.0:
         raise DomainError(f"cosine moment diverges for p <= 0, got p={p}")
     if kind == "sin" and p <= -1.0:
         raise DomainError(f"sine moment diverges for p <= -1, got p={p}")
-    if c == 0.0:
-        return 0.0
-    if t == 0.0:
-        return total_moment(c, p, omega_c, s) if kind == "cos" else 0.0
-    value, err = _osc_unit(p, omega_c, t, kind, s)
-    tol = _GATE_SLACK * max(s.abs_tol, s.rel_tol * abs(c * value))
-    if c * err > tol:
-        raise ConvergenceError(
-            f"oscillatory moment (p={p}, t={t}, {kind}) did not converge: "
-            f"estimate {c * err:.3e} > {tol:.3e}"
+    if kind == "cos":
+        times = _check_times(t)
+        total = total_moment(c, p, omega_c, settings) if np.any(times == 0.0) else 0.0
+        return _moment(
+            "cosine moment", c, p, omega_c, times, settings, total, 0.5, p,
+            lambda w, tc: np.exp(-w / omega_c) * np.cos(w * tc), False, -1.0,
         )
-    return c * value
-
-
-def _osc_unit(p, omega_c, t, kind, settings) -> tuple[float, float]:
-    if p > 1.0:
-        # integration by parts reduces the exponent by one:
-        #   C(p) = (p-1)/(a^2+t^2) * (a*C(p-1) - t*S(p-1))
-        #   S(p) = (p-1)/(a^2+t^2) * (t*C(p-1) + a*S(p-1))
-        # with a = 1/omega_c.
-        a = 1.0 / omega_c
-        den = a * a + t * t
-        cm, ec = _osc_unit(p - 1.0, omega_c, t, "cos", settings)
-        sm, es = _osc_unit(p - 1.0, omega_c, t, "sin", settings)
-        factor = (p - 1.0) / den
-        if kind == "cos":
-            return factor * (a * cm - t * sm), abs(factor) * (a * ec + t * es)
-        return factor * (t * cm + a * sm), abs(factor) * (t * ec + a * es)
-
-    mtrig = math.cos if kind == "cos" else math.sin
-    delta = math.pi / (2.0 * t) if kind == "cos" else math.pi / t
-
-    if p > 0.0:
-        head, e_head = _graded_head(
-            lambda w: math.exp(-w / omega_c) * mtrig(w * t), p, delta, settings
-        )
-    else:
-        # sine only: fold one power of w into sin(w t)/w, which is smooth.
-        head, e_head = _graded_head(
-            lambda w: math.exp(-w / omega_c) * (math.sin(w * t) / w if w > 0.0 else t),
-            p + 1.0, delta, settings,
-        )
-
-    tail, e_tail = _longman_tail(p, omega_c, t, delta, kind, settings.abs_tol)
-    return head + tail, e_head + e_tail
+    # one power of w goes into sin(w t)/w = t*sinc(w t/pi), which is smooth
+    return _moment(
+        "sine moment", c, p, omega_c, t, settings, 0.0, 1.0, p + 1.0,
+        lambda w, tc: np.exp(-w / omega_c) * tc * np.sinc(w * tc / math.pi), False, -1.0,
+    )
 
 
 def kernel_by_quadrature(
     args: KernelArgs, settings: QuadratureSettings | None = None
-) -> float:
+) -> float | np.ndarray:
     """Quadrature evaluation of the decay kernel's defining integral.
 
     Serves as the independent oracle for ``decay_kernel`` and as the
     computational route for exponents in (-1, 0] where the closed form
-    does not apply.  Strategy: direct adaptive integration while the
-    oscillation count is modest (omega_c * t <= 4), otherwise a split into
-    the non-oscillatory total minus the cosine moment (p > 1), or a
-    head/smooth-tail/alternating-tail decomposition (p <= 1) that also
-    covers negative exponents.
+    does not apply.  ``args.t`` is one time or an array of times.  With
+    delta = pi/(2t), the kernel is the head of ``w**(p+1) *
+    (1 - cos(w t))/w**2`` on [0, delta], plus the envelope tail, minus the
+    cosine tail, which equals plus the Ooura-Mori sine integral.
     """
-    s = settings if settings is not None else QuadratureSettings()
-    c, p, omega_c, t = args.c, args.p, args.omega_c, args.t
-    if c == 0.0 or t == 0.0:
-        return 0.0
-    x = omega_c * t
-    upper = _upper_limit(omega_c, s)
-
-    if x <= 4.0:
-        def integrand(w: float) -> float:
-            return (
-                w ** (p - 1.0)
-                * math.exp(-w / omega_c)
-                * 2.0 * math.sin(0.5 * w * t) ** 2
-            )
-
-        value, err = _quad_checked(integrand, 0.0, upper, s)
-        tol = _GATE_SLACK * max(s.abs_tol, s.rel_tol * abs(value))
-        if err > tol:
-            raise ConvergenceError(
-                f"kernel quadrature (p={p}, t={t}) did not converge: "
-                f"estimate {err:.3e} > {tol:.3e}"
-            )
-        return c * value
-
-    if p > 1.0:
-        total = total_moment(1.0, p, omega_c, s)
-        cosine, e_cos = _osc_unit(p, omega_c, t, "cos", s)
-        return c * (total - cosine)
-
-    delta = math.pi / (2.0 * t)
-
-    def head_integrand(w: float) -> float:
-        return (
-            w ** (p - 1.0)
-            * math.exp(-w / omega_c)
-            * 2.0 * math.sin(0.5 * w * t) ** 2
-        )
-
-    head, e_head = _quad_checked(head_integrand, 0.0, delta, s, abs_tol=1e-14)
-
-    def envelope(w: float) -> float:
-        return w ** (p - 1.0) * math.exp(-w / omega_c)
-
-    smooth, e_smooth = _quad_checked(envelope, delta, upper, s)
-    cosine, e_cos = _longman_tail(p, omega_c, t, delta, "cos", s.abs_tol)
-
-    value = head + smooth - cosine
-    err = e_head + e_smooth + e_cos
-    tol = _GATE_SLACK * max(s.abs_tol, s.rel_tol * abs(value))
-    if err > tol:
-        raise ConvergenceError(
-            f"kernel quadrature (p={p}, t={t}) did not converge: "
-            f"estimate {err:.3e} > {tol:.3e}"
-        )
-    return c * value
+    c, p, omega_c = args.c, args.p, args.omega_c
+    return _moment(
+        "kernel quadrature", c, p, omega_c, args.t, settings, 0.0, 0.5, p + 2.0,
+        lambda w, tc: np.exp(-w / omega_c) * 2.0 * (np.sin(0.5 * w * tc) / w) ** 2,
+        True, 1.0,
+    )

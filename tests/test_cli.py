@@ -133,7 +133,7 @@ class TestEvolve:
         path = tmp_path / "harsh.cfg"
         path.write_text(
             BENCHMARK_CONFIG
-            + "backend = quad\nabs_tol = 1e-14\nrel_tol = 1e-14\nmax_subdivisions = 1\n",
+            + "backend = quad\nabs_tol = 1e-300\nrel_tol = 1e-300\n",
             encoding="utf-8",
         )
         assert main(["evolve", "--config", str(path), "--points", "4"]) == 1
@@ -153,6 +153,18 @@ class TestEvolve:
         path = tmp_path / "mu160.cfg"
         path.write_text(
             BENCHMARK_CONFIG.replace("mu = 0.01", "mu = 160") + "omega_c = 100\n",
+            encoding="utf-8",
+        )
+        assert main(["evolve", "--config", str(path), "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+        assert err.count("\n") == 1
+
+    def test_moment_product_overflow_is_a_domain_error(self, tmp_path, capsys):
+        # Gamma(160) and 10**160 are each finite, their product is not
+        path = tmp_path / "mu160wc10.cfg"
+        path.write_text(
+            BENCHMARK_CONFIG.replace("mu = 0.01", "mu = 160") + "omega_c = 10\n",
             encoding="utf-8",
         )
         assert main(["evolve", "--config", str(path), "--points", "3"]) == 2

@@ -19,15 +19,15 @@ from .bath import (
     Backend,
     ModelSpec,
     ground_coherent_overlap,
+    limit_exponents,
     profile_at,
-    profile_limit,
 )
 from .dynamics import (
     InitialStateSpec,
     QubitAmplitudes,
-    coherence_factor,
     distance_same_amplitudes,
     pair_weights,
+    unphased_coherence_factor,
 )
 from .errors import DomainError, NoBracketError
 from .numerics import QuadratureSettings
@@ -59,6 +59,7 @@ _OVERRIDES = {
     "lambda2": lambda m, l1, l2, v: (m, l1, v),
 }
 PLANE_PARAMETERS = tuple(_OVERRIDES)
+_RATIO_ARGS = ("alpha", "mu", "omega_c", "gamma", "nu", "lambda1", "lambda2")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _DEFAULT_TIE_TOL = 1e-9
@@ -195,12 +196,40 @@ def distance_series(
         grid=time_grid,
         times=times,
         distance=dist,
-        abs_a1=np.abs(coherence_factor(state1, profile, model.epsilon, overlap)),
-        abs_a2=np.abs(coherence_factor(state2, profile, model.epsilon, overlap)),
+        abs_a1=np.abs(unphased_coherence_factor(state1, profile, overlap)),
+        abs_a2=np.abs(unphased_coherence_factor(state2, profile, overlap)),
         r=profile.r,
         s=profile.s,
         phi=profile.phi,
     )
+
+
+def _gain_ratios(alpha, mu, omega_c, gamma, nu, lambda1, lambda2) -> np.ndarray:
+    """gain_ratio elementwise over broadcastable parameters (``gamma`` is
+    gamma_coef): NaN where it is undefined, inf where only D(0) vanishes.
+
+    A map cell and gain_ratio on that cell must agree to the bit (the
+    cancellation in D(0) magnifies any ulp), so every operation here gives
+    an element of an array what it gives a scalar.
+    """
+    s0, r_inf, s_inf = limit_exponents(alpha, mu, omega_c, gamma, nu)
+    overlap = np.exp(s0)
+    w = pair_weights(lambda1, lambda2, overlap)
+    d0 = np.abs(w.a + w.b * overlap)
+    d_inf = np.abs(w.a * np.exp(-r_inf) + w.b * np.exp(s_inf - r_inf))
+    # both distances carry the same roundoff floor; below it they are zeros
+    # (lambda1 = lambda2 makes a = b = 0 exactly)
+    tiny = 1e-14 * (np.abs(w.a) + np.abs(w.b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(d0 > tiny, d_inf / d0, np.where(d_inf > tiny, np.inf, np.nan))
+    return np.where(overlap < 1.0, ratio, np.nan)
+
+
+def _ratio_args(model: ModelSpec, lambda1: float, lambda2: float) -> dict[str, np.float64]:
+    """The arguments of _gain_ratios for one cell, as numpy float64 scalars."""
+    b, d = model.bath, model.displacement
+    values = (b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu, lambda1, lambda2)
+    return dict(zip(_RATIO_ARGS, map(np.float64, values)))
 
 
 def gain_ratio(model: ModelSpec, lambda1: float, lambda2: float) -> float | None:
@@ -213,22 +242,8 @@ def gain_ratio(model: ModelSpec, lambda1: float, lambda2: float) -> float | None
     above 1 signal contractivity breakdown in the long-time limit;
     requires mu > 0 so the limit exists.
     """
-    if lambda1 == lambda2:
-        return None
-    overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
-    if overlap >= 1.0:
-        return None
-    w = pair_weights(lambda1, lambda2, overlap)
-    limit = profile_limit(model)
-    d0 = abs(w.a + w.b * overlap)
-    d_inf = abs(
-        w.a * math.exp(-limit.r) + w.b * math.exp(limit.s - limit.r)
-    )
-    # both distances carry the same roundoff floor; below it they are zeros
-    tiny = 1e-14 * (abs(w.a) + abs(w.b))
-    if d0 <= tiny:
-        return math.inf if d_inf > tiny else None
-    return d_inf / d0
+    ratio = float(_gain_ratios(**_ratio_args(model, lambda1, lambda2)))
+    return None if math.isnan(ratio) else ratio
 
 
 def find_lambda_c(
@@ -282,16 +297,6 @@ def find_lambda_c(
     return 0.5 * (lo + hi)
 
 
-def _classify(ratio: float | None, tie_tol: float) -> str:
-    if ratio is None:
-        return "0"
-    if math.isinf(ratio) or ratio > 1.0 + tie_tol:
-        return "+"
-    if ratio < 1.0 - tie_tol:
-        return "-"
-    return "0"
-
-
 def region_map(
     model: ModelSpec,
     lambda1: float,
@@ -324,64 +329,49 @@ def region_map(
     if xs.size == 0 or ys.size == 0:
         raise DomainError("plane axes must contain at least one value each")
 
-    def cell_ratio(xv: float, yv: float) -> float | None:
-        m, l1, l2 = _OVERRIDES[x_name](model, lambda1, lambda2, xv)
-        m, l1, l2 = _OVERRIDES[y_name](m, l1, l2, yv)
-        return gain_ratio(m, l1, l2)
+    # every domain is an interval: checking each axis value also covers the
+    # cells and the bisection midpoints between them
+    for name, values in ((x_name, xs), (y_name, ys)):
+        for v in values.tolist():
+            _OVERRIDES[name](model, lambda1, lambda2, v)
+    args = _ratio_args(model, lambda1, lambda2)
 
-    labels: list[list[str]] = []
-    gain: list[list[float | None]] = []
-    for yv in ys:
-        row_labels: list[str] = []
-        row_gain: list[float | None] = []
-        for xv in xs:
-            ratio = cell_ratio(float(xv), float(yv))
-            row_labels.append(_classify(ratio, tie_tol))
-            row_gain.append(
-                ratio if ratio is not None and math.isfinite(ratio) else None
-            )
-        labels.append(row_labels)
-        gain.append(row_gain)
+    def ratios(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
+        return _gain_ratios(**{**args, x_name: xv, y_name: yv})
+
+    grid = ratios(xs[np.newaxis, :], ys[:, np.newaxis])
+    plus, minus = grid > 1.0 + tie_tol, grid < 1.0 - tie_tol
+    labels = np.where(plus, "+", np.where(minus, "-", "0")).tolist()
+    gain = [[v if math.isfinite(v) else None for v in row] for row in grid.tolist()]
 
     boundary: list[tuple[float, float]] = []
     if refine_boundary:
-        def crossing(fixed: float, lo: float, hi: float, axis: str, res: float):
-            def h(v: float) -> float | None:
-                return cell_ratio(v, fixed) if axis == "x" else cell_ratio(fixed, v)
-
-            r_lo, r_hi = h(lo), h(hi)
-            if r_lo is None or r_hi is None:
-                return None
-            sign_lo = r_lo > 1.0
-            if sign_lo == (r_hi > 1.0):
-                return None
-            while hi - lo > res:
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):
-                    break
-                r_mid = h(mid)
-                if r_mid is None:
-                    return None
-                if (r_mid > 1.0) == sign_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
+        # the ratio = 1 crossing on every edge between a '+' and a '-' cell,
+        # x-edges row-major, then y-edges column-major, all bisected in
+        # lockstep: one ratios() call per round on the edges still open
+        ey, ex = np.nonzero(plus[:, :-1] & minus[:, 1:] | minus[:, :-1] & plus[:, 1:])
+        fx, fy = np.nonzero((plus[:-1, :] & minus[1:, :] | minus[:-1, :] & plus[1:, :]).T)
+        along_x = np.arange(ex.size + fx.size) < ex.size
+        lo = np.concatenate([xs[ex], ys[fy]])
+        hi = np.concatenate([xs[ex + 1], ys[fy + 1]])
+        fixed = np.concatenate([ys[ey], xs[fx]])
+        lo_above = np.concatenate([plus[ey, ex], plus[fy, fx]])
         x_res = boundary_resolution * (xs[-1] - xs[0]) if xs.size > 1 else 0.0
         y_res = boundary_resolution * (ys[-1] - ys[0]) if ys.size > 1 else 0.0
-        for iy, yv in enumerate(ys):
-            for ix in range(len(xs) - 1):
-                if {labels[iy][ix], labels[iy][ix + 1]} == {"+", "-"}:
-                    v = crossing(float(yv), float(xs[ix]), float(xs[ix + 1]), "x", x_res)
-                    if v is not None:
-                        boundary.append((v, float(yv)))
-        for ix, xv in enumerate(xs):
-            for iy in range(len(ys) - 1):
-                if {labels[iy][ix], labels[iy + 1][ix]} == {"+", "-"}:
-                    v = crossing(float(xv), float(ys[iy]), float(ys[iy + 1]), "y", y_res)
-                    if v is not None:
-                        boundary.append((float(xv), v))
+        res = np.where(along_x, x_res, y_res)
+        while True:
+            mid = 0.5 * (lo + hi)
+            k = np.flatnonzero((hi - lo > res) & (mid != lo) & (mid != hi))
+            if k.size == 0:
+                break
+            m, f = mid[k], fixed[k]
+            r_mid = ratios(np.where(along_x[k], m, f), np.where(along_x[k], f, m))
+            to_lo = (r_mid > 1.0) == lo_above[k]
+            lo[k], hi[k] = np.where(to_lo, m, lo[k]), np.where(to_lo, hi[k], m)
+            lo[k[np.isnan(r_mid)]] = np.nan  # an undefined midpoint drops the edge
+        kept = ~np.isnan(lo)
+        v, f, on_x = 0.5 * (lo + hi)[kept], fixed[kept], along_x[kept]
+        boundary = list(zip(np.where(on_x, v, f).tolist(), np.where(on_x, f, v).tolist()))
 
     return RegionMap(
         plane=(x_name, y_name),

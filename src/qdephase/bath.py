@@ -28,6 +28,7 @@ from .numerics import (
     SMALL_EXPONENT_LIMIT,
     KernelArgs,
     QuadratureSettings,
+    all_true,
     decay_kernel,
     gamma_moment,
     kernel_by_quadrature,
@@ -44,6 +45,7 @@ __all__ = [
     "ground_coherent_overlap",
     "profile_at",
     "profile_limit",
+    "limit_exponents",
 ]
 
 Backend = Literal["closed_form", "quadrature"]
@@ -135,9 +137,7 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
     """
     if not (math.isfinite(omega_c) and omega_c > 0.0):
         raise DomainError(f"omega_c must be positive, got {omega_c}")
-    if d.gamma_coef == 0.0:
-        return 1.0
-    return math.exp(-gamma_moment(0.5 * d.gamma_coef, d.nu, omega_c))
+    return float(np.exp(-gamma_moment(0.5 * d.gamma_coef, d.nu, omega_c)))
 
 
 def _phi_closed(sqrt_ag: float, kappa: float, omega_c: float, t: float | np.ndarray):
@@ -210,6 +210,21 @@ def profile_at(
     raise DomainError(f"unknown backend {backend!r}")
 
 
+def limit_exponents(alpha, mu, omega_c, gamma_coef, nu):
+    """``(s(0), r(inf), s(inf))`` elementwise over broadcastable, validated
+    parameters; s(0) is the log overlap.  Requires mu > 0 (see profile_limit).
+    """
+    if not all_true(mu > 0.0):
+        raise DomainError(
+            f"r(t) diverges as t -> inf for mu <= 0 (got mu={np.min(mu)}); "
+            "all coherences vanish and the long-time distance limit is 0"
+        )
+    s0 = -gamma_moment(0.5 * gamma_coef, nu, omega_c)
+    r_inf = gamma_moment(4.0 * alpha, mu, omega_c)
+    s_inf = gamma_moment(2.0 * np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu), omega_c) + s0
+    return s0, r_inf, s_inf
+
+
 def profile_limit(m: ModelSpec) -> DecoherenceProfile:
     """Analytic t -> inf profile: r and s saturate, phi vanishes.
 
@@ -218,17 +233,7 @@ def profile_limit(m: ModelSpec) -> DecoherenceProfile:
     rather than a finite profile.
     """
     b, d = m.bath, m.displacement
-    if b.mu <= 0.0:
-        raise DomainError(
-            f"r(t) diverges as t -> inf for mu <= 0 (got mu={b.mu}); "
-            "all coherences vanish and the long-time distance limit is 0"
-        )
-    r_inf = gamma_moment(4.0 * b.alpha, b.mu, b.omega_c)
-    if d.gamma_coef == 0.0:
-        return DecoherenceProfile(t=math.inf, r=r_inf, s=0.0, phi=0.0, backend="closed_form")
-    kappa = m.kappa
-    s_inf = (
-        gamma_moment(2.0 * math.sqrt(b.alpha * d.gamma_coef), kappa, b.omega_c)
-        - gamma_moment(0.5 * d.gamma_coef, d.nu, b.omega_c)
+    _, r_inf, s_inf = limit_exponents(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu)
+    return DecoherenceProfile(
+        t=math.inf, r=float(r_inf), s=float(s_inf), phi=0.0, backend="closed_form"
     )
-    return DecoherenceProfile(t=math.inf, r=r_inf, s=s_inf, phi=0.0, backend="closed_form")

@@ -25,6 +25,7 @@ import numpy as np
 
 from .bath import DecoherenceProfile
 from .errors import DomainError, PhysicalityError
+from .numerics import all_true
 
 __all__ = [
     "QubitAmplitudes",
@@ -32,6 +33,7 @@ __all__ = [
     "QubitDensityMatrix",
     "PairWeights",
     "normalization_c",
+    "unphased_coherence_factor",
     "coherence_factor",
     "reduced_state",
     "trace_distance",
@@ -135,25 +137,37 @@ class PairWeights:
     """Weights a, b of the two-correlation distance formula.
 
     a = (1-l1)/C_l1 - (1-l2)/C_l2 and b = l1/C_l1 - l2/C_l2; both vanish
-    exactly when l1 = l2.
+    exactly when l1 = l2.  Arrays when the weights or the overlap are.
     """
 
-    a: float
-    b: float
+    a: float | np.ndarray
+    b: float | np.ndarray
 
 
-def normalization_c(lam: float, overlap: float) -> float:
+def normalization_c(lam, overlap):
     """Normalization C_lambda of the correlated environment superposition.
 
     C^2 = (1-lam)^2 + lam^2 + 2 lam (1-lam) * overlap; C_0 = C_1 = 1.
+    Elementwise over broadcastable arrays.
     """
-    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
+    if not all_true((lam >= 0.0) & (lam <= 1.0)):
         raise DomainError(f"correlation weight must lie in [0, 1], got {lam}")
-    if not (math.isfinite(overlap) and 0.0 < overlap <= 1.0):
+    if not all_true((overlap > 0.0) & (overlap <= 1.0)):
         raise DomainError(f"overlap must lie in (0, 1], got {overlap}")
-    return math.sqrt(
-        (1.0 - lam) ** 2 + lam**2 + 2.0 * lam * (1.0 - lam) * overlap
-    )
+    # x * x, not x ** 2: numpy squares arrays but calls pow on scalars
+    return np.sqrt((1.0 - lam) * (1.0 - lam) + lam * lam + 2.0 * lam * (1.0 - lam) * overlap)
+
+
+def unphased_coherence_factor(
+    state: InitialStateSpec, profile: DecoherenceProfile, overlap: float
+) -> complex | np.ndarray:
+    """A_lambda(t) without its free phase e^(-2 i eps t), the only factor that
+    depends on epsilon: |A| equals the modulus of this."""
+    lam = state.lam
+    body = (1.0 - lam) * np.exp(-profile.r) + lam * np.exp(
+        profile.s - profile.r
+    ) * np.exp(-2.0j * profile.phi)
+    return body / normalization_c(lam, overlap)
 
 
 def coherence_factor(
@@ -167,15 +181,14 @@ def coherence_factor(
     |A| <= 1 always; A_0(t) = e^(-2 i eps t) e^(-r(t)).  For the t = inf
     profile the free phase e^(-2 i eps t) is undefined and set to 1 -- it
     cancels from every distance anyway.  Complex array for a profile on a
-    time array.
+    time array.  Raises DomainError where 2 eps t overflows a double.
     """
-    lam = state.lam
-    c_norm = normalization_c(lam, overlap)
     t = np.where(np.isinf(profile.t), 0.0, profile.t)
-    body = (1.0 - lam) * np.exp(-profile.r) + lam * np.exp(
-        profile.s - profile.r
-    ) * np.exp(-2.0j * profile.phi)
-    return np.exp(-2.0j * epsilon * t) * body / c_norm
+    with np.errstate(over="ignore"):
+        angle = 2.0 * epsilon * t
+    if not all_true(np.isfinite(angle)):
+        raise DomainError(f"free phase 2*epsilon*t overflows a double (epsilon={epsilon})")
+    return np.exp(-1.0j * angle) * unphased_coherence_factor(state, profile, overlap)
 
 
 def reduced_state(amplitudes: QubitAmplitudes, coherence: complex) -> QubitDensityMatrix:
@@ -236,8 +249,8 @@ def distance_same_environment(
     return math.sqrt(diag_gap**2 + abs(off_gap) ** 2 * abs(coherence) ** 2)
 
 
-def pair_weights(lambda1: float, lambda2: float, overlap: float) -> PairWeights:
-    """Weights (a, b) for the shared-amplitude distance between two correlations."""
+def pair_weights(lambda1, lambda2, overlap) -> PairWeights:
+    """Weights (a, b) for the shared-amplitude distance, elementwise over arrays."""
     c1 = normalization_c(lambda1, overlap)
     c2 = normalization_c(lambda2, overlap)
     return PairWeights(

@@ -119,19 +119,38 @@ def gamma(x: float) -> float:
         raise DomainError(f"gamma({x}) overflows a double") from None
 
 
-def gamma_moment(c: float, p: float, omega_c: float) -> float:
+def all_true(mask) -> bool:
+    """Every element of a boolean array or scalar is true (scalars skip numpy)."""
+    return bool(mask.all()) if getattr(mask, "ndim", 0) else bool(mask)
+
+
+def _float_moment(c: float, p: float, omega_c: float) -> float:
+    try:
+        return c * math.gamma(p) * math.pow(omega_c, p) if c != 0.0 else 0.0
+    except OverflowError:
+        return math.inf
+
+
+def gamma_moment(c, p, omega_c):
     """``c * gamma(p) * omega_c**p``, the closed form of ``c * Int_0^inf
     w**(p-1) e**(-w/omega_c) dw``, for p > 0.
 
-    Raises DomainError where a factor or the product overflows a double.
+    Elementwise over broadcastable arrays, with the arithmetic of a call on
+    floats (numpy has no gamma function).  A zero prefactor gives 0 whatever
+    the exponent.  Raises DomainError where the result overflows a double.
     """
-    try:
-        value = c * math.gamma(p) * math.pow(omega_c, p)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"{c} * gamma({p}) * {omega_c}**{p} overflows a double")
-    return value
+    if isinstance(c, float) and isinstance(p, float) and isinstance(omega_c, float):
+        value = _float_moment(float(c), p, omega_c)
+        if math.isfinite(value):
+            return value
+    else:
+        with np.errstate(over="ignore"):
+            value = np.asarray(np.frompyfunc(_float_moment, 3, 1)(c, p, omega_c), dtype=float)
+        bad = ~np.isfinite(value)
+        if not bad.any():
+            return value
+        c, p, omega_c = (np.broadcast_to(x, value.shape)[bad][0] for x in (c, p, omega_c))
+    raise DomainError(f"{c} * gamma({p}) * {omega_c}**{p} overflows a double")
 
 
 def decay_kernel(args: KernelArgs) -> float | np.ndarray:

@@ -1,5 +1,6 @@
 """Distance series, gain ratios, critical correlation, and region maps."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,6 +9,8 @@ import pytest
 
 import oracles
 from qdephase import analysis
+from qdephase.analysis import PLANE_PARAMETERS
+from qdephase.cli import main
 from qdephase import (
     BathSpec,
     DisplacementSpec,
@@ -37,21 +40,22 @@ def fast_converging_model():
 
 @pytest.fixture
 def ratio_budget(monkeypatch):
-    """Cap the gain_ratio calls of analysis routines at 500.
+    """Cap the calls of the array gain-ratio evaluator at 500.
 
-    A bisection that stops making progress then fails the test instead of
-    hanging it.
+    gain_ratio, and so find_lambda_c, makes one call per ratio; region_map
+    one for the grid and one per bisection round.  A bisection that stops
+    making progress then fails the test instead of hanging it.
     """
     calls = []
-    real = analysis.gain_ratio
+    real = analysis._gain_ratios
 
-    def counted(*args):
-        calls.append(args)
+    def counted(**kwargs):
+        calls.append(kwargs)
         if len(calls) > 500:
-            raise AssertionError("more than 500 gain_ratio calls")
-        return real(*args)
+            raise AssertionError("more than 500 gain-ratio evaluations")
+        return real(**kwargs)
 
-    monkeypatch.setattr(analysis, "gain_ratio", counted)
+    monkeypatch.setattr(analysis, "_gain_ratios", counted)
     return calls
 
 
@@ -358,6 +362,234 @@ class TestRegionMap:
                 benchmark_model, 0.25, 0.0,
                 plane=("alpha", "beta"), x_values=[0.1], y_values=[0.1],
             )
+
+
+# Axis values of each plane parameter for the cell-by-cell comparison:
+# gamma = 0 (overlap 1) and lambda1 = lambda2 give undefined cells, and
+# gamma = 1e-16 pushes D(0) below its roundoff floor (infinite ratio).
+CELL_AXES = {
+    "alpha": [1e-5, 0.0025, 0.02],
+    "gamma": [0.0, 1e-16, 0.05, 0.5],
+    "mu": [0.002, 0.01, 1.0],
+    "nu": [0.01, 0.05, 1.0],
+    "lambda1": [0.0, 0.25, 1.0],
+    "lambda2": [0.0, 0.6, 0.98],
+}
+
+# Plane spans with gain/loss crossings for the benchmark template.
+SPANS = {
+    "alpha": (1e-5, 0.02),
+    "gamma": (0.005, 0.5),
+    "mu": (0.002, 1.0),
+    "nu": (0.01, 1.0),
+    "lambda1": (0.02, 0.98),
+    "lambda2": (0.0, 0.98),
+}
+
+ORDERED_PLANES = list(itertools.permutations(PLANE_PARAMETERS, 2))
+
+
+def _override(model, l1, l2, name, value):
+    """One plane coordinate applied to (model, lambda1, lambda2)."""
+    if name == "alpha":
+        return replace(model, bath=replace(model.bath, alpha=value)), l1, l2
+    if name == "mu":
+        return replace(model, bath=replace(model.bath, mu=value)), l1, l2
+    if name == "gamma":
+        return replace(model, displacement=replace(model.displacement, gamma_coef=value)), l1, l2
+    if name == "nu":
+        return replace(model, displacement=replace(model.displacement, nu=value)), l1, l2
+    if name == "lambda1":
+        return model, value, l2
+    return model, l1, value
+
+
+def _cell_ratio(model, l1, l2, plane, xv, yv):
+    m, a, b = _override(model, l1, l2, plane[0], xv)
+    m, a, b = _override(m, a, b, plane[1], yv)
+    return gain_ratio(m, a, b)
+
+
+def _scalar_boundary(model, l1, l2, plane, xs, ys, labels, resolution):
+    """Edge-by-edge bisection on the scalar gain_ratio: x-edges row-major,
+    then y-edges column-major; an undefined midpoint drops the edge."""
+
+    def crossing(fixed, lo, hi, axis, res):
+        def h(v):
+            return _cell_ratio(model, l1, l2, plane, v, fixed) if axis == "x" else (
+                _cell_ratio(model, l1, l2, plane, fixed, v)
+            )
+
+        sign_lo = h(lo) > 1.0
+        while hi - lo > res:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            r_mid = h(mid)
+            if r_mid is None:
+                return None
+            if (r_mid > 1.0) == sign_lo:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    x_res = resolution * (xs[-1] - xs[0]) if len(xs) > 1 else 0.0
+    y_res = resolution * (ys[-1] - ys[0]) if len(ys) > 1 else 0.0
+    points = []
+    for iy, yv in enumerate(ys):
+        for ix in range(len(xs) - 1):
+            if {labels[iy][ix], labels[iy][ix + 1]} == {"+", "-"}:
+                v = crossing(yv, xs[ix], xs[ix + 1], "x", x_res)
+                if v is not None:
+                    points.append((v, yv))
+    for ix, xv in enumerate(xs):
+        for iy in range(len(ys) - 1):
+            if {labels[iy][ix], labels[iy + 1][ix]} == {"+", "-"}:
+                v = crossing(xv, ys[iy], ys[iy + 1], "y", y_res)
+                if v is not None:
+                    points.append((xv, v))
+    return points
+
+
+class TestRegionMapArrayPath:
+    """region_map evaluates the plane in one array pass; every result must
+    equal, bit for bit, what the scalar gain_ratio gives cell by cell."""
+
+    @staticmethod
+    def assert_cells_equal_scalar_gain_ratio(result, model, plane, xs, ys):
+        for iy, yv in enumerate(ys):
+            for ix, xv in enumerate(xs):
+                want = _cell_ratio(model, 0.25, 0.0, plane, xv, yv)
+                if want is None:
+                    assert result.gain[iy][ix] is None and result.labels[iy][ix] == "0"
+                elif math.isinf(want):
+                    assert result.gain[iy][ix] is None and result.labels[iy][ix] == "+"
+                else:
+                    assert result.gain[iy][ix] == want, (plane, xv, yv)
+
+    @pytest.mark.parametrize("plane", ORDERED_PLANES, ids="-".join)
+    def test_cells_equal_scalar_gain_ratio(self, benchmark_model, plane):
+        xs, ys = CELL_AXES[plane[0]], CELL_AXES[plane[1]]
+        result = region_map(benchmark_model, 0.25, 0.0, plane=plane, x_values=xs, y_values=ys)
+        self.assert_cells_equal_scalar_gain_ratio(result, benchmark_model, plane, xs, ys)
+
+    @pytest.mark.parametrize("plane", [("lambda1", "alpha"), ("lambda2", "alpha")])
+    def test_many_weights_equal_scalar_gain_ratio(self, benchmark_model, plane):
+        # the weights are squared in C_lambda; about one value in a thousand
+        # rounds differently when an array and a scalar take different
+        # routes to the square, so thousands of distinct weights are checked
+        xs = np.random.default_rng(5).uniform(0.0, 1.0, 4000).tolist()
+        result = region_map(benchmark_model, 0.25, 0.0, plane=plane, x_values=xs, y_values=[0.0025])
+        self.assert_cells_equal_scalar_gain_ratio(result, benchmark_model, plane, xs, [0.0025])
+
+    def test_undefined_and_infinite_cells_are_covered(self, benchmark_model):
+        plane = ("gamma", "lambda1")
+        ratios = {
+            _cell_ratio(benchmark_model, 0.25, 0.0, plane, xv, yv)
+            for xv in CELL_AXES["gamma"]
+            for yv in CELL_AXES["lambda1"]
+        }
+        assert None in ratios and math.inf in ratios
+
+    @pytest.mark.parametrize("plane", ORDERED_PLANES, ids="-".join)
+    def test_dense_plane_equals_scalar_path(self, benchmark_model, plane):
+        # a rounding difference between the two paths shows in about one
+        # cell in a thousand, so every plane gets a dense grid
+        xs = np.linspace(*SPANS[plane[0]], 12).tolist()
+        ys = np.linspace(*SPANS[plane[1]], 12).tolist()
+        result = region_map(
+            benchmark_model, 0.25, 0.0, plane=plane, x_values=xs, y_values=ys,
+            refine_boundary=True,
+        )
+        self.assert_cells_equal_scalar_gain_ratio(result, benchmark_model, plane, xs, ys)
+        want = _scalar_boundary(benchmark_model, 0.25, 0.0, plane, xs, ys, result.labels, 1e-4)
+        assert want
+        assert result.boundary_points == want
+
+    def test_boundary_at_zero_resolution_equals_scalar_bisection(self, benchmark_model):
+        plane = ("lambda1", "lambda2")
+        xs = np.linspace(0.02, 0.98, 5).tolist()
+        ys = np.linspace(0.0, 0.98, 5).tolist()
+        result = region_map(
+            benchmark_model, 0.25, 0.0, plane=plane, x_values=xs, y_values=ys,
+            refine_boundary=True, boundary_resolution=0.0,
+        )
+        want = _scalar_boundary(benchmark_model, 0.25, 0.0, plane, xs, ys, result.labels, 0.0)
+        assert want
+        assert result.boundary_points == want
+
+    def test_undefined_midpoint_drops_the_edge(self, benchmark_model):
+        # the first midpoint of the only crossing edge is lambda1 = lambda2
+        plane = ("lambda1", "lambda2")
+        result = region_map(
+            benchmark_model, 0.25, 0.0, plane=plane, x_values=[0.1, 0.5], y_values=[0.3],
+            refine_boundary=True,
+        )
+        assert result.labels == [["+", "-"]]
+        assert _scalar_boundary(
+            benchmark_model, 0.25, 0.0, plane, [0.1, 0.5], [0.3], result.labels, 1e-4
+        ) == []
+        assert result.boundary_points == []
+
+    @pytest.mark.parametrize(
+        "plane,x_values",
+        [
+            (("mu", "lambda1"), [0.5, 0.0]),
+            (("mu", "lambda1"), [-1.5, 0.5]),
+            (("alpha", "lambda1"), [0.01, -0.01]),
+            (("lambda1", "alpha"), [0.5, 1.2]),
+            (("lambda2", "alpha"), [-0.1, 0.5]),
+        ],
+    )
+    def test_out_of_domain_axis_value_raises(self, benchmark_model, plane, x_values):
+        with pytest.raises(DomainError):
+            region_map(
+                benchmark_model, 0.25, 0.0, plane=plane,
+                x_values=x_values, y_values=[0.003, 0.6],
+            )
+
+    def test_out_of_domain_axis_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(
+            "alpha = 0.0025\ngamma = 0.05\nmu = 0.01\nnu = 0.05\nlambda1 = 0.25\nlambda2 = 0\n",
+            encoding="utf-8",
+        )
+        code = main(
+            ["region", "--config", str(path), "--plane", "mu,lambda1",
+             "--x-range", "0:0.5:3", "--y-range", "0.1:0.9:3"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_cell_exits_2_with_one_line(self, tmp_path, capsys):
+        # Gamma(mu) overflows in the last column: one short diagnostic
+        path = tmp_path / "scenario.cfg"
+        path.write_text(
+            "alpha = 0.0025\ngamma = 0.05\nmu = 0.01\nnu = 0.05\nlambda1 = 0.25\nlambda2 = 0\n",
+            encoding="utf-8",
+        )
+        code = main(
+            ["region", "--config", str(path), "--plane", "mu,alpha",
+             "--x-range", "0.5:200:30", "--y-range", "0.001:0.01:30"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+    def test_evaluations_do_not_grow_with_crossings(self, benchmark_model, ratio_budget):
+        # one grid evaluation plus one per lockstep bisection round, however
+        # many edges cross
+        resolution = 1e-4
+        result = region_map(
+            benchmark_model, 0.25, 0.0, plane=("alpha", "lambda1"),
+            x_values=np.linspace(1e-5, 0.02, 30), y_values=np.linspace(0.02, 0.98, 30),
+            refine_boundary=True, boundary_resolution=resolution,
+        )
+        bound = 1 + 2 + math.ceil(math.log2(1.0 / resolution))
+        assert len(result.boundary_points) > 2 * bound
+        assert len(ratio_budget) <= bound
 
 
 class TestFindExtremum:

@@ -1,6 +1,7 @@
 """CLI subcommands, config handling, output schemas, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -171,6 +172,16 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "overflows" in err
         assert err.count("\n") == 1
+
+    def test_huge_epsilon_keeps_abs_a_finite(self, tmp_path, capsys):
+        # 2*epsilon*t overflows at t = 1e4, but |A| does not depend on epsilon
+        path = tmp_path / "eps.cfg"
+        path.write_text(BENCHMARK_CONFIG + "epsilon = 1e305\n", encoding="utf-8")
+        assert main(["evolve", "--config", str(path), "--points", "3"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 3
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row.split(","))
 
     def test_unnormalized_amplitudes_rejected(self, tmp_path, capsys):
         path = tmp_path / "amp2.cfg"

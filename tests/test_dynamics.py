@@ -156,6 +156,13 @@ class TestCoherenceFactor:
             value = coherence_factor(state, profile, 0.0, overlap)
             assert abs(value) == pytest.approx(math.exp(profile.s - profile.r), rel=1e-13)
 
+    def test_overflowing_free_phase_is_a_domain_error(self, benchmark_model):
+        overlap = ground_coherent_overlap(benchmark_model.displacement, 1.0)
+        state = InitialStateSpec(QubitAmplitudes.balanced(), 0.25)
+        profile = profile_at(benchmark_model, np.array([1.0, 1e4]))
+        with pytest.raises(DomainError, match="overflows"):
+            coherence_factor(state, profile, 1e305, overlap)
+
     def test_t0_factor_real_and_unit_only_when_uncorrelated(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -62,7 +62,7 @@ PLANE_PARAMETERS = tuple(_OVERRIDES)
 _RATIO_ARGS = ("alpha", "mu", "omega_c", "gamma", "nu", "lambda1", "lambda2")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_DEFAULT_TIE_TOL = 1e-9
+_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,6 @@ def region_map(
     plane: tuple[str, str],
     x_values: Sequence[float],
     y_values: Sequence[float],
-    tie_tol: float = _DEFAULT_TIE_TOL,
     refine_boundary: bool = False,
     boundary_resolution: float = 1e-4,
 ) -> RegionMap:
@@ -340,7 +339,7 @@ def region_map(
         return _gain_ratios(**{**args, x_name: xv, y_name: yv})
 
     grid = ratios(xs[np.newaxis, :], ys[:, np.newaxis])
-    plus, minus = grid > 1.0 + tie_tol, grid < 1.0 - tie_tol
+    plus, minus = grid > 1.0 + _TIE_TOL, grid < 1.0 - _TIE_TOL
     labels = np.where(plus, "+", np.where(minus, "-", "0")).tolist()
     gain = [[v if math.isfinite(v) else None for v in row] for row in grid.tolist()]
 
@@ -356,12 +355,13 @@ def region_map(
         hi = np.concatenate([xs[ex + 1], ys[fy + 1]])
         fixed = np.concatenate([ys[ey], xs[fx]])
         lo_above = np.concatenate([plus[ey, ex], plus[fy, fx]])
-        x_res = boundary_resolution * (xs[-1] - xs[0]) if xs.size > 1 else 0.0
-        y_res = boundary_resolution * (ys[-1] - ys[0]) if ys.size > 1 else 0.0
+        # an edge runs from lo to hi, downwards on a descending axis
+        x_res = boundary_resolution * abs(xs[-1] - xs[0]) if xs.size > 1 else 0.0
+        y_res = boundary_resolution * abs(ys[-1] - ys[0]) if ys.size > 1 else 0.0
         res = np.where(along_x, x_res, y_res)
         while True:
             mid = 0.5 * (lo + hi)
-            k = np.flatnonzero((hi - lo > res) & (mid != lo) & (mid != hi))
+            k = np.flatnonzero((np.abs(hi - lo) > res) & (mid != lo) & (mid != hi))
             if k.size == 0:
                 break
             m, f = mid[k], fixed[k]
@@ -446,4 +446,4 @@ def find_extremum(series: DistanceSeries) -> Extremum:
         float(series.times[idx + 1]),
         minimize=has_min,
     )
-    return Extremum(t=t_star, value=value, kind="minimum" if has_min else "maximum")
+    return Extremum(t=t_star, value=float(value), kind="minimum" if has_min else "maximum")

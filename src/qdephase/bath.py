@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import (
-    SMALL_EXPONENT_LIMIT,
     KernelArgs,
     QuadratureSettings,
+    _small_exponent_limit,
     all_true,
     decay_kernel,
     gamma_moment,
@@ -140,51 +140,42 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
     return float(np.exp(-gamma_moment(0.5 * d.gamma_coef, d.nu, omega_c)))
 
 
-def _phi_closed(sqrt_ag: float, kappa: float, omega_c: float, t: float | np.ndarray):
-    x = omega_c * t
-    if kappa < SMALL_EXPONENT_LIMIT:
-        # kappa -> 0 limit of Gamma(kappa)*sin(kappa*atan x): atan x itself.
-        return sqrt_ag * np.arctan(x)
-    damp = np.exp(-0.5 * kappa * np.log1p(x * x))
-    return gamma_moment(sqrt_ag, kappa, omega_c) * np.sin(kappa * np.arctan(x)) * damp
+def _phi_closed(args: KernelArgs):
+    x = args.omega_c * args.t
+    atan = np.arctan(x)
+
+    def gamma_form(kappa):
+        damp = np.exp(-0.5 * kappa * np.log1p(x * x))
+        # + 0.0 turns the -0.0 of a zero prefactor and a negative sine into 0.0
+        return gamma_moment(args.c, kappa, args.omega_c) * np.sin(kappa * atan) * damp + 0.0
+
+    # kappa -> 0 limit of Gamma(kappa)*sin(kappa*atan x): atan x itself
+    return _small_exponent_limit(args.p, args.c * atan, gamma_form)
 
 
-def _profile_closed(m: ModelSpec, t: float | np.ndarray) -> DecoherenceProfile:
-    b, d = m.bath, m.displacement
-    if b.mu < 0.0:
+def _profiles(alpha, mu, omega_c, gamma_coef, nu, t, backend: Backend, settings=None):
+    """``(r, s, phi)`` elementwise over broadcastable times and parameters of
+    valid ModelSpecs: floats for one model, or arrays, e.g. one value per
+    (model, t) sample."""
+    if backend not in ("closed_form", "quadrature"):
+        raise DomainError(f"unknown backend {backend!r}")
+    r_args = KernelArgs(alpha, mu, omega_c, t)
+    s_args = KernelArgs(np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu), omega_c, t)
+    if backend == "quadrature":
+        r = np.maximum(4.0 * kernel_by_quadrature(r_args, settings), 0.0)
+        s = (
+            2.0 * kernel_by_quadrature(s_args, settings)
+            - 0.5 * total_moment(gamma_coef, nu, omega_c, settings)
+        )
+        return r, s, oscillatory_moment(s_args.c, s_args.p, omega_c, t, "sin", settings)
+    if not all_true(mu >= 0.0):
         raise DomainError(
-            f"closed-form backend needs mu >= 0, got mu={b.mu}; "
+            f"closed-form backend needs mu >= 0, got mu={mu}; "
             "use backend='quadrature' for mu in (-1, 0)"
         )
-    r = 4.0 * decay_kernel(KernelArgs(b.alpha, b.mu, b.omega_c, t))
-    if d.gamma_coef == 0.0:
-        return DecoherenceProfile(t=t, r=r, s=0.0 * r, phi=0.0 * r, backend="closed_form")
-    kappa = m.kappa
-    sqrt_ag = math.sqrt(b.alpha * d.gamma_coef)
-    s = (
-        2.0 * decay_kernel(KernelArgs(sqrt_ag, kappa, b.omega_c, t))
-        - gamma_moment(0.5 * d.gamma_coef, d.nu, b.omega_c)
-    )
-    phi = _phi_closed(sqrt_ag, kappa, b.omega_c, t)
-    return DecoherenceProfile(t=t, r=r, s=s, phi=phi, backend="closed_form")
-
-
-def _profile_quadrature(
-    m: ModelSpec, t: float | np.ndarray, settings: QuadratureSettings | None
-) -> DecoherenceProfile:
-    b, d = m.bath, m.displacement
-    r = 4.0 * kernel_by_quadrature(KernelArgs(b.alpha, b.mu, b.omega_c, t), settings)
-    r = np.maximum(r, 0.0)
-    if d.gamma_coef == 0.0:
-        return DecoherenceProfile(t=t, r=r, s=0.0 * r, phi=0.0 * r, backend="quadrature")
-    kappa = m.kappa
-    sqrt_ag = math.sqrt(b.alpha * d.gamma_coef)
-    s = (
-        2.0 * kernel_by_quadrature(KernelArgs(sqrt_ag, kappa, b.omega_c, t), settings)
-        - 0.5 * total_moment(d.gamma_coef, d.nu, b.omega_c, settings)
-    )
-    phi = oscillatory_moment(sqrt_ag, kappa, b.omega_c, t, "sin", settings)
-    return DecoherenceProfile(t=t, r=r, s=s, phi=phi, backend="quadrature")
+    r = 4.0 * decay_kernel(r_args)
+    s = 2.0 * decay_kernel(s_args) - gamma_moment(0.5 * gamma_coef, nu, omega_c)
+    return r, s, _phi_closed(s_args)
 
 
 def profile_at(
@@ -200,14 +191,10 @@ def profile_at(
     apply; the quadrature backend additionally serves ohmicity exponents in
     (-1, 0).  Both evaluate a whole time array in one numpy pass.
     """
-    times = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(times) & (times >= 0.0)):
-        raise DomainError(f"time must be finite and >= 0, got {t}")
-    if backend == "closed_form":
-        return _profile_closed(m, times[()])
-    if backend == "quadrature":
-        return _profile_quadrature(m, times[()], settings)
-    raise DomainError(f"unknown backend {backend!r}")
+    b, d = m.bath, m.displacement
+    times = np.asarray(t, dtype=float)[()]
+    r, s, phi = _profiles(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu, times, backend, settings)
+    return DecoherenceProfile(t=times, r=r, s=s, phi=phi, backend=backend)
 
 
 def limit_exponents(alpha, mu, omega_c, gamma_coef, nu):

@@ -79,29 +79,25 @@ class KernelArgs:
 
     ``p > -1`` keeps ``w**(p-1) * (1 - cos(w t))`` integrable at the origin;
     the closed-form branch additionally needs ``p >= 0`` (see decay_kernel).
-    ``t`` may be one time or an array of times.
+    ``t`` is one time or an array of times; ``c``, ``p`` and ``omega_c``
+    are floats or arrays that broadcast against it.
     """
 
-    c: float
-    p: float
-    omega_c: float
+    c: float | np.ndarray
+    p: float | np.ndarray
+    omega_c: float | np.ndarray
     t: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c >= 0.0):
+        if not all_true((self.c >= 0.0) & (self.c < math.inf)):
             raise DomainError(f"kernel prefactor c must be >= 0, got {self.c}")
-        if not (math.isfinite(self.p) and self.p > -1.0):
+        if not all_true((self.p > -1.0) & (self.p < math.inf)):
             raise DomainError(f"kernel exponent p must be > -1, got {self.p}")
-        if not (math.isfinite(self.omega_c) and self.omega_c > 0.0):
+        if not all_true((self.omega_c > 0.0) & (self.omega_c < math.inf)):
             raise DomainError(f"omega_c must be positive, got {self.omega_c}")
-        _check_times(self.t)
-
-
-def _check_times(t) -> np.ndarray:
-    times = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(times) & (times >= 0.0)):
-        raise DomainError(f"time must be finite and >= 0, got {t}")
-    return times
+        times = np.asarray(self.t, dtype=float)
+        if not all_true((times >= 0.0) & (times < math.inf)):
+            raise DomainError(f"time must be finite and >= 0, got {self.t}")
 
 
 def gamma(x: float) -> float:
@@ -153,30 +149,44 @@ def gamma_moment(c, p, omega_c):
     raise DomainError(f"{c} * gamma({p}) * {omega_c}**{p} overflows a double")
 
 
+def _small_exponent_limit(p, limit, gamma_form):
+    """``gamma_form(p)`` elementwise, ``limit`` where p < SMALL_EXPONENT_LIMIT.
+
+    ``gamma_form`` gets 1 in place of such an exponent, so Gamma is never
+    evaluated at or near its pole at 0.
+    """
+    small = p < SMALL_EXPONENT_LIMIT
+    if not isinstance(small, np.ndarray):
+        return limit if small else gamma_form(p)
+    return np.where(small, limit, gamma_form(np.where(small, 1.0, p)))
+
+
 def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     """Closed form of ``c * Int_0^inf w**(p-1) e**(-w/omega_c) (1-cos(w t)) dw``.
 
     Equals ``c * gamma(p) * omega_c**p * (1 - cos(p*atan(x)) / (1+x^2)**(p/2))``
-    with ``x = omega_c * t``, elementwise over an array ``t``.  The brace is
-    evaluated via ``expm1`` and a half-angle sine so no precision is lost
-    when ``p`` or ``t`` is small.  For ``p`` below SMALL_EXPONENT_LIMIT
-    (including ``p = 0``) the analytic limit ``(c/2) * log(1 + x^2)`` is
-    returned.  Strictly negative exponents are refused here;
-    ``kernel_by_quadrature`` serves that regime.
+    with ``x = omega_c * t``, elementwise over the broadcast arguments.  The
+    brace is evaluated via ``expm1`` and a half-angle sine so no precision
+    is lost when ``p`` or ``t`` is small.  Where ``p`` is below
+    SMALL_EXPONENT_LIMIT (including ``p = 0``) the analytic limit
+    ``(c/2) * log(1 + x^2)`` is returned.  Strictly negative exponents are
+    refused here; ``kernel_by_quadrature`` serves that regime.
     """
-    c, p, omega_c, t = args.c, args.p, args.omega_c, args.t
-    if p < 0.0:
+    c, p, omega_c = args.c, args.p, args.omega_c
+    if not all_true(p >= 0.0):
         raise DomainError(
             f"closed-form kernel needs p >= 0, got p={p}; "
             "use kernel_by_quadrature for p in (-1, 0)"
         )
-    x = omega_c * np.asarray(t, dtype=float)
+    x = omega_c * np.asarray(args.t, dtype=float)
     half_log = 0.5 * np.log1p(x * x)
-    if p < SMALL_EXPONENT_LIMIT:
-        return c * half_log
-    b = p * half_log
-    brace = -np.expm1(-b) + np.exp(-b) * 2.0 * np.sin(0.5 * p * np.arctan(x)) ** 2
-    return gamma_moment(c, p, omega_c) * brace
+
+    def gamma_form(p):
+        b = p * half_log
+        brace = -np.expm1(-b) + np.exp(-b) * 2.0 * np.sin(0.5 * p * np.arctan(x)) ** 2
+        return gamma_moment(c, p, omega_c) * brace
+
+    return _small_exponent_limit(p, c * half_log, gamma_form)
 
 
 # ---------------------------------------------------------------------------
@@ -258,40 +268,48 @@ def _ooura_mori(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _de_integral(
-    what: str, c: float, p: float, omega_c: float, t: np.ndarray, delta: np.ndarray,
-    q: float, g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    what: str, c, p, omega_c, t: np.ndarray, delta: np.ndarray, q_offset: float,
+    g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     envelope_tail: bool, sine_sign: float, settings: QuadratureSettings | None,
 ) -> np.ndarray:
     """``c * (head + [envelope] + sine_sign * sine)`` for 1-D ``t`` and ``delta``.
 
-    ``g(w, t)`` is the smooth head factor.  Every level halves the step of
-    all rules; a time is done once two successive levels agree to within
+    ``c``, ``p`` and ``omega_c`` are floats, or all three hold one value per
+    row (time).  The head exponent is ``q = p + q_offset`` and ``g(w, t,
+    omega_c)`` its smooth factor.  Every level halves the step of all rules;
+    a row is done once two successive levels agree to within
     ``max(abs_tol, rel_tol * |value|)``.
     """
     s = settings if settings is not None else QuadratureSettings()
-    r = min(q, 1.0)
     rows = np.arange(len(t))
     tc, dc = t[:, None], delta[:, None]
+    # per-row values become columns of the [rows x nodes] arrays; floats stay
+    # floats, so numpy's fast paths for float exponents (v ** 2.0 is v * v)
+    # keep the bits of a one-model call
+    per_row = isinstance(p, np.ndarray)
+    c, p, wc = (c[:, None], p[:, None], omega_c[:, None]) if per_row else (c, p, omega_c)
+    q = p + q_offset
+    r = np.minimum(q, 1.0) if per_row else min(q, 1.0)
     # centre the head where w = delta*v**(1/r) reaches omega_c when delta is
     # larger, the envelope tail where w = delta/v does (clipped so that
     # e**(shift - z) stays finite)
-    head_shift = np.minimum(r * np.log1p(dc / omega_c), 650.0)
-    tail_shift = np.minimum(np.log(omega_c / dc), 650.0)
+    head_shift = np.minimum(r * np.log1p(dc / wc), 650.0)
+    tail_shift = np.minimum(np.log(wc / dc), 650.0)
     out = np.empty(len(t))
     prev = np.full(len(t), np.nan)
     for level in range(_LEVELS):
         v, dv = _unit_nodes(level, head_shift)
-        head = (v ** (q / r - 1.0) * g(dc * v ** (1.0 / r), tc) * dv).sum(1)
-        value = dc[:, 0] ** q / r * head
+        head = (v ** (q / r - 1.0) * g(dc * v ** (1.0 / r), tc, wc) * dv).sum(1, keepdims=True)
+        value = dc ** q / r * head
         if envelope_tail:
             v, dv = _unit_nodes(level, tail_shift)
-            tail = (np.exp(-(p + 1.0) * np.log(v) - dc / (omega_c * v)) * dv).sum(1)
-            value += dc[:, 0] ** p * tail
+            tail = (np.exp(-(p + 1.0) * np.log(v) - dc / (wc * v)) * dv).sum(1, keepdims=True)
+            value += dc ** p * tail
         if sine_sign:
             y, dy = _ooura_mori(level)
             w = dc + y / tc
-            value += sine_sign / tc[:, 0] * (w ** (p - 1.0) * np.exp(-w / omega_c) * dy).sum(1)
-        value *= c
+            value += sine_sign / tc * (w ** (p - 1.0) * np.exp(-w / wc) * dy).sum(1, keepdims=True)
+        value = (value * c)[:, 0]
         gap = np.abs(value - prev)
         tol = np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
         done = gap <= tol
@@ -301,80 +319,81 @@ def _de_integral(
         more = ~done
         rows, prev, gap, tol = rows[more], value[more], gap[more], tol[more]
         tc, dc, head_shift, tail_shift = tc[more], dc[more], head_shift[more], tail_shift[more]
+        if per_row:
+            c, p, wc, q, r = c[more], p[more], wc[more], q[more], r[more]
     worst = int(np.argmax(gap / tol))
+    p = p[worst, 0] if per_row else p
     raise ConvergenceError(
         f"{what} (p={p}, t={t[rows[worst]]}) did not converge: "
         f"level gap {gap[worst]:.3e} > {tol[worst]:.3e}"
     )
 
 
-def total_moment(
-    c: float, p: float, omega_c: float,
-    settings: QuadratureSettings | None = None,
-) -> float:
-    """``c * Int_0^inf w**(p-1) e**(-w/omega_c) dw`` by quadrature (p > 0)."""
-    if not (math.isfinite(p) and p > 0.0):
-        raise DomainError(f"total moment diverges for p <= 0, got p={p}")
-    if not (omega_c > 0.0 and math.isfinite(omega_c)):
-        raise DomainError(f"omega_c must be positive, got {omega_c}")
-    if c == 0.0:
-        return 0.0
-    value = _de_integral(
-        "total moment", c, p, omega_c, np.zeros(1), np.full(1, omega_c), p,
-        lambda w, _: np.exp(-w / omega_c), True, 0.0, settings,
-    )
-    return float(value[0])
-
-
 def _moment(
-    what: str, c: float, p: float, omega_c: float, t, settings,
-    zero_value: float, delta_periods: float, q: float,
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray], envelope_tail: bool, sine_sign: float,
+    what: str, args: KernelArgs, settings: QuadratureSettings | None,
+    delta: Callable[[np.ndarray, np.ndarray], np.ndarray], q_offset: float,
+    g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    envelope_tail: bool, sine_sign: float, zero_value=0.0,
 ) -> float | np.ndarray:
-    """Shared driver: ``zero_value`` at t = 0, the DE sum at every t > 0."""
-    times = _check_times(t)
+    """Shared driver over the broadcast arguments: ``zero_value`` at t = 0,
+    the DE sum split at ``delta(t, omega_c)`` at every t > 0 with c != 0,
+    one row per element."""
+    times = np.asarray(args.t, dtype=float)
+    params = (args.c, args.p, args.omega_c)
+    if any(isinstance(x, np.ndarray) for x in params):
+        times, *params = np.broadcast_arrays(times, *params)
+    on = (times > 0.0) & (params[0] != 0.0)
     out = np.full(times.shape, zero_value)
-    pos = times > 0.0
-    if c != 0.0 and np.any(pos):
-        tp = times[pos]
-        out[pos] = _de_integral(
-            what, c, p, omega_c, tp, delta_periods * math.pi / tp, q,
-            g, envelope_tail, sine_sign, settings,
+    if on.any():
+        t = times[on]
+        c, p, wc = (x[on] if isinstance(x, np.ndarray) else x for x in params)
+        out[on] = _de_integral(
+            what, c, p, wc, t, delta(t, wc), q_offset, g, envelope_tail, sine_sign, settings
         )
     return out[()]
 
 
+def total_moment(c, p, omega_c, settings: QuadratureSettings | None = None):
+    """``c * Int_0^inf w**(p-1) e**(-w/omega_c) dw`` by quadrature (p > 0),
+    elementwise over broadcastable arguments."""
+    if not all_true(p > 0.0):
+        raise DomainError(f"total moment diverges for p <= 0, got p={p}")
+    # no trig factor: any t will do (1 here), and the split is at omega_c
+    return _moment(
+        "total moment", KernelArgs(c, p, omega_c, 1.0), settings,
+        lambda t, wc: np.full_like(t, wc), 0.0, lambda w, _, wc: np.exp(-w / wc), True, 0.0,
+    )
+
+
 def oscillatory_moment(
-    c: float, p: float, omega_c: float, t: float | np.ndarray,
+    c, p, omega_c, t: float | np.ndarray,
     kind: Literal["cos", "sin"],
     settings: QuadratureSettings | None = None,
 ) -> float | np.ndarray:
     """``c * Int_0^inf w**(p-1) e**(-w/omega_c) trig(w t) dw`` by quadrature.
 
-    ``t`` is one time or an array of times.  The cosine moment needs p > 0;
-    the sine moment converges for p > -1.  The head runs to the first zero
-    of the trig factor (pi/(2t) for cos, pi/t for sin); the rest is one
-    Ooura-Mori sine integral, accurate for arbitrarily large t.
+    ``t`` is one time or an array of times, and ``c``, ``p``, ``omega_c``
+    floats or arrays that broadcast against it, validated as KernelArgs.
+    The cosine moment needs p > 0; the sine moment converges for p > -1.
+    The head runs to the first zero of the trig factor (pi/(2t) for cos,
+    pi/t for sin); the rest is one Ooura-Mori sine integral, accurate for
+    arbitrarily large t.
     """
     if kind not in ("cos", "sin"):
         raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    if not (math.isfinite(p) and math.isfinite(omega_c) and omega_c > 0.0):
-        raise DomainError(f"need a finite p and omega_c > 0, got p={p}, omega_c={omega_c}")
-    if kind == "cos" and p <= 0.0:
-        raise DomainError(f"cosine moment diverges for p <= 0, got p={p}")
-    if kind == "sin" and p <= -1.0:
-        raise DomainError(f"sine moment diverges for p <= -1, got p={p}")
-    if kind == "cos":
-        times = _check_times(t)
-        total = total_moment(c, p, omega_c, settings) if np.any(times == 0.0) else 0.0
+    args = KernelArgs(c, p, omega_c, t)
+    if kind == "sin":
+        # one power of w goes into sin(w t)/w = t*sinc(w t/pi), which is smooth
         return _moment(
-            "cosine moment", c, p, omega_c, times, settings, total, 0.5, p,
-            lambda w, tc: np.exp(-w / omega_c) * np.cos(w * tc), False, -1.0,
+            "sine moment", args, settings, lambda t, _: math.pi / t, 1.0,
+            lambda w, tc, wc: np.exp(-w / wc) * tc * np.sinc(w * tc / math.pi), False, -1.0,
         )
-    # one power of w goes into sin(w t)/w = t*sinc(w t/pi), which is smooth
+    if not all_true(p > 0.0):
+        raise DomainError(f"cosine moment diverges for p <= 0, got p={p}")
+    total = total_moment(c, p, omega_c, settings) if np.any(np.asarray(t) == 0.0) else 0.0
     return _moment(
-        "sine moment", c, p, omega_c, t, settings, 0.0, 1.0, p + 1.0,
-        lambda w, tc: np.exp(-w / omega_c) * tc * np.sinc(w * tc / math.pi), False, -1.0,
+        "cosine moment", args, settings, lambda t, _: 0.5 * math.pi / t, 0.0,
+        lambda w, tc, wc: np.exp(-w / wc) * np.cos(w * tc), False, -1.0, total,
     )
 
 
@@ -385,14 +404,13 @@ def kernel_by_quadrature(
 
     Serves as the independent oracle for ``decay_kernel`` and as the
     computational route for exponents in (-1, 0] where the closed form
-    does not apply.  ``args.t`` is one time or an array of times.  With
+    does not apply.  Elementwise over the broadcast arguments.  With
     delta = pi/(2t), the kernel is the head of ``w**(p+1) *
     (1 - cos(w t))/w**2`` on [0, delta], plus the envelope tail, minus the
     cosine tail, which equals plus the Ooura-Mori sine integral.
     """
-    c, p, omega_c = args.c, args.p, args.omega_c
     return _moment(
-        "kernel quadrature", c, p, omega_c, args.t, settings, 0.0, 0.5, p + 2.0,
-        lambda w, tc: np.exp(-w / omega_c) * 2.0 * (np.sin(0.5 * w * tc) / w) ** 2,
+        "kernel quadrature", args, settings, lambda t, _: 0.5 * math.pi / t, 2.0,
+        lambda w, tc, wc: np.exp(-w / wc) * 2.0 * (np.sin(0.5 * w * tc) / w) ** 2,
         True, 1.0,
     )

@@ -15,10 +15,11 @@ import numpy as np
 
 from .bath import (
     BathSpec,
+    DecoherenceProfile,
     DisplacementSpec,
     ModelSpec,
+    _profiles,
     ground_coherent_overlap,
-    profile_at,
 )
 from .dynamics import (
     InitialStateSpec,
@@ -30,7 +31,6 @@ from .dynamics import (
     reduced_state,
     trace_distance,
 )
-from .numerics import QuadratureSettings
 
 __all__ = [
     "SuiteResult",
@@ -87,60 +87,58 @@ def _random_amplitudes(rng: np.random.Generator) -> QubitAmplitudes:
     return QubitAmplitudes(b_plus, b_minus)
 
 
-def check_backend_agreement(
-    samples: int,
-    rel_tol: float = 1e-6,
-    seed: int = 42,
-    settings: QuadratureSettings | None = None,
-) -> SuiteResult:
+def _sample_fields(draws: list[tuple], backends: list[str]) -> np.ndarray:
+    """r, s, phi (rows) of every sample (columns) on its backend, from one
+    array evaluation per backend.  Each draw starts with its model and t."""
+    params = np.reshape(
+        [(m.bath.alpha, m.bath.mu, m.bath.omega_c, m.displacement.gamma_coef, m.displacement.nu)
+         for m, *_ in draws],
+        (-1, 5),
+    )
+    t = np.array([d[1] for d in draws], dtype=float)
+    fields = np.empty((3, len(draws)))
+    for backend in dict.fromkeys(backends):
+        rows = [i for i, b in enumerate(backends) if b == backend]
+        fields[:, rows] = _profiles(*params[rows].T, t[rows], backend)
+    return fields
+
+
+def check_backend_agreement(samples: int, rel_tol: float = 1e-6, seed: int = 42) -> SuiteResult:
     """Closed-form r, s, phi against the quadrature backend on random tuples."""
     rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for i in range(samples):
-        model = _random_model(rng)
-        t = 0.0 if i % 25 == 0 else rng.uniform(0.0, 100.0)
-        closed = profile_at(model, t, backend="closed_form")
-        quadr = profile_at(model, t, backend="quadrature", settings=settings)
-        sample_worst = 0.0
-        for lhs, rhs in (
-            (closed.r, quadr.r),
-            (closed.s, quadr.s),
-            (closed.phi, quadr.phi),
-        ):
-            err = abs(lhs - rhs) / max(_ABS_FLOOR, rel_tol * abs(lhs))
-            sample_worst = max(sample_worst, err)
-        worst = max(worst, sample_worst)
-        if sample_worst > 1.0:
-            failures += 1
+    draws = [
+        (_random_model(rng), 0.0 if i % 25 == 0 else rng.uniform(0.0, 100.0))
+        for i in range(samples)
+    ]
+    closed = _sample_fields(draws, ["closed_form"] * samples)
+    quadr = _sample_fields(draws, ["quadrature"] * samples)
+    errors = np.abs(closed - quadr) / np.maximum(_ABS_FLOOR, rel_tol * np.abs(closed))
+    sample_worst = errors.max(0, initial=0.0)
     return SuiteResult(
         name="backend-agreement",
         samples=samples,
-        failures=failures,
-        worst=worst,
+        failures=int(np.count_nonzero(sample_worst > 1.0)),
+        worst=float(sample_worst.max(initial=0.0)),
         tolerance=f"max({_ABS_FLOOR:g}, {rel_tol:g}*rel), reported as fraction of tol",
     )
 
 
-def check_physicality(
-    samples: int,
-    seed: int = 42,
-    settings: QuadratureSettings | None = None,
-) -> SuiteResult:
+def check_physicality(samples: int, seed: int = 42) -> SuiteResult:
     """|A_lambda(t)| <= 1 + 1e-9 and valid density matrices, both backends."""
     rng = np.random.default_rng(seed)
+    draws = [
+        (_random_model(rng), rng.uniform(0.0, 100.0), rng.uniform(0.0, 1.0), _random_amplitudes(rng))
+        for _ in range(samples)
+    ]
+    backends = ["quadrature" if i % 2 else "closed_form" for i in range(samples)]
     failures = 0
     worst = 0.0
-    for i in range(samples):
-        model = _random_model(rng)
-        t = rng.uniform(0.0, 100.0)
-        lam = rng.uniform(0.0, 1.0)
-        amps = _random_amplitudes(rng)
-        state = InitialStateSpec(amps, lam)
+    for (model, t, lam, amps), fields, backend in zip(
+        draws, _sample_fields(draws, backends).T, backends
+    ):
         overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
-        backend = "quadrature" if i % 2 else "closed_form"
-        profile = profile_at(model, t, backend=backend, settings=settings)
-        factor = coherence_factor(state, profile, model.epsilon, overlap)
+        profile = DecoherenceProfile(t, *fields, backend)
+        factor = coherence_factor(InitialStateSpec(amps, lam), profile, model.epsilon, overlap)
         excess = abs(factor) - 1.0
         worst = max(worst, excess)
         try:
@@ -172,12 +170,11 @@ def check_overlap_consistency(
     exactly what this suite is designed to catch.
     """
     rng = np.random.default_rng(seed)
+    draws = [(_random_model(rng), 0.0) for _ in range(samples)]
     failures = 0
     worst = 0.0
-    for _ in range(samples):
-        model = _random_model(rng)
+    for (model, _), s0 in zip(draws, _sample_fields(draws, ["closed_form"] * samples)[1]):
         overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
-        s0 = profile_at(model, 0.0, backend="closed_form").s
         if double_s_offset:
             s0 = 2.0 * s0
         err = abs(math.exp(s0) - overlap) / overlap
@@ -200,21 +197,20 @@ def check_distance_equivalence(
 ) -> SuiteResult:
     """Closed-form distances against the eigenvalue trace distance."""
     rng = np.random.default_rng(seed)
+    draws = [
+        (_random_model(rng), rng.uniform(0.0, 50.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
+         _random_amplitudes(rng), _random_amplitudes(rng))
+        for _ in range(samples)
+    ]
     failures = 0
     worst = 0.0
-    for _ in range(samples):
-        model = _random_model(rng)
-        t = rng.uniform(0.0, 50.0)
-        lam1 = rng.uniform(0.0, 1.0)
-        lam2 = rng.uniform(0.0, 1.0)
-        amps = _random_amplitudes(rng)
+    for (model, t, lam1, lam2, amps, amps_b), fields in zip(
+        draws, _sample_fields(draws, ["closed_form"] * samples).T
+    ):
         overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
-        profile = profile_at(model, t, backend="closed_form")
-
-        state1 = InitialStateSpec(amps, lam1)
-        state2 = InitialStateSpec(amps, lam2)
-        a1 = coherence_factor(state1, profile, model.epsilon, overlap)
-        a2 = coherence_factor(state2, profile, model.epsilon, overlap)
+        profile = DecoherenceProfile(t, *fields, "closed_form")
+        a1 = coherence_factor(InitialStateSpec(amps, lam1), profile, model.epsilon, overlap)
+        a2 = coherence_factor(InitialStateSpec(amps, lam2), profile, model.epsilon, overlap)
         rho1 = reduced_state(amps, a1)
         rho2 = reduced_state(amps, a2)
 
@@ -223,11 +219,8 @@ def check_distance_equivalence(
         generic = trace_distance(rho1, rho2)
         err = abs(closed - generic)
 
-        amps_b = _random_amplitudes(rng)
-        rho1b = reduced_state(amps, a1)
-        rho2b = reduced_state(amps_b, a1)
         closed_env = distance_same_environment(amps, amps_b, a1)
-        generic_env = trace_distance(rho1b, rho2b)
+        generic_env = trace_distance(rho1, reduced_state(amps_b, a1))
         err = max(err, abs(closed_env - generic_env))
 
         worst = max(worst, err)
@@ -247,12 +240,11 @@ def run_all(
     rel_tol: float = 1e-6,
     seed: int = 42,
     double_s_offset: bool = False,
-    settings: QuadratureSettings | None = None,
 ) -> list[SuiteResult]:
     """Run every suite with a shared seed; deterministic for fixed inputs."""
     return [
-        check_backend_agreement(samples, rel_tol=rel_tol, seed=seed, settings=settings),
-        check_physicality(samples, seed=seed, settings=settings),
+        check_backend_agreement(samples, rel_tol=rel_tol, seed=seed),
+        check_physicality(samples, seed=seed),
         check_overlap_consistency(samples, seed=seed, double_s_offset=double_s_offset),
         check_distance_equivalence(samples, seed=seed),
     ]

@@ -344,6 +344,21 @@ class TestRegionMap:
         _, lam = result.boundary_points[0]
         assert lam == pytest.approx(oracles.SCENARIO_LAMBDA_C, abs=1e-3)
 
+    @pytest.mark.parametrize("plane", [("alpha", "lambda1"), ("lambda1", "alpha")])
+    def test_descending_axis_gives_the_ascending_point(self, benchmark_model, plane):
+        # on a descending axis every edge runs downwards, hi - lo < 0
+        def boundary(lams):
+            axes = {"alpha": [0.0025], "lambda1": lams}
+            return region_map(
+                benchmark_model, 0.25, 0.0, plane=plane,
+                x_values=axes[plane[0]], y_values=axes[plane[1]], refine_boundary=True,
+            ).boundary_points
+
+        ascending = boundary([0.3, 0.7])
+        assert boundary([0.7, 0.3]) == ascending
+        lam = ascending[0][plane.index("lambda1")]
+        assert lam == pytest.approx(oracles.SCENARIO_LAMBDA_C, abs=1e-3)
+
     def test_zero_boundary_resolution_terminates(self, benchmark_model, ratio_budget):
         result = region_map(
             benchmark_model, 0.25, 0.0,
@@ -614,6 +629,7 @@ class TestFindExtremum:
         series = distance_series(benchmark_model, 0.25, 0.0)
         result = find_extremum(series)
         assert result.kind == "minimum"
+        assert type(result.value) is float
         assert result.value < 0.5 * min(series.distance[0], oracles.SCENARIO_D_INF)
         assert result.t == pytest.approx(oracles.SCENARIO_DIP_T, rel=1e-4)
         assert result.value == pytest.approx(oracles.SCENARIO_DIP_D, rel=1e-6)

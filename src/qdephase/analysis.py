@@ -10,13 +10,15 @@ loss, and ``region_map`` classifies whole parameter planes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
 from .bath import (
     Backend,
+    BathSpec,
+    DisplacementSpec,
     ModelSpec,
     ground_coherent_overlap,
     limit_exponents,
@@ -45,24 +47,12 @@ __all__ = [
     "find_extremum",
 ]
 
-# Plane parameter -> (model, lambda1, lambda2, value) -> the overridden triple.
-_OVERRIDES = {
-    "alpha": lambda m, l1, l2, v: (replace(m, bath=replace(m.bath, alpha=v)), l1, l2),
-    "gamma": lambda m, l1, l2, v: (
-        replace(m, displacement=replace(m.displacement, gamma_coef=v)), l1, l2
-    ),
-    "mu": lambda m, l1, l2, v: (replace(m, bath=replace(m.bath, mu=v)), l1, l2),
-    "nu": lambda m, l1, l2, v: (
-        replace(m, displacement=replace(m.displacement, nu=v)), l1, l2
-    ),
-    "lambda1": lambda m, l1, l2, v: (m, v, l2),
-    "lambda2": lambda m, l1, l2, v: (m, l1, v),
-}
-PLANE_PARAMETERS = tuple(_OVERRIDES)
+PLANE_PARAMETERS = ("alpha", "gamma", "mu", "nu", "lambda1", "lambda2")
 _RATIO_ARGS = ("alpha", "mu", "omega_c", "gamma", "nu", "lambda1", "lambda2")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-9
+# find_extremum: times per zoom round (each round narrows the bracket 16x)
+_ZOOM_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,8 @@ class DistanceSeries:
 
     Parallel arrays aligned with ``times``; ``distance`` is raw
     D = |b+ b-*| |A1 - A2| unless ``normalized`` is set, in which case the
-    common amplitude factor is divided out.
+    common amplitude factor is divided out.  ``settings`` are the quadrature
+    tolerances the series was computed with (None: the defaults).
     """
 
     model: ModelSpec
@@ -111,6 +102,7 @@ class DistanceSeries:
     lambda2: float
     amplitudes: QubitAmplitudes
     backend: Backend
+    settings: QuadratureSettings | None
     normalized: bool
     grid: TimeGrid
     times: np.ndarray = field(repr=False)
@@ -192,6 +184,7 @@ def distance_series(
         lambda2=lambda2,
         amplitudes=amps,
         backend=backend,
+        settings=settings,
         normalized=normalized,
         grid=time_grid,
         times=times,
@@ -330,10 +323,14 @@ def region_map(
 
     # every domain is an interval: checking each axis value also covers the
     # cells and the bisection midpoints between them
-    for name, values in ((x_name, xs), (y_name, ys)):
-        for v in values.tolist():
-            _OVERRIDES[name](model, lambda1, lambda2, v)
     args = _ratio_args(model, lambda1, lambda2)
+    for name, values in ((x_name, xs), (y_name, ys)):
+        if name in ("lambda1", "lambda2"):
+            continue  # _gain_ratios checks the weights of the whole grid
+        for v in values.tolist():
+            cell = {**args, name: v}
+            BathSpec(cell["alpha"], cell["mu"], cell["omega_c"])
+            DisplacementSpec(cell["gamma"], cell["nu"])
 
     def ratios(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         return _gain_ratios(**{**args, x_name: xv, y_name: yv})
@@ -383,33 +380,19 @@ def region_map(
     )
 
 
-def _golden_refine(f, lo: float, hi: float, minimize: bool, xtol: float = 1e-6):
-    """Golden-section search for the extremum of f on [lo, hi]."""
-    sign = 1.0 if minimize else -1.0
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = sign * f(x1), sign * f(x2)
-    while b - a > xtol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = sign * f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = sign * f(x2)
-    x_star = 0.5 * (a + b)
-    return x_star, f(x_star)
-
-
 def find_extremum(series: DistanceSeries) -> Extremum:
     """Locate the dominant interior extremum of a distance series.
 
     Scans the grid for an interior point strictly below (above) both series
-    endpoints that is also a local minimum (maximum), then refines it by
-    golden-section search on the continuous scenario distance, to 1e-6 in t.
-    Returns kind 'none' for flat or monotone series.
+    endpoints that is also a local minimum (maximum), then zooms in on it:
+    each round is one ``distance_series`` call, with the series' scenario,
+    backend, settings and normalization, on a linear grid between the
+    neighbours of the best point so far.  It stops once those lie within
+    2**-26 (sqrt eps) of t relative, which ends at any t.  About a smooth
+    extremum D is flat to rounding over a width of that order, so t is fixed
+    to that order; ``value`` is the best distance evaluated, exactly what
+    ``distance_series`` gives at ``t``.  Returns kind 'none' for flat or
+    monotone series.
     """
     d = series.distance
     if len(d) < 3:
@@ -429,21 +412,26 @@ def find_extremum(series: DistanceSeries) -> Extremum:
             has_max = False
         else:
             has_min = False
-    idx = i_min if has_min else i_max
+    i = i_min if has_min else i_max
+    sign = 1.0 if has_min else -1.0
 
-    overlap = ground_coherent_overlap(series.model.displacement, series.model.bath.omega_c)
-    w = pair_weights(series.lambda1, series.lambda2, overlap)
-    bscale = series.amplitudes.coherence_scale
-    scale = 1.0 / bscale if series.normalized else 1.0
-
-    def d_of_t(t: float) -> float:
-        profile = profile_at(series.model, t, backend=series.backend)
-        return scale * distance_same_amplitudes(w, profile, bscale)
-
-    t_star, value = _golden_refine(
-        d_of_t,
-        float(series.times[idx - 1]),
-        float(series.times[idx + 1]),
-        minimize=has_min,
-    )
-    return Extremum(t=t_star, value=float(value), kind="minimum" if has_min else "maximum")
+    times = series.times
+    t_best, v_best = float(times[i]), float(d[i])
+    while True:
+        # a zoom's best point may sit on its end (a tie with the bracket end)
+        a, b = float(times[max(i - 1, 0)]), float(times[min(i + 1, len(times) - 1)])
+        if b - a <= 2.0**-26 * b:
+            break
+        zoom = distance_series(
+            series.model, series.lambda1, series.lambda2,
+            amplitudes=series.amplitudes,
+            grid=TimeGrid("linear", a, b, _ZOOM_POINTS),
+            backend=series.backend,
+            settings=series.settings,
+            normalized=series.normalized,
+        )
+        times = zoom.times
+        i = int(np.argmin(sign * zoom.distance))
+        if sign * zoom.distance[i] < sign * v_best:
+            t_best, v_best = float(times[i]), float(zoom.distance[i])
+    return Extremum(t=t_best, value=v_best, kind="minimum" if has_min else "maximum")

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    PLANE_PARAMETERS,
     TimeGrid,
     distance_series,
     find_lambda_c,
@@ -226,11 +225,6 @@ def cmd_region(args: argparse.Namespace) -> int:
     if len(plane_parts) != 2:
         raise ConfigError(f"--plane must be X,Y, got {args.plane!r}")
     x_name, y_name = plane_parts[0].strip(), plane_parts[1].strip()
-    for name in (x_name, y_name):
-        if name not in PLANE_PARAMETERS:
-            raise ConfigError(
-                f"plane parameter {name!r} not in {', '.join(PLANE_PARAMETERS)}"
-            )
     lambda1 = scenario["lambda1"] if scenario["lambda1"] is not None else 0.25
     result = region_map(
         scenario["model"],
@@ -265,8 +259,6 @@ def cmd_critical(args: argparse.Namespace) -> int:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"--bracket must be numeric lo:hi, got {args.bracket!r}")
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ConfigError(f"bracket must satisfy 0 <= lo < hi <= 1, got {args.bracket!r}")
 
     model = scenario["model"]
     if args.vary == "lambda1":

@@ -1,11 +1,15 @@
 """Distance series, gain ratios, critical correlation, and region maps."""
 
+import contextlib
+import inspect
 import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qdephase import analysis
@@ -17,6 +21,7 @@ from qdephase import (
     DomainError,
     ModelSpec,
     NoBracketError,
+    QuadratureSettings,
     QubitAmplitudes,
     TimeGrid,
     distance_series,
@@ -57,6 +62,53 @@ def ratio_budget(monkeypatch):
 
     monkeypatch.setattr(analysis, "_gain_ratios", counted)
     return calls
+
+
+@contextlib.contextmanager
+def _series_calls(limit=200):
+    """Record the distance_series and profile_at calls made through the
+    analysis module, failing after ``limit`` of them, so a search that stops
+    making progress fails instead of hanging.
+
+    Each record is (name, settings, nested): the quadrature settings the
+    call received, and whether it ran inside a distance_series call.
+    """
+    calls, depth = [], [0]
+
+    def counted(name, real):
+        signature = inspect.signature(real)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            calls.append((name, bound.get("settings"), depth[0] > 0))
+            if len(calls) > limit:
+                raise AssertionError(f"more than {limit} series/profile evaluations")
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("distance_series", "profile_at"):
+            mp.setattr(analysis, name, counted(name, getattr(analysis, name)))
+        yield calls
+
+
+@pytest.fixture
+def series_budget():
+    with _series_calls() as calls:
+        yield calls
+
+
+def _benchmark_with_cutoff(omega_c):
+    return ModelSpec(
+        epsilon=1.0,
+        bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=omega_c),
+        displacement=DisplacementSpec(gamma_coef=0.05, nu=0.05),
+    )
 
 
 class TestTimeGrid:
@@ -564,6 +616,25 @@ class TestRegionMapArrayPath:
                 x_values=x_values, y_values=[0.003, 0.6],
             )
 
+    @pytest.mark.parametrize(
+        "name,value,spec",
+        [
+            ("alpha", -1.0, lambda v: BathSpec(alpha=v, mu=0.01)),
+            ("mu", -2.0, lambda v: BathSpec(alpha=0.0025, mu=v)),
+            ("gamma", -0.5, lambda v: DisplacementSpec(gamma_coef=v, nu=0.05)),
+            ("nu", 0.0, lambda v: DisplacementSpec(gamma_coef=0.05, nu=v)),
+        ],
+    )
+    def test_axis_value_error_is_the_spec_error(self, benchmark_model, name, value, spec):
+        with pytest.raises(DomainError) as expected:
+            spec(value)
+        with pytest.raises(DomainError) as raised:
+            region_map(
+                benchmark_model, 0.25, 0.0, plane=(name, "lambda1"),
+                x_values=[value], y_values=[0.6],
+            )
+        assert str(raised.value) == str(expected.value)
+
     def test_out_of_domain_axis_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.cfg"
         path.write_text(
@@ -633,6 +704,56 @@ class TestFindExtremum:
         assert result.value < 0.5 * min(series.distance[0], oracles.SCENARIO_D_INF)
         assert result.t == pytest.approx(oracles.SCENARIO_DIP_T, rel=1e-4)
         assert result.value == pytest.approx(oracles.SCENARIO_DIP_D, rel=1e-6)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_zoom_is_a_few_series_calls(self, benchmark_model, normalized):
+        series = distance_series(benchmark_model, 0.25, 0.0, normalized=normalized)
+        with _series_calls() as calls:
+            result = find_extremum(series)
+        names = [name for name, _, nested in calls if not nested]
+        assert set(names) == {"distance_series"}
+        assert len(names) <= 8
+        # the value is the series' own distance at t, not a re-evaluation
+        again = distance_series(
+            benchmark_model, 0.25, 0.0, normalized=normalized,
+            grid=TimeGrid("linear", 0.5 * result.t, result.t, 2),
+        )
+        assert again.distance[-1] == result.value
+
+    def test_refines_with_the_series_settings(self, benchmark_model):
+        tolerances = QuadratureSettings(abs_tol=1e-9, rel_tol=1e-7)
+        series = distance_series(
+            benchmark_model, 0.25, 0.0, grid=TimeGrid("log", 10.0, 1e4, 40),
+            backend="quadrature", settings=tolerances,
+        )
+        with _series_calls() as calls:
+            result = find_extremum(series)
+        assert result.kind == "minimum"
+        assert calls and all(received is tolerances for _, received, _ in calls)
+        assert series.settings is tolerances
+        assert result.t == pytest.approx(oracles.SCENARIO_DIP_T, rel=1e-3)
+
+    @pytest.mark.parametrize("omega_c", [1e-9, 1e-12])
+    def test_tiny_cutoff_terminates(self, series_budget, omega_c):
+        # the dip lies at t ~ 50 / omega_c, where one ulp of t exceeds 1e-6
+        series = distance_series(_benchmark_with_cutoff(omega_c), 0.25, 0.0)
+        result = find_extremum(series)
+        assert result.kind == "minimum"
+        assert 20.0 < result.t * omega_c < 100.0
+        assert len(series_budget) <= 20
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(log_omega_c=st.floats(-12.0, 3.0))
+    def test_zoom_stays_in_the_bracket_and_improves(self, log_omega_c):
+        series = distance_series(_benchmark_with_cutoff(10.0**log_omega_c), 0.25, 0.0)
+        with _series_calls():
+            result = find_extremum(series)
+        d = series.distance
+        assert result.kind in ("minimum", "maximum")
+        sign = 1.0 if result.kind == "minimum" else -1.0
+        i = 1 + int(np.argmin(sign * d[1:-1]))
+        assert series.times[i - 1] <= result.t <= series.times[i + 1]
+        assert sign * result.value <= sign * d[i] + 1e-12 * abs(d[i])
 
     def test_short_series_rejected(self, benchmark_model):
         series = distance_series(

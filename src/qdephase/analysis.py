@@ -115,16 +115,8 @@ class DistanceSeries:
 
     def rows(self) -> Iterator[tuple[float, float, float, float, float, float, float]]:
         """Yield (t, D, |A1|, |A2|, r, s, phi) per grid point."""
-        for i in range(len(self.times)):
-            yield (
-                float(self.times[i]),
-                float(self.distance[i]),
-                float(self.abs_a1[i]),
-                float(self.abs_a2[i]),
-                float(self.r[i]),
-                float(self.s[i]),
-                float(self.phi[i]),
-            )
+        columns = (self.times, self.distance, self.abs_a1, self.abs_a2, self.r, self.s, self.phi)
+        return zip(*(column.tolist() for column in columns))
 
 
 @dataclass(frozen=True)

@@ -206,9 +206,11 @@ def limit_exponents(alpha, mu, omega_c, gamma_coef, nu):
             f"r(t) diverges as t -> inf for mu <= 0 (got mu={np.min(mu)}); "
             "all coherences vanish and the long-time distance limit is 0"
         )
-    s0 = -gamma_moment(0.5 * gamma_coef, nu, omega_c)
-    r_inf = gamma_moment(4.0 * alpha, mu, omega_c)
-    s_inf = gamma_moment(2.0 * np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu), omega_c) + s0
+    # a prefactor that overflows is inf, which gamma_moment refuses
+    with np.errstate(over="ignore"):
+        s0 = -gamma_moment(0.5 * gamma_coef, nu, omega_c)
+        r_inf = gamma_moment(4.0 * alpha, mu, omega_c)
+        s_inf = gamma_moment(2.0 * np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu), omega_c) + s0
     return s0, r_inf, s_inf
 
 

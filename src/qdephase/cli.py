@@ -2,8 +2,8 @@
 
 Scenario parameters come from a flat key=value config file (see
 ``CONFIG_KEYS``); flags override config values.  Exit codes: 0 success,
-1 numerical or validation failure, 2 usage/config/domain error, 3 empty
-gain region (no bracket).  All diagnostics go to stderr; results go to
+1 numerical or validation failure, 2 usage, config, domain or I/O error,
+3 empty gain region (no bracket).  All diagnostics go to stderr; results go to
 stdout or --out.
 """
 
@@ -26,13 +26,7 @@ from .analysis import (
 )
 from .bath import BathSpec, DisplacementSpec, ModelSpec
 from .dynamics import QubitAmplitudes
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NoBracketError,
-    PhysicalityError,
-    QDephaseError,
-)
+from .errors import DomainError, NoBracketError, PhysicalityError, QDephaseError
 from .numerics import QuadratureSettings
 from .validation import run_all
 
@@ -115,8 +109,8 @@ def parse_config(path: str) -> dict:
 
 
 def _scenario(cfg: dict) -> dict:
-    merged = dict(_DEFAULTS)
-    merged.update(cfg)
+    """The merged config, plus the library objects built from it."""
+    merged = {**_DEFAULTS, **cfg}
     for key in ("alpha", "gamma", "mu", "nu"):
         if key not in merged:
             raise ConfigError(f"missing required config key {key!r}")
@@ -130,26 +124,26 @@ def _scenario(cfg: dict) -> dict:
     backend = _BACKEND_ALIASES.get(str(merged["backend"]))
     if backend is None:
         raise ConfigError(f"backend must be 'closed' or 'quad', got {merged['backend']!r}")
-    settings_kwargs = {key: merged[key] for key in ("abs_tol", "rel_tol") if key in merged}
-    model = ModelSpec(
-        epsilon=merged["epsilon"],
-        bath=BathSpec(alpha=merged["alpha"], mu=merged["mu"], omega_c=merged["omega_c"]),
-        displacement=DisplacementSpec(gamma_coef=merged["gamma"], nu=merged["nu"]),
-    )
     return {
-        "model": model,
+        **merged,
+        "model": ModelSpec(
+            epsilon=merged["epsilon"],
+            bath=BathSpec(alpha=merged["alpha"], mu=merged["mu"], omega_c=merged["omega_c"]),
+            displacement=DisplacementSpec(gamma_coef=merged["gamma"], nu=merged["nu"]),
+        ),
         "amplitudes": amplitudes,
-        "lambda1": merged.get("lambda1"),
-        "lambda2": merged["lambda2"],
-        "grid_kind": merged["grid"],
-        "t_min": merged["t_min"],
-        "t_max": merged["t_max"],
-        "points": merged["points"],
         "backend": backend,
-        "normalized": bool(merged["normalized"]),
-        "settings": QuadratureSettings(**settings_kwargs),
-        "out": merged.get("out"),
+        "settings": QuadratureSettings(
+            **{key: merged[key] for key in ("abs_tol", "rel_tol") if key in merged}
+        ),
     }
+
+
+def _load(args: argparse.Namespace) -> dict:
+    """The scenario of the config file, with the config-key flags given on top."""
+    cfg = parse_config(args.config) if args.config else {}
+    cfg.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS)
+    return _scenario(cfg)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -169,66 +163,39 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ConfigError(f"range must be lo:hi:n with numeric fields, got {spec!r}")
     if n < 1:
         raise ConfigError(f"range needs at least one point, got {spec!r}")
-    if lo > hi:
-        raise ConfigError(f"range must satisfy lo <= hi, got {spec!r}")
-    if n == 1 or lo == hi:
-        return np.full(max(n, 1), lo)
+    if not -math.inf < lo <= hi < math.inf:
+        raise ConfigError(f"range must satisfy lo <= hi with finite ends, got {spec!r}")
     return np.linspace(lo, hi, n)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config) if args.config else {}
-    if args.t_max is not None:
-        cfg["t_max"] = args.t_max
-    if args.points is not None:
-        cfg["points"] = args.points
-    if args.grid is not None:
-        cfg["grid"] = args.grid
-    if args.backend is not None:
-        cfg["backend"] = args.backend
-    if args.normalized:
-        cfg["normalized"] = True
-    if args.out is not None:
-        cfg["out"] = args.out
-    scenario = _scenario(cfg)
-    if scenario["lambda1"] is None:
+    scenario = _load(args)
+    if "lambda1" not in scenario:
         raise ConfigError("missing required config key 'lambda1'")
-    grid = TimeGrid(
-        kind=scenario["grid_kind"],
-        t_min=scenario["t_min"],
-        t_max=scenario["t_max"],
-        points=scenario["points"],
-    )
     series = distance_series(
         scenario["model"],
         scenario["lambda1"],
         scenario["lambda2"],
         amplitudes=scenario["amplitudes"],
-        grid=grid,
+        grid=TimeGrid(scenario["grid"], scenario["t_min"], scenario["t_max"], scenario["points"]),
         backend=scenario["backend"],
         settings=scenario["settings"],
         normalized=scenario["normalized"],
     )
-    lines = [CSV_HEADER]
-    for row in series.rows():
-        lines.append(",".join(f"{value:.17g}" for value in row))
-    _emit("\n".join(lines) + "\n", scenario["out"])
+    rows = (",".join(f"{value:.17g}" for value in row) for row in series.rows())
+    _emit("\n".join([CSV_HEADER, *rows]) + "\n", scenario.get("out"))
     return EXIT_OK
 
 
 def cmd_region(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config) if args.config else {}
-    if args.out is not None:
-        cfg["out"] = args.out
-    scenario = _scenario(cfg)
+    scenario = _load(args)
     plane_parts = args.plane.split(",")
     if len(plane_parts) != 2:
         raise ConfigError(f"--plane must be X,Y, got {args.plane!r}")
     x_name, y_name = plane_parts[0].strip(), plane_parts[1].strip()
-    lambda1 = scenario["lambda1"] if scenario["lambda1"] is not None else 0.25
     result = region_map(
         scenario["model"],
-        lambda1,
+        scenario.get("lambda1", 0.25),
         scenario["lambda2"],
         plane=(x_name, y_name),
         x_values=_parse_range(args.x_range),
@@ -237,21 +204,20 @@ def cmd_region(args: argparse.Namespace) -> int:
     )
     payload = {
         "axes": {
-            "x": {"name": x_name, "values": [float(v) for v in result.x_values]},
-            "y": {"name": y_name, "values": [float(v) for v in result.y_values]},
+            "x": {"name": x_name, "values": result.x_values.tolist()},
+            "y": {"name": y_name, "values": result.y_values.tolist()},
         },
         "labels": result.labels,
         "gain_ratio": result.gain,
     }
     if args.refine_boundary:
-        payload["boundary"] = [[x, y] for x, y in result.boundary_points]
-    _emit(json.dumps(payload, indent=2) + "\n", scenario["out"])
+        payload["boundary"] = result.boundary_points
+    _emit(json.dumps(payload, indent=2) + "\n", scenario.get("out"))
     return EXIT_OK
 
 
 def cmd_critical(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config) if args.config else {}
-    scenario = _scenario(cfg)
+    scenario = _load(args)
     parts = args.bracket.split(":")
     if len(parts) != 2:
         raise ConfigError(f"--bracket must be lo:hi, got {args.bracket!r}")
@@ -265,7 +231,7 @@ def cmd_critical(args: argparse.Namespace) -> int:
         fixed = scenario["lambda2"]
         ratio_of = lambda lam: gain_ratio(model, lam, fixed)
     else:
-        fixed = scenario["lambda1"] if scenario["lambda1"] is not None else 0.25
+        fixed = scenario.get("lambda1", 0.25)
         ratio_of = lambda lam: gain_ratio(model, fixed, lam)
 
     def json_ratio(value: float | None) -> float | None:
@@ -275,22 +241,15 @@ def cmd_critical(args: argparse.Namespace) -> int:
     try:
         lambda_c = find_lambda_c(model, fixed, bracket=(lo, hi), tol=args.tol, vary=args.vary)
     except NoBracketError:
-        payload = {
-            "lambda_c": None,
-            "ratio_lo": ratio_lo,
-            "ratio_hi": ratio_hi,
-            "status": "no-bracket",
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return EXIT_NO_BRACKET
+        lambda_c = None
     payload = {
         "lambda_c": lambda_c,
         "ratio_lo": ratio_lo,
         "ratio_hi": ratio_hi,
-        "status": "ok",
+        "status": "no-bracket" if lambda_c is None else "ok",
     }
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_NO_BRACKET if lambda_c is None else EXIT_OK
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -328,15 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_evolve = sub.add_parser("evolve", help="emit a distance time series as CSV")
     p_evolve.add_argument("--config", help="key=value scenario file")
-    p_evolve.add_argument("--t-max", type=float, dest="t_max")
-    p_evolve.add_argument("--points", type=_positive_int)
-    p_evolve.add_argument("--grid", choices=("linear", "log"))
-    p_evolve.add_argument("--backend", choices=("closed", "quad"))
+    p_evolve.add_argument("--t-max", type=float, dest="t_max", default=argparse.SUPPRESS)
+    p_evolve.add_argument("--points", type=_positive_int, default=argparse.SUPPRESS)
+    p_evolve.add_argument("--grid", choices=("linear", "log"), default=argparse.SUPPRESS)
+    p_evolve.add_argument("--backend", choices=("closed", "quad"), default=argparse.SUPPRESS)
     p_evolve.add_argument(
-        "--normalized", action="store_true",
+        "--normalized", action="store_true", default=argparse.SUPPRESS,
         help="divide the distance column by |b+ b-*|",
     )
-    p_evolve.add_argument("--out", help="output path (default stdout)")
+    p_evolve.add_argument("--out", default=argparse.SUPPRESS, help="output path (default stdout)")
     p_evolve.set_defaults(handler=cmd_evolve)
 
     p_region = sub.add_parser("region", help="classify a parameter plane as JSON")
@@ -345,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--x-range", required=True, dest="x_range", help="lo:hi:n")
     p_region.add_argument("--y-range", required=True, dest="y_range", help="lo:hi:n")
     p_region.add_argument("--refine-boundary", action="store_true", dest="refine_boundary")
-    p_region.add_argument("--out", help="output path (default stdout)")
+    p_region.add_argument("--out", default=argparse.SUPPRESS, help="output path (default stdout)")
     p_region.set_defaults(handler=cmd_region)
 
     p_critical = sub.add_parser("critical", help="bisect the critical correlation")
@@ -374,12 +333,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, DomainError, PhysicalityError, FileNotFoundError) as exc:
+    except (DomainError, PhysicalityError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except ConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
     except NoBracketError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_BRACKET

@@ -59,7 +59,8 @@ class QubitAmplitudes:
     b_minus: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.b_plus) ** 2 + abs(self.b_minus) ** 2
+        # x * x, not x ** 2: a float power raises OverflowError, a product is inf
+        norm = abs(self.b_plus) * abs(self.b_plus) + abs(self.b_minus) * abs(self.b_minus)
         if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
             raise DomainError(
                 f"amplitudes must satisfy |b+|^2 + |b-|^2 = 1 within {_NORM_TOL}, "
@@ -152,8 +153,8 @@ def normalization_c(lam, overlap):
     """
     if not all_true((lam >= 0.0) & (lam <= 1.0)):
         raise DomainError(f"correlation weight must lie in [0, 1], got {lam}")
-    if not all_true((overlap > 0.0) & (overlap <= 1.0)):
-        raise DomainError(f"overlap must lie in (0, 1], got {overlap}")
+    if not all_true((overlap >= 0.0) & (overlap <= 1.0)):
+        raise DomainError(f"overlap must lie in [0, 1], got {overlap}")
     # x * x, not x ** 2: numpy squares arrays but calls pow on scalars
     return np.sqrt((1.0 - lam) * (1.0 - lam) + lam * lam + 2.0 * lam * (1.0 - lam) * overlap)
 

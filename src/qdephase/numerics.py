@@ -49,6 +49,11 @@ __all__ = [
 # to ~1e-8 relative, comfortably inside the 1e-6 requirement.
 SMALL_EXPONENT_LIMIT = 1e-7
 
+# Largest t and omega_c * t accepted.  The closed forms square x = omega_c * t
+# and the quadrature kernel squares t (its integrand is ~t**2/4 at w -> 0);
+# both overflow past ~1.34e154, and this bound keeps them finite with room.
+MAX_SCALED_TIME = 1e150
+
 # Every quadrature rule is a trapezoidal sum in a variable u with step
 # _STEP / 2**level, for level = 0 .. _LEVELS - 1.
 _STEP = 0.125
@@ -67,10 +72,10 @@ class QuadratureSettings:
     rel_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must be finite and positive, got {self.abs_tol}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be finite and positive, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,9 @@ class KernelArgs:
 
     ``p > -1`` keeps ``w**(p-1) * (1 - cos(w t))`` integrable at the origin;
     the closed-form branch additionally needs ``p >= 0`` (see decay_kernel).
-    ``t`` is one time or an array of times; ``c``, ``p`` and ``omega_c``
-    are floats or arrays that broadcast against it.
+    Times need ``0 <= max(1, omega_c) * t <= MAX_SCALED_TIME``.  ``t`` is one
+    time or an array of times; ``c``, ``p`` and ``omega_c`` are floats or
+    arrays that broadcast against it.
     """
 
     c: float | np.ndarray
@@ -96,8 +102,14 @@ class KernelArgs:
         if not all_true((self.omega_c > 0.0) & (self.omega_c < math.inf)):
             raise DomainError(f"omega_c must be positive, got {self.omega_c}")
         times = np.asarray(self.t, dtype=float)
-        if not all_true((times >= 0.0) & (times < math.inf)):
-            raise DomainError(f"time must be finite and >= 0, got {self.t}")
+        # a quotient, not max(1, omega_c) * t, which can overflow
+        if not all_true(
+            (times >= 0.0) & (times <= MAX_SCALED_TIME / np.maximum(self.omega_c, 1.0))
+        ):
+            raise DomainError(
+                f"time must satisfy 0 <= max(1, omega_c) * t <= {MAX_SCALED_TIME:g}, got t in "
+                f"[{times.min()}, {times.max()}] at omega_c up to {np.max(self.omega_c)}"
+            )
 
 
 def gamma(x: float) -> float:
@@ -358,9 +370,10 @@ def total_moment(c, p, omega_c, settings: QuadratureSettings | None = None):
     elementwise over broadcastable arguments."""
     if not all_true(p > 0.0):
         raise DomainError(f"total moment diverges for p <= 0, got p={p}")
-    # no trig factor: any t will do (1 here), and the split is at omega_c
+    # no trig factor: any t > 0 will do (the least, which no omega_c takes out
+    # of range), and the split is at omega_c
     return _moment(
-        "total moment", KernelArgs(c, p, omega_c, 1.0), settings,
+        "total moment", KernelArgs(c, p, omega_c, math.ulp(0.0)), settings,
         lambda t, wc: np.full_like(t, wc), 0.0, lambda w, _, wc: np.exp(-w / wc), True, 0.0,
     )
 

@@ -31,6 +31,7 @@ from .dynamics import (
     reduced_state,
     trace_distance,
 )
+from .errors import DomainError
 
 __all__ = [
     "SuiteResult",
@@ -105,6 +106,8 @@ def _sample_fields(draws: list[tuple], backends: list[str]) -> np.ndarray:
 
 def check_backend_agreement(samples: int, rel_tol: float = 1e-6, seed: int = 42) -> SuiteResult:
     """Closed-form r, s, phi against the quadrature backend on random tuples."""
+    if not 0.0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be finite and positive, got {rel_tol}")
     rng = np.random.default_rng(seed)
     draws = [
         (_random_model(rng), 0.0 if i % 25 == 0 else rng.uniform(0.0, 100.0))

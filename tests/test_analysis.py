@@ -246,6 +246,31 @@ class TestGainRatio:
         with pytest.raises(DomainError):
             gain_ratio(ohmic, 0.25, 0.0)
 
+    def test_overflowing_prefactor_is_a_domain_error(self, benchmark_model):
+        # alpha * gamma_coef = 1e600 overflows a double inside the t -> inf limit
+        huge = ModelSpec(
+            epsilon=1.0,
+            bath=replace(benchmark_model.bath, alpha=1e300),
+            displacement=replace(benchmark_model.displacement, gamma_coef=1e300),
+        )
+        with pytest.raises(DomainError, match="overflows"):
+            gain_ratio(huge, 0.25, 0.0)
+
+    def test_orthogonal_displaced_branches(self, benchmark_model):
+        # gamma = 1e6 underflows the overlap e^s(0) to 0, and e^s(t) stays 0:
+        # A_lam(t) = (1 - lam) e^-r(t) / C_lam, so D(t) = D(0) e^-r(t) and the
+        # gain ratio is e^-r(inf) = e^(-4 alpha Gamma(mu))
+        far = replace(
+            benchmark_model,
+            displacement=replace(benchmark_model.displacement, gamma_coef=1e6),
+        )
+        assert gain_ratio(far, 0.25, 0.0) == pytest.approx(
+            math.exp(-4.0 * 0.0025 * math.gamma(0.01)), rel=1e-12
+        )
+        series = distance_series(far, 0.25, 0.0, grid=TimeGrid("log", 1e-3, 1e4, 50))
+        d0 = 0.5 * (1.0 - 0.75 / math.sqrt(0.625))
+        np.testing.assert_allclose(series.distance, d0 * np.exp(-series.r), rtol=1e-12)
+
 
 class TestFindLambdaC:
     def test_benchmark_location(self, benchmark_model):

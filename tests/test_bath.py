@@ -85,6 +85,43 @@ class TestOverlap:
 
 
 class TestProfileAt:
+    @pytest.mark.parametrize("backend", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("t", [1e160, 1.7e308])
+    def test_time_beyond_bound_rejected(self, benchmark_model, backend, t):
+        # x * x with x = omega_c * t overflows past ~1.34e154
+        with pytest.raises(DomainError, match="t <= 1e\\+150"):
+            profile_at(benchmark_model, t, backend=backend)
+
+    def test_time_bound_scales_with_cutoff(self, benchmark_model):
+        fast = replace(benchmark_model, bath=replace(benchmark_model.bath, omega_c=1e10))
+        profile_at(fast, 1e139)
+        with pytest.raises(DomainError):
+            profile_at(fast, 1e141)
+
+    @pytest.mark.parametrize("backend", ["closed_form", "quadrature"])
+    def test_time_bound_below_unit_cutoff(self, benchmark_model, backend):
+        # omega_c * t = 1e60 is small, but the quadrature kernel squares t itself
+        slow = replace(benchmark_model, bath=replace(benchmark_model.bath, omega_c=1e-100))
+        with pytest.raises(DomainError):
+            profile_at(slow, 1e160, backend=backend)
+
+    def test_ohmic_r_at_the_time_bound(self, benchmark_model):
+        # mu = 0: r(t) = 2 alpha log(1 + t^2), i.e. 4 alpha log t at large t
+        ohmic = replace(benchmark_model, bath=replace(benchmark_model.bath, mu=0.0))
+        r = profile_at(ohmic, 1e150).r
+        assert r == pytest.approx(4.0 * 0.0025 * math.log(1e150), rel=1e-12)
+
+    def test_quadrature_at_the_time_bound(self):
+        m = ModelSpec(
+            epsilon=1.0,
+            bath=BathSpec(alpha=0.1, mu=0.5, omega_c=1.0),
+            displacement=DisplacementSpec(gamma_coef=0.1, nu=0.5),
+        )
+        closed = profile_at(m, 1e150)
+        quadr = profile_at(m, 1e150, backend="quadrature")
+        assert quadr.r == pytest.approx(closed.r, rel=1e-12)
+        assert quadr.s == pytest.approx(closed.s, rel=1e-12)
+
     def test_initial_values(self, benchmark_model):
         for backend in ("closed_form", "quadrature"):
             p = profile_at(benchmark_model, 0.0, backend=backend)

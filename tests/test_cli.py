@@ -1,13 +1,27 @@
 """CLI subcommands, config handling, output schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qdephase import BathSpec, DisplacementSpec, ModelSpec, find_lambda_c
-from qdephase.cli import CSV_HEADER, main, parse_config
+from qdephase.cli import (
+    _BOOL_KEYS,
+    _FLOAT_KEYS,
+    _INT_KEYS,
+    CONFIG_KEYS,
+    CSV_HEADER,
+    main,
+    parse_config,
+)
 
 BENCHMARK_CONFIG = """
 # weak-coupling scenario with long-time distance gain
@@ -20,6 +34,10 @@ lambda2 = 0
 """
 
 STRONG_CONFIG = BENCHMARK_CONFIG.replace("alpha = 0.0025", "alpha = 0.05")
+
+
+def assert_one_error_line(err: str) -> None:
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.fixture
@@ -56,6 +74,21 @@ class TestConfigParsing:
 
     def test_missing_file(self, capsys):
         assert main(["evolve", "--config", "/nonexistent/path.cfg"]) == 2
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["evolve", "--config", str(tmp_path)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(BENCHMARK_CONFIG.encode("utf-8") + b"# \xe9t\xe9\n")
+        assert main(["evolve", "--config", str(path)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_out_is_a_directory(self, config_path, tmp_path, capsys):
+        argv = ["evolve", "--config", config_path, "--points", "3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr().err)
 
     def test_malformed_number(self, tmp_path, capsys):
         path = tmp_path / "nan.cfg"
@@ -189,6 +222,32 @@ class TestEvolve:
             BENCHMARK_CONFIG + "b_plus = 0.9\nb_minus = 0.1\n", encoding="utf-8"
         )
         assert main(["evolve", "--config", str(path)]) == 2
+
+    def test_overflowing_amplitude_rejected(self, tmp_path, capsys):
+        # |b+|**2 overflows a double: a domain error, not an OverflowError
+        path = tmp_path / "amp3.cfg"
+        path.write_text(BENCHMARK_CONFIG + "b_plus = 1e200\nb_minus = 0\n", encoding="utf-8")
+        assert main(["evolve", "--config", str(path)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_time_beyond_bound_rejected(self, tmp_path, capsys):
+        path = tmp_path / "late.cfg"
+        path.write_text(BENCHMARK_CONFIG + "t_max = 1e160\n", encoding="utf-8")
+        assert main(["evolve", "--config", str(path), "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "t <= 1e+150" in err
+
+    def test_orthogonal_displaced_branches(self, tmp_path, capsys):
+        # gamma = 1e6 underflows the ground/coherent overlap to 0
+        path = tmp_path / "far.cfg"
+        path.write_text(BENCHMARK_CONFIG.replace("gamma = 0.05", "gamma = 1e6"), encoding="utf-8")
+        assert main(["evolve", "--config", str(path), "--points", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = captured.out.strip().split("\n")[1:]
+        assert len(rows) == 5
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
     def test_grid_flags(self, config_path, tmp_path):
         out = tmp_path / "lin.csv"
@@ -329,6 +388,13 @@ class TestValidate:
         assert "backend-agreement" in out
         assert "all suites passed" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        assert main(["validate", "--samples", "2", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
+
     def test_zero_samples_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["validate", "--samples", "0"])
@@ -360,3 +426,79 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+def _float_values():
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 1e300, 1e200, 1e-200, 1e160]
+    return st.one_of(st.sampled_from(specials), st.floats(0.0, 1.0), st.floats()).map(repr)
+
+
+_AMPLITUDES = ("b_plus", "b_minus")
+_VALUES = {
+    **{key: _float_values() for key in _FLOAT_KEYS},
+    # normalized pairs such as (0.6, 0.8) and (1, 0) are drawn now and then
+    **{key: _float_values() | st.sampled_from(["0.6", "0.8", "1", "0"]) for key in _AMPLITUDES},
+    **{key: st.integers(-3, 40).map(str) for key in _INT_KEYS},
+    **{key: st.sampled_from(["true", "false", "0", "1", "yes"]) for key in _BOOL_KEYS},
+    "grid": st.sampled_from(["linear", "log", "cubic"]),
+    "backend": st.sampled_from(["closed", "quad", "closed_form", "quadrature", "exact"]),
+    # resolved against a scratch directory; "." is the directory itself
+    "out": st.sampled_from(["result.txt", "."]),
+}
+assert set(_VALUES) == set(CONFIG_KEYS)
+# the amplitudes come in pairs: a lone one is a plain config error
+_KEY_GROUPS = [(key,) for key in CONFIG_KEYS if key not in _AMPLITUDES] + [_AMPLITUDES]
+
+_BASE = dict(line.split(" = ") for line in BENCHMARK_CONFIG.strip().splitlines()[1:])
+
+_COMMANDS = [
+    ["evolve"],
+    ["region", "--plane", "alpha,lambda1", "--x-range", "1e-4:0.02:4",
+     "--y-range", "0.02:0.98:4", "--refine-boundary"],
+    ["critical"],
+]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            assert exc.code == 2
+            return 2, None
+    return code, err.getvalue()
+
+
+class TestConfigProperty:
+    """Any config text: a documented exit code, never a traceback."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        overrides=st.lists(st.sampled_from(_KEY_GROUPS), unique=True, max_size=4).flatmap(
+            lambda groups: st.fixed_dictionaries(
+                {key: _VALUES[key] for group in groups for key in group}
+            )
+        ),
+        # one required key in three is left out
+        dropped=st.sampled_from([None, None, None, *_BASE]),
+        points_flag=st.none() | st.integers(-3, 40),
+    )
+    @example(overrides={"b_plus": "1e200", "b_minus": "0"}, dropped=None, points_flag=None)
+    @example(overrides={"t_max": "1e160"}, dropped=None, points_flag=3)
+    def test_exit_codes(self, overrides, dropped, points_flag):
+        with tempfile.TemporaryDirectory() as scratch:
+            values = {key: v for key, v in _BASE.items() if key != dropped}
+            values.update(overrides)
+            if values.get("out") is not None:
+                values["out"] = str(Path(scratch) / values["out"])
+            path = Path(scratch) / "scenario.cfg"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+            for command in _COMMANDS:
+                argv = [*command, "--config", str(path)]
+                if command == ["evolve"] and points_flag is not None:
+                    argv += ["--points", str(points_flag)]
+                code, err = _run(argv)
+                assert code in (0, 1, 2, 3)
+                if code == 2 and err is not None:
+                    assert_one_error_line(err)

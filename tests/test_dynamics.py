@@ -64,6 +64,12 @@ class TestAmplitudesAndStates:
         with pytest.raises(DomainError):
             QubitAmplitudes(1.0, 1.0)
 
+    @pytest.mark.parametrize("b_plus,b_minus", [(1e200, 0.0), (0.0, -1e200), (1e155, 1e155)])
+    def test_overflowing_norm_rejected(self, b_plus, b_minus):
+        # |b|**2 of a Python float raises OverflowError; the norm check must see inf
+        with pytest.raises(DomainError):
+            QubitAmplitudes(b_plus, b_minus)
+
     def test_zero_amplitude_allowed_in_raw_type(self):
         QubitAmplitudes(1.0, 0.0)
 
@@ -118,10 +124,16 @@ class TestNormalization:
             math.sqrt(0.625 + 0.375 * 0.61461), rel=1e-14
         )
 
-    @pytest.mark.parametrize("lam,overlap", [(-0.1, 0.5), (1.1, 0.5), (0.5, 0.0), (0.5, 1.5)])
+    @pytest.mark.parametrize(
+        "lam,overlap", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, math.nan), (0.5, 1.5)]
+    )
     def test_domain(self, lam, overlap):
         with pytest.raises(DomainError):
             normalization_c(lam, overlap)
+
+    def test_orthogonal_branches(self):
+        # overlap 0 (an underflowed exp(s(0))) is legal: C^2 = (1-lam)^2 + lam^2
+        assert normalization_c(0.5, 0.0) == math.sqrt(0.5)
 
 
 class TestCoherenceFactor:

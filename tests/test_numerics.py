@@ -202,6 +202,9 @@ class TestQuadratureSettings:
             {"rel_tol": -1.0},
             {"abs_tol": math.nan},
             {"rel_tol": 0.0},
+            {"abs_tol": math.inf},
+            {"rel_tol": math.inf},
+            {"abs_tol": math.inf, "rel_tol": math.inf},
         ],
     )
     def test_invalid_settings(self, kwargs):

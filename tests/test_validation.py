@@ -1,8 +1,10 @@
 """Self-validation suites: one array profile evaluation per backend."""
 
+import math
+
 import pytest
 
-from qdephase import validation
+from qdephase import DomainError, validation
 
 
 @pytest.fixture
@@ -37,3 +39,10 @@ def test_one_profile_evaluation_per_backend(profile_calls, suite, backends, samp
     # a loop over samples would make one call per sample instead
     assert suite(samples).passed
     assert profile_calls == backends(samples)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_agreement_tolerance_must_be_finite_and_positive(rel_tol):
+    # nan would pass every sample, and 0 or -1 would fall back to the absolute floor
+    with pytest.raises(DomainError):
+        validation.check_backend_agreement(2, rel_tol=rel_tol)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .dynamics import (
     InitialStateSpec,
     QubitAmplitudes,
     distance_same_amplitudes,
+    normalization_c,
     pair_weights,
     unphased_coherence_factor,
 )
@@ -49,6 +51,8 @@ __all__ = [
 
 PLANE_PARAMETERS = ("alpha", "gamma", "mu", "nu", "lambda1", "lambda2")
 _RATIO_ARGS = ("alpha", "mu", "omega_c", "gamma", "nu", "lambda1", "lambda2")
+# the arguments of limit_exponents in a dict keyed by _RATIO_ARGS
+_limit_args = itemgetter(*_RATIO_ARGS[:5])
 
 _TIE_TOL = 1e-9
 # find_extremum: times per zoom round (each round narrows the bracket 16x)
@@ -189,17 +193,18 @@ def distance_series(
     )
 
 
-def _gain_ratios(alpha, mu, omega_c, gamma, nu, lambda1, lambda2) -> np.ndarray:
-    """gain_ratio elementwise over broadcastable parameters (``gamma`` is
-    gamma_coef): NaN where it is undefined, inf where only D(0) vanishes.
+def _gain_ratios(cell: dict, limits: tuple | None = None) -> np.ndarray:
+    """gain_ratio elementwise over broadcastable parameters keyed by
+    _RATIO_ARGS (``gamma`` is gamma_coef; ``limits`` their limit_exponents,
+    if known): NaN where it is undefined, inf where only D(0) vanishes.
 
     A map cell and gain_ratio on that cell must agree to the bit (the
     cancellation in D(0) magnifies any ulp), so every operation here gives
     an element of an array what it gives a scalar.
     """
-    s0, r_inf, s_inf = limit_exponents(alpha, mu, omega_c, gamma, nu)
+    s0, r_inf, s_inf = limits or limit_exponents(*_limit_args(cell))
     overlap = np.exp(s0)
-    w = pair_weights(lambda1, lambda2, overlap)
+    w = pair_weights(cell["lambda1"], cell["lambda2"], overlap)
     d0 = np.abs(w.a + w.b * overlap)
     d_inf = np.abs(w.a * np.exp(-r_inf) + w.b * np.exp(s_inf - r_inf))
     # both distances carry the same roundoff floor; below it they are zeros
@@ -211,7 +216,7 @@ def _gain_ratios(alpha, mu, omega_c, gamma, nu, lambda1, lambda2) -> np.ndarray:
 
 
 def _ratio_args(model: ModelSpec, lambda1: float, lambda2: float) -> dict[str, np.float64]:
-    """The arguments of _gain_ratios for one cell, as numpy float64 scalars."""
+    """The argument of _gain_ratios for one cell, as numpy float64 scalars."""
     b, d = model.bath, model.displacement
     values = (b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu, lambda1, lambda2)
     return dict(zip(_RATIO_ARGS, map(np.float64, values)))
@@ -227,7 +232,7 @@ def gain_ratio(model: ModelSpec, lambda1: float, lambda2: float) -> float | None
     above 1 signal contractivity breakdown in the long-time limit;
     requires mu > 0 so the limit exists.
     """
-    ratio = float(_gain_ratios(**_ratio_args(model, lambda1, lambda2)))
+    ratio = float(_gain_ratios(_ratio_args(model, lambda1, lambda2)))
     return None if math.isnan(ratio) else ratio
 
 
@@ -256,10 +261,13 @@ def find_lambda_c(
     if vary not in ("lambda1", "lambda2"):
         raise DomainError(f"vary must be 'lambda1' or 'lambda2', got {vary!r}")
 
+    # the long-time exponents do not depend on the weights: one per search
+    cell = _ratio_args(model, fixed, fixed)
+    limits = limit_exponents(*_limit_args(cell))
+
     def ratio(lam: float) -> float | None:
-        if vary == "lambda1":
-            return gain_ratio(model, lam, fixed)
-        return gain_ratio(model, fixed, lam)
+        value = float(_gain_ratios({**cell, vary: np.float64(lam)}, limits))
+        return None if math.isnan(value) else value
 
     r_lo, r_hi = ratio(lo), ratio(hi)
     if r_lo is None or r_hi is None or not (r_lo > 1.0 > r_hi):
@@ -313,24 +321,24 @@ def region_map(
     if xs.size == 0 or ys.size == 0:
         raise DomainError("plane axes must contain at least one value each")
 
-    # every domain is an interval: checking each axis value also covers the
-    # cells and the bisection midpoints between them
+    # every domain is an interval: checking each axis at its ends (min and max
+    # propagate nan) also covers the cells and the bisection midpoints
     args = _ratio_args(model, lambda1, lambda2)
     for name, values in ((x_name, xs), (y_name, ys)):
-        if name in ("lambda1", "lambda2"):
-            continue  # _gain_ratios checks the weights of the whole grid
-        for v in values.tolist():
+        for v in (values.min(), values.max()):
             cell = {**args, name: v}
             BathSpec(cell["alpha"], cell["mu"], cell["omega_c"])
             DisplacementSpec(cell["gamma"], cell["nu"])
+            if name in ("lambda1", "lambda2"):
+                normalization_c(v, 1.0)
 
     def ratios(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
-        return _gain_ratios(**{**args, x_name: xv, y_name: yv})
+        return _gain_ratios({**args, x_name: xv, y_name: yv})
 
     grid = ratios(xs[np.newaxis, :], ys[:, np.newaxis])
     plus, minus = grid > 1.0 + _TIE_TOL, grid < 1.0 - _TIE_TOL
     labels = np.where(plus, "+", np.where(minus, "-", "0")).tolist()
-    gain = [[v if math.isfinite(v) else None for v in row] for row in grid.tolist()]
+    gain = np.where(np.isfinite(grid), grid, None).tolist()
 
     boundary: list[tuple[float, float]] = []
     if refine_boundary:

@@ -145,6 +145,12 @@ class PairWeights:
     b: float | np.ndarray
 
 
+def _first_outside_unit(x) -> float:
+    """The first element of x outside [0, 1], for a one-value message."""
+    values = np.ravel(x)
+    return values[~((values >= 0.0) & (values <= 1.0))][0]
+
+
 def normalization_c(lam, overlap):
     """Normalization C_lambda of the correlated environment superposition.
 
@@ -152,9 +158,9 @@ def normalization_c(lam, overlap):
     Elementwise over broadcastable arrays.
     """
     if not all_true((lam >= 0.0) & (lam <= 1.0)):
-        raise DomainError(f"correlation weight must lie in [0, 1], got {lam}")
+        raise DomainError(f"correlation weight must lie in [0, 1], got {_first_outside_unit(lam)}")
     if not all_true((overlap >= 0.0) & (overlap <= 1.0)):
-        raise DomainError(f"overlap must lie in [0, 1], got {overlap}")
+        raise DomainError(f"overlap must lie in [0, 1], got {_first_outside_unit(overlap)}")
     # x * x, not x ** 2: numpy squares arrays but calls pow on scalars
     return np.sqrt((1.0 - lam) * (1.0 - lam) + lam * lam + 2.0 * lam * (1.0 - lam) * overlap)
 

@@ -139,21 +139,35 @@ def _float_moment(c: float, p: float, omega_c: float) -> float:
         return math.inf
 
 
+def _gamma_and_power(p: float, omega_c: float) -> tuple[float, float]:
+    """``(gamma(p), omega_c**p)`` on floats; both inf past overflow or at a pole."""
+    try:
+        return math.gamma(p), math.pow(omega_c, p)
+    except (OverflowError, ValueError):
+        return math.inf, math.inf
+
+
+_GAMMA_AND_POWER = np.frompyfunc(_gamma_and_power, 2, 2)
+
+
 def gamma_moment(c, p, omega_c):
     """``c * gamma(p) * omega_c**p``, the closed form of ``c * Int_0^inf
     w**(p-1) e**(-w/omega_c) dw``, for p > 0.
 
     Elementwise over broadcastable arrays, with the arithmetic of a call on
-    floats (numpy has no gamma function).  A zero prefactor gives 0 whatever
-    the exponent.  Raises DomainError where the result overflows a double.
+    floats (numpy has no gamma function), once per (p, omega_c) element, not
+    per c.  A zero prefactor gives 0 whatever the exponent.  Raises
+    DomainError where the result overflows a double.
     """
     if isinstance(c, float) and isinstance(p, float) and isinstance(omega_c, float):
         value = _float_moment(float(c), p, omega_c)
         if math.isfinite(value):
             return value
     else:
-        with np.errstate(over="ignore"):
-            value = np.asarray(np.frompyfunc(_float_moment, 3, 1)(c, p, omega_c), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, w = (np.asarray(x, dtype=float) for x in _GAMMA_AND_POWER(p, omega_c))
+            # (c * g) * w: the multiplication order of the float call
+            value = np.where(c == 0.0, 0.0, (c * g) * w)
         bad = ~np.isfinite(value)
         if not bad.any():
             return value

@@ -21,6 +21,7 @@ from qdephase import (
     DomainError,
     ModelSpec,
     NoBracketError,
+    QDephaseError,
     QuadratureSettings,
     QubitAmplitudes,
     TimeGrid,
@@ -47,18 +48,18 @@ def fast_converging_model():
 def ratio_budget(monkeypatch):
     """Cap the calls of the array gain-ratio evaluator at 500.
 
-    gain_ratio, and so find_lambda_c, makes one call per ratio; region_map
+    gain_ratio and find_lambda_c make one call per ratio; region_map
     one for the grid and one per bisection round.  A bisection that stops
     making progress then fails the test instead of hanging it.
     """
     calls = []
     real = analysis._gain_ratios
 
-    def counted(**kwargs):
-        calls.append(kwargs)
+    def counted(*args):
+        calls.append(args)
         if len(calls) > 500:
             raise AssertionError("more than 500 gain-ratio evaluations")
-        return real(**kwargs)
+        return real(*args)
 
     monkeypatch.setattr(analysis, "_gain_ratios", counted)
     return calls
@@ -336,6 +337,20 @@ class TestFindLambdaC:
     def test_unknown_vary_rejected(self, benchmark_model):
         with pytest.raises(DomainError):
             find_lambda_c(benchmark_model, 0.0, vary="alpha")
+
+    @pytest.mark.parametrize("vary,fixed,tol", [("lambda1", 0.0, 1e-4), ("lambda2", 0.25, 1e-300)])
+    def test_limit_exponents_once_per_search(self, benchmark_model, monkeypatch, vary, fixed, tol):
+        # the long-time exponents do not depend on the weights being bisected
+        calls = []
+        real = analysis.limit_exponents
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "limit_exponents", counted)
+        find_lambda_c(benchmark_model, fixed, tol=tol, vary=vary)
+        assert len(calls) == 1
 
 
 class TestRegionMap:
@@ -660,6 +675,31 @@ class TestRegionMapArrayPath:
             )
         assert str(raised.value) == str(expected.value)
 
+    def test_weight_axis_error_names_the_first_value(self, benchmark_model):
+        # the axis is checked at its ends, so the message holds one value
+        with pytest.raises(DomainError, match=r"got -1\.0$"):
+            region_map(
+                benchmark_model, 0.25, 0.0, plane=("lambda1", "lambda2"),
+                x_values=np.linspace(-1.0, 2.0, 30), y_values=[0.0, 1.0],
+            )
+
+    def test_gamma_once_per_distinct_exponent(self, benchmark_model, monkeypatch):
+        # alpha only scales the prefactors: each of the three long-time
+        # exponents needs one Gamma for the whole 30x30 grid
+        calls = []
+        real = math.gamma
+
+        def counted(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(math, "gamma", counted)
+        region_map(
+            benchmark_model, 0.25, 0.0, plane=("alpha", "lambda1"),
+            x_values=np.linspace(1e-5, 0.02, 30), y_values=np.linspace(0.02, 0.98, 30),
+        )
+        assert 0 < len(calls) <= 3
+
     def test_out_of_domain_axis_value_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.cfg"
         path.write_text(
@@ -786,3 +826,67 @@ class TestFindExtremum:
         )
         with pytest.raises(DomainError):
             find_extremum(series)
+
+
+# Edge values of every float input: zeros, infinities, nan, the ends of the
+# double range and exponents around Gamma's overflow at ~171.62.
+_EDGES = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 171.5, 171.7, 343.3, 1.0
+)
+_WILD = st.one_of(st.sampled_from(_EDGES), st.floats())
+# a valid scenario with up to two of its seven inputs replaced by wild ones
+_VALUES = st.builds(
+    lambda valid, wild: {**valid, **wild},
+    st.fixed_dictionaries({name: st.floats(1e-3, 0.5) for name in analysis._RATIO_ARGS}),
+    st.dictionaries(st.sampled_from(analysis._RATIO_ARGS), _WILD, max_size=2),
+)
+_AXIS = st.one_of(
+    st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3),
+    st.lists(st.one_of(st.floats(1e-3, 1.0), _WILD), min_size=3, max_size=3),
+)
+
+
+def _is_documented_ratio(value) -> bool:
+    """None (undefined), +inf (only D(0) vanishes) or a finite ratio >= 0."""
+    return value is None or (type(value) is float and value >= 0.0)
+
+
+class TestLibraryProperty:
+    """Every input gets a documented result or a QDephaseError, nothing else
+    (a RuntimeWarning already fails the suite)."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(
+        values=_VALUES,
+        plane=st.sampled_from(ORDERED_PLANES),
+        xs=_AXIS,
+        ys=_AXIS,
+    )
+    def test_gain_ratio_region_map_and_lambda_c(self, values, plane, xs, ys):
+        try:
+            model = ModelSpec(
+                epsilon=1.0,
+                bath=BathSpec(values["alpha"], values["mu"], values["omega_c"]),
+                displacement=DisplacementSpec(values["gamma"], values["nu"]),
+            )
+        except QDephaseError:
+            return
+        l1, l2 = values["lambda1"], values["lambda2"]
+        with contextlib.suppress(QDephaseError):
+            assert _is_documented_ratio(gain_ratio(model, l1, l2))
+        with contextlib.suppress(QDephaseError):
+            result = region_map(
+                model, l1, l2, plane=plane, x_values=xs, y_values=ys, refine_boundary=True
+            )
+            for label_row, gain_row in zip(result.labels, result.gain):
+                for label, gain in zip(label_row, gain_row):
+                    if gain is None:  # undefined ('0') or infinite ('+')
+                        assert label in ("0", "+")
+                        continue
+                    assert type(gain) is float and 0.0 <= gain < math.inf
+                    assert label == ("+" if gain > 1 + 1e-9 else "-" if gain < 1 - 1e-9 else "0")
+            for bx, by in result.boundary_points:
+                assert min(xs) <= bx <= max(xs) and min(ys) <= by <= max(ys)
+        with contextlib.suppress(QDephaseError):
+            lam_c = find_lambda_c(model, l2)
+            assert 0.01 <= lam_c <= 0.99

@@ -323,6 +323,14 @@ class TestRegion:
             == 2
         )
 
+    def test_weight_axis_outside_unit_interval_is_one_line(self, config_path, capsys):
+        code = main(
+            ["region", "--config", config_path, "--plane", "lambda1,lambda2",
+             "--x-range=-1:2:30", "--y-range", "0:1:5"]
+        )
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err)
+
     def test_bad_range(self, config_path):
         assert (
             main(

@@ -17,7 +17,7 @@ from qdephase import (
     oscillatory_moment,
     total_moment,
 )
-from qdephase.numerics import SMALL_EXPONENT_LIMIT
+from qdephase.numerics import SMALL_EXPONENT_LIMIT, gamma_moment
 
 
 class TestGamma:
@@ -54,6 +54,62 @@ class TestGamma:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             gamma(bad)
+
+
+def _float_path(c, p, omega_c):
+    """gamma_moment elementwise through its float path, in the broadcast shape."""
+    c, p, omega_c = np.broadcast_arrays(c, p, omega_c)
+    values = [gamma_moment(*map(float, abw)) for abw in zip(c.flat, p.flat, omega_c.flat)]
+    return np.array(values).reshape(c.shape)
+
+
+class TestGammaMoment:
+    """The array path must give every element the bits of the float call."""
+
+    rng = np.random.default_rng(29)
+    C = rng.uniform(0.0, 3.0, 7)
+    P = rng.uniform(1e-3, 40.0, 7)
+    W = rng.uniform(0.05, 20.0, 7)
+
+    @pytest.mark.parametrize(
+        "c,p,omega_c",
+        [
+            (C, 0.37, 1.0),
+            (C[np.newaxis, :], 2.5, 3.0),
+            (C[:, np.newaxis], 0.05, 0.5),
+            (C, P, W),
+            (C[:, np.newaxis], P[np.newaxis, :], W[:, np.newaxis]),
+            (0.25, P[:, np.newaxis], W[np.newaxis, :]),
+            (np.float64(0.25), P, 2.0),
+        ],
+    )
+    def test_array_equals_float_path_bitwise(self, c, p, omega_c):
+        got = gamma_moment(c, p, omega_c)
+        want = _float_path(c, p, omega_c)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_prefactor_with_overflowing_gamma_is_zero(self):
+        got = gamma_moment(np.array([0.0, 0.5]), np.array([200.0, 2.0]), 1.0)
+        assert got.tolist() == [0.0, 0.5]
+        assert gamma_moment(np.zeros((2, 3)), 200.0, 1.0).tolist() == [[0.0] * 3] * 2
+        assert gamma_moment(0.0, 200.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "c,p,omega_c,message",
+        [
+            (np.array([1.0, 2.0, 3.0]), np.array([1.0, 200.0, 300.0]), 1.0,
+             "2.0 * gamma(200.0) * 1.0**200.0 overflows a double"),
+            (np.array([[1.0], [2.0]]), 3.0, np.array([1e300, 2.0]),
+             "1.0 * gamma(3.0) * 1e+300**3.0 overflows a double"),
+            (np.array([1e300, 0.5]), 171.5, 1.0,
+             "1e+300 * gamma(171.5) * 1.0**171.5 overflows a double"),
+        ],
+    )
+    def test_overflow_names_the_first_element(self, c, p, omega_c, message):
+        with pytest.raises(DomainError) as raised:
+            gamma_moment(c, p, omega_c)
+        assert str(raised.value) == message
 
 
 class TestDecayKernel:

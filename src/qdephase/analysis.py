@@ -10,6 +10,7 @@ loss, and ``region_map`` classifies whole parameter planes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Literal, Sequence
@@ -28,10 +29,11 @@ from .bath import (
 from .dynamics import (
     InitialStateSpec,
     QubitAmplitudes,
-    distance_same_amplitudes,
+    _checked_bscale,
+    _exponentials,
+    _mix,
     normalization_c,
     pair_weights,
-    unphased_coherence_factor,
 )
 from .errors import DomainError, NoBracketError
 from .numerics import QuadratureSettings
@@ -75,6 +77,10 @@ class TimeGrid:
             raise DomainError(f"t_min must be >= 0, got {self.t_min}")
         if not (math.isfinite(self.t_max) and self.t_max > self.t_min):
             raise DomainError(f"t_max must exceed t_min, got {self.t_max}")
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise DomainError(f"grid points must be an integer, got {self.points!r}") from None
         if self.points < 2:
             raise DomainError(f"grid needs at least 2 points, got {self.points}")
         if self.kind == "log" and self.t_min <= 0.0:
@@ -162,18 +168,10 @@ def distance_series(
 ) -> DistanceSeries:
     """Trace-distance evolution between the lambda1 and lambda2 preparations."""
     amps = amplitudes if amplitudes is not None else QubitAmplitudes.balanced()
-    state1 = InitialStateSpec(amps, lambda1)
-    state2 = InitialStateSpec(amps, lambda2)
+    evaluate = _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normalized)
     time_grid = grid if grid is not None else default_grid(model.bath.omega_c)
-    overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
-    w = pair_weights(lambda1, lambda2, overlap)
-    bscale = amps.coherence_scale
-
     times = time_grid.times()
-    profile = profile_at(model, times, backend=backend, settings=settings)
-    dist = distance_same_amplitudes(w, profile, bscale)
-    if normalized:
-        dist = dist / bscale
+    profile, dist, abs_a1, abs_a2 = evaluate(times, moduli=True)
     return DistanceSeries(
         model=model,
         lambda1=lambda1,
@@ -185,12 +183,36 @@ def distance_series(
         grid=time_grid,
         times=times,
         distance=dist,
-        abs_a1=np.abs(unphased_coherence_factor(state1, profile, overlap)),
-        abs_a2=np.abs(unphased_coherence_factor(state2, profile, overlap)),
+        abs_a1=abs_a1,
+        abs_a2=abs_a2,
         r=profile.r,
         s=profile.s,
         phi=profile.phi,
     )
+
+
+def _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normalized):
+    """The scenario's checks, overlap, pair weights and C_lambda, once; then
+    ``evaluate(times)`` gives D, or with ``moduli`` (profile, D, |A1|, |A2|), as
+    distance_same_amplitudes and unphased_coherence_factor on one profile would."""
+    InitialStateSpec(amps, lambda1), InitialStateSpec(amps, lambda2)
+    overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
+    w = pair_weights(lambda1, lambda2, overlap)
+    c1, c2 = normalization_c(lambda1, overlap), normalization_c(lambda2, overlap)
+    bscale = _checked_bscale(amps.coherence_scale)
+
+    def evaluate(times: np.ndarray, moduli: bool = False):
+        profile = profile_at(model, times, backend=backend, settings=settings)
+        exponentials = _exponentials(profile)
+        dist = bscale * np.abs(_mix(w.a, w.b, exponentials))
+        if normalized:
+            dist = dist / bscale
+        if not moduli:
+            return dist
+        abs_a1 = np.abs(_mix(1.0 - lambda1, lambda1, exponentials) / c1)
+        return profile, dist, abs_a1, np.abs(_mix(1.0 - lambda2, lambda2, exponentials) / c2)
+
+    return evaluate
 
 
 def _gain_ratios(cell: dict, limits: tuple | None = None) -> np.ndarray:
@@ -306,7 +328,7 @@ def region_map(
     override the template model / correlation weights cell by cell.  With
     ``refine_boundary`` the ratio = 1 crossing is bisected along every grid
     edge whose endpoints carry opposite definite labels, to a resolution of
-    ``boundary_resolution`` times the axis span.
+    ``boundary_resolution`` (finite, >= 0) times the axis span.
     """
     x_name, y_name = plane
     for name in (x_name, y_name):
@@ -316,6 +338,8 @@ def region_map(
             )
     if x_name == y_name:
         raise DomainError("plane parameters must differ")
+    if not (math.isfinite(boundary_resolution) and boundary_resolution >= 0.0):
+        raise DomainError(f"boundary resolution must be finite and >= 0, got {boundary_resolution}")
     xs = np.asarray(list(x_values), dtype=float)
     ys = np.asarray(list(y_values), dtype=float)
     if xs.size == 0 or ys.size == 0:
@@ -385,9 +409,10 @@ def find_extremum(series: DistanceSeries) -> Extremum:
 
     Scans the grid for an interior point strictly below (above) both series
     endpoints that is also a local minimum (maximum), then zooms in on it:
-    each round is one ``distance_series`` call, with the series' scenario,
-    backend, settings and normalization, on a linear grid between the
-    neighbours of the best point so far.  It stops once those lie within
+    each round evaluates the distance alone (one ``profile_at`` call) as
+    ``distance_series`` would, with the series' scenario, backend, settings
+    and normalization, on a linear grid between the neighbours of the best
+    point so far.  It stops once those lie within
     2**-26 (sqrt eps) of t relative, which ends at any t.  About a smooth
     extremum D is flat to rounding over a width of that order, so t is fixed
     to that order; ``value`` is the best distance evaluated, exactly what
@@ -415,6 +440,10 @@ def find_extremum(series: DistanceSeries) -> Extremum:
     i = i_min if has_min else i_max
     sign = 1.0 if has_min else -1.0
 
+    distance = _distance_evaluator(
+        series.model, series.lambda1, series.lambda2, series.amplitudes,
+        series.backend, series.settings, series.normalized,
+    )
     times = series.times
     t_best, v_best = float(times[i]), float(d[i])
     while True:
@@ -422,16 +451,9 @@ def find_extremum(series: DistanceSeries) -> Extremum:
         a, b = float(times[max(i - 1, 0)]), float(times[min(i + 1, len(times) - 1)])
         if b - a <= 2.0**-26 * b:
             break
-        zoom = distance_series(
-            series.model, series.lambda1, series.lambda2,
-            amplitudes=series.amplitudes,
-            grid=TimeGrid("linear", a, b, _ZOOM_POINTS),
-            backend=series.backend,
-            settings=series.settings,
-            normalized=series.normalized,
-        )
-        times = zoom.times
-        i = int(np.argmin(sign * zoom.distance))
-        if sign * zoom.distance[i] < sign * v_best:
-            t_best, v_best = float(times[i]), float(zoom.distance[i])
+        times = np.linspace(a, b, _ZOOM_POINTS)
+        d = distance(times)
+        i = int(np.argmin(sign * d))
+        if sign * d[i] < sign * v_best:
+            t_best, v_best = float(times[i]), float(d[i])
     return Extremum(t=t_best, value=v_best, kind="minimum" if has_min else "maximum")

@@ -27,9 +27,9 @@ from .errors import DomainError
 from .numerics import (
     KernelArgs,
     QuadratureSettings,
-    _small_exponent_limit,
+    _closed_kernel,
+    _time_terms,
     all_true,
-    decay_kernel,
     gamma_moment,
     kernel_by_quadrature,
     oscillatory_moment,
@@ -140,29 +140,16 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
     return float(np.exp(-gamma_moment(0.5 * d.gamma_coef, d.nu, omega_c)))
 
 
-def _phi_closed(args: KernelArgs):
-    x = args.omega_c * args.t
-    atan = np.arctan(x)
-
-    def gamma_form(kappa):
-        damp = np.exp(-0.5 * kappa * np.log1p(x * x))
-        # + 0.0 turns the -0.0 of a zero prefactor and a negative sine into 0.0
-        return gamma_moment(args.c, kappa, args.omega_c) * np.sin(kappa * atan) * damp + 0.0
-
-    # kappa -> 0 limit of Gamma(kappa)*sin(kappa*atan x): atan x itself
-    return _small_exponent_limit(args.p, args.c * atan, gamma_form)
-
-
 def _profiles(alpha, mu, omega_c, gamma_coef, nu, t, backend: Backend, settings=None):
     """``(r, s, phi)`` elementwise over broadcastable times and parameters of
     valid ModelSpecs: floats for one model, or arrays, e.g. one value per
     (model, t) sample."""
     if backend not in ("closed_form", "quadrature"):
         raise DomainError(f"unknown backend {backend!r}")
-    r_args = KernelArgs(alpha, mu, omega_c, t)
+    # the r row's parameters are a valid BathSpec's: only the s row and t need checks
     s_args = KernelArgs(np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu), omega_c, t)
     if backend == "quadrature":
-        r = np.maximum(4.0 * kernel_by_quadrature(r_args, settings), 0.0)
+        r = np.maximum(4.0 * kernel_by_quadrature(KernelArgs(alpha, mu, omega_c, t), settings), 0.0)
         s = (
             2.0 * kernel_by_quadrature(s_args, settings)
             - 0.5 * total_moment(gamma_coef, nu, omega_c, settings)
@@ -173,9 +160,10 @@ def _profiles(alpha, mu, omega_c, gamma_coef, nu, t, backend: Backend, settings=
             f"closed-form backend needs mu >= 0, got mu={mu}; "
             "use backend='quadrature' for mu in (-1, 0)"
         )
-    r = 4.0 * decay_kernel(r_args)
-    s = 2.0 * decay_kernel(s_args) - gamma_moment(0.5 * gamma_coef, nu, omega_c)
-    return r, s, _phi_closed(s_args)
+    terms = _time_terms(omega_c, t)
+    r = 4.0 * _closed_kernel(alpha, mu, omega_c, terms)
+    s_kernel, phi = _closed_kernel(s_args.c, s_args.p, omega_c, terms, sine=True)
+    return r, 2.0 * s_kernel - gamma_moment(0.5 * gamma_coef, nu, omega_c), phi
 
 
 def profile_at(

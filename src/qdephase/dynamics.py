@@ -171,10 +171,18 @@ def unphased_coherence_factor(
     """A_lambda(t) without its free phase e^(-2 i eps t), the only factor that
     depends on epsilon: |A| equals the modulus of this."""
     lam = state.lam
-    body = (1.0 - lam) * np.exp(-profile.r) + lam * np.exp(
-        profile.s - profile.r
-    ) * np.exp(-2.0j * profile.phi)
-    return body / normalization_c(lam, overlap)
+    return _mix(1.0 - lam, lam, _exponentials(profile)) / normalization_c(lam, overlap)
+
+
+def _exponentials(profile: DecoherenceProfile) -> tuple:
+    """``(e^(-r), e^(s-r), e^(-2 i phi))``: what every A_lambda takes from the profile."""
+    return np.exp(-profile.r), np.exp(profile.s - profile.r), np.exp(-2.0j * profile.phi)
+
+
+def _mix(a, b, exponentials):
+    """``a e^(-r) + b e^(s-r) e^(-2 i phi)`` on precomputed ``_exponentials``."""
+    decay, weight, phase = exponentials
+    return a * decay + b * weight * phase
 
 
 def coherence_factor(
@@ -266,12 +274,10 @@ def pair_weights(lambda1, lambda2, overlap) -> PairWeights:
     )
 
 
-def _pair_gap(w: PairWeights, profile: DecoherenceProfile) -> float | np.ndarray:
-    """|A_l1 - A_l2| = |a e^(-r) + b e^(s-r) e^(-2 i phi)| (epsilon-free)."""
-    return np.abs(
-        w.a * np.exp(-profile.r)
-        + w.b * np.exp(profile.s - profile.r) * np.exp(-2.0j * profile.phi)
-    )
+def _checked_bscale(bscale: float) -> float:
+    if not (math.isfinite(bscale) and 0.0 <= bscale <= 0.5 + _NORM_TOL):
+        raise DomainError(f"bscale = |b+ b-*| must lie in [0, 1/2], got {bscale}")
+    return bscale
 
 
 def distance_same_amplitudes(
@@ -284,6 +290,4 @@ def distance_same_amplitudes(
     intermediate e^(2s) cannot overflow.  The qubit splitting epsilon drops
     out entirely.  Array-valued for a profile on a time array.
     """
-    if not (math.isfinite(bscale) and 0.0 <= bscale <= 0.5 + _NORM_TOL):
-        raise DomainError(f"bscale = |b+ b-*| must lie in [0, 1/2], got {bscale}")
-    return bscale * _pair_gap(w, profile)
+    return _checked_bscale(bscale) * np.abs(_mix(w.a, w.b, _exponentials(profile)))

@@ -176,10 +176,9 @@ def gamma_moment(c, p, omega_c):
 
 
 def _small_exponent_limit(p, limit, gamma_form):
-    """``gamma_form(p)`` elementwise, ``limit`` where p < SMALL_EXPONENT_LIMIT.
-
-    ``gamma_form`` gets 1 in place of such an exponent, so Gamma is never
-    evaluated at or near its pole at 0.
+    """``gamma_form(p)`` elementwise, ``limit`` where p < SMALL_EXPONENT_LIMIT
+    (both may be pairs; arrays then come back stacked).  ``gamma_form`` gets 1
+    in place of such an exponent, so Gamma is never evaluated near its pole at 0.
     """
     small = p < SMALL_EXPONENT_LIMIT
     if not isinstance(small, np.ndarray):
@@ -198,21 +197,36 @@ def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     ``(c/2) * log(1 + x^2)`` is returned.  Strictly negative exponents are
     refused here; ``kernel_by_quadrature`` serves that regime.
     """
-    c, p, omega_c = args.c, args.p, args.omega_c
-    if not all_true(p >= 0.0):
+    if not all_true(args.p >= 0.0):
         raise DomainError(
-            f"closed-form kernel needs p >= 0, got p={p}; "
+            f"closed-form kernel needs p >= 0, got p={args.p}; "
             "use kernel_by_quadrature for p in (-1, 0)"
         )
-    x = omega_c * np.asarray(args.t, dtype=float)
-    half_log = 0.5 * np.log1p(x * x)
+    return _closed_kernel(args.c, args.p, args.omega_c, _time_terms(args.omega_c, args.t))
+
+
+def _time_terms(omega_c, t) -> tuple:
+    """``(log(1 + x^2) / 2, atan(x))``, x = omega_c * t: all a closed form takes from t."""
+    x = omega_c * np.asarray(t, dtype=float)
+    return 0.5 * np.log1p(x * x), np.arctan(x)
+
+
+def _closed_kernel(c, p, omega_c, terms, sine=False):
+    """decay_kernel on precomputed ``_time_terms``; with ``sine`` the pair of it and
+    ``c * Int_0^inf w**(p-1) e**(-w/omega_c) sin(w t) dw``, the same moment times
+    ``sin(p*atan(x)) / (1+x^2)**(p/2)`` (shared Gamma and damping)."""
+    half_log, atan = terms
 
     def gamma_form(p):
         b = p * half_log
-        brace = -np.expm1(-b) + np.exp(-b) * 2.0 * np.sin(0.5 * p * np.arctan(x)) ** 2
-        return gamma_moment(c, p, omega_c) * brace
+        damp = np.exp(-b)
+        moment = gamma_moment(c, p, omega_c)
+        kernel = moment * (-np.expm1(-b) + damp * 2.0 * np.sin(0.5 * p * atan) ** 2)
+        # + 0.0 turns the -0.0 of a zero prefactor and a negative sine into 0.0
+        return (kernel, moment * np.sin(p * atan) * damp + 0.0) if sine else kernel
 
-    return _small_exponent_limit(p, c * half_log, gamma_form)
+    # p -> 0 limits: (c/2) log(1 + x^2), and c * atan(x) for Gamma(p) sin(p atan x)
+    return _small_exponent_limit(p, (c * half_log, c * atan) if sine else c * half_log, gamma_form)
 
 
 # ---------------------------------------------------------------------------

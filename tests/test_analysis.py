@@ -19,19 +19,27 @@ from qdephase import (
     BathSpec,
     DisplacementSpec,
     DomainError,
+    InitialStateSpec,
+    KernelArgs,
     ModelSpec,
     NoBracketError,
     QDephaseError,
     QuadratureSettings,
     QubitAmplitudes,
     TimeGrid,
+    decay_kernel,
+    distance_same_amplitudes,
     distance_series,
     find_extremum,
     find_lambda_c,
     gain_ratio,
+    ground_coherent_overlap,
+    pair_weights,
+    profile_at,
     profile_limit,
     region_map,
 )
+from qdephase.dynamics import unphased_coherence_factor
 
 
 @pytest.fixture
@@ -137,6 +145,15 @@ class TestTimeGrid:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             TimeGrid(**kwargs)
+
+    @pytest.mark.parametrize("points", [3.5, 3.0, math.nan, "5", None])
+    def test_points_must_be_an_integer(self, points):
+        with pytest.raises(DomainError, match="integer"):
+            TimeGrid("linear", 0.0, 1.0, points)
+
+    def test_numpy_integer_points(self):
+        times = TimeGrid("linear", 0.0, 1.0, np.int64(5)).times()
+        assert times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 class TestDistanceSeries:
@@ -450,6 +467,20 @@ class TestRegionMap:
         assert boundary([0.7, 0.3]) == ascending
         lam = ascending[0][plane.index("lambda1")]
         assert lam == pytest.approx(oracles.SCENARIO_LAMBDA_C, abs=1e-3)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf, -1e-4])
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_boundary_resolution_must_be_finite_and_non_negative(
+        self, benchmark_model, resolution, refine
+    ):
+        # nan or inf would leave every edge unrefined (lambda1 = 0.4 for 0.4929
+        # here), and a negative value would bisect down to float resolution
+        with pytest.raises(DomainError, match="boundary resolution"):
+            region_map(
+                benchmark_model, 0.25, 0.0, plane=("lambda1", "alpha"),
+                x_values=[0.3, 0.5], y_values=[0.0025],
+                refine_boundary=refine, boundary_resolution=resolution,
+            )
 
     def test_zero_boundary_resolution_terminates(self, benchmark_model, ratio_budget):
         result = region_map(
@@ -776,7 +807,7 @@ class TestFindExtremum:
         with _series_calls() as calls:
             result = find_extremum(series)
         names = [name for name, _, nested in calls if not nested]
-        assert set(names) == {"distance_series"}
+        assert set(names) == {"profile_at"}
         assert len(names) <= 8
         # the value is the series' own distance at t, not a re-evaluation
         again = distance_series(
@@ -795,6 +826,7 @@ class TestFindExtremum:
             result = find_extremum(series)
         assert result.kind == "minimum"
         assert calls and all(received is tolerances for _, received, _ in calls)
+        assert {name for name, _, nested in calls if not nested} == {"profile_at"}
         assert series.settings is tolerances
         assert result.t == pytest.approx(oracles.SCENARIO_DIP_T, rel=1e-3)
 
@@ -826,6 +858,70 @@ class TestFindExtremum:
         )
         with pytest.raises(DomainError):
             find_extremum(series)
+
+
+class TestSeriesBitIdentity:
+    """distance_series and find_extremum shortcut the public per-function
+    route; these pin them to it, and to earlier results, bit for bit."""
+
+    @staticmethod
+    def _bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("backend", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize(
+        "bath", [BathSpec(0.0025, 0.01, 1.0), BathSpec(0.003, 0.0, 40.0), BathSpec(0.02, 0.7, 0.3)]
+    )
+    def test_columns_equal_the_public_route(self, backend, normalized, bath):
+        model = ModelSpec(0.7, bath, DisplacementSpec(0.05, 0.3))
+        amps = QubitAmplitudes(0.6, 0.8j)
+        grid = TimeGrid("log", 1e-3, 1e3, 40 if backend == "closed_form" else 5)
+        series = distance_series(
+            model, 0.8, 0.15, amplitudes=amps, grid=grid, backend=backend, normalized=normalized
+        )
+        times = grid.times()
+        profile = profile_at(model, times, backend=backend)
+        overlap = ground_coherent_overlap(model.displacement, bath.omega_c)
+        bscale = amps.coherence_scale
+        dist = distance_same_amplitudes(pair_weights(0.8, 0.15, overlap), profile, bscale)
+        if normalized:
+            dist = dist / bscale
+        expected = [times, dist, profile.r, profile.s, profile.phi] + [
+            np.abs(unphased_coherence_factor(InitialStateSpec(amps, lam), profile, overlap))
+            for lam in (0.8, 0.15)
+        ]
+        got = [series.times, series.distance, series.r, series.s, series.phi,
+               series.abs_a1, series.abs_a2]
+        for want, have in zip(expected, got):
+            assert self._bits(have) == self._bits(want)
+        if backend == "closed_form":
+            kernel = decay_kernel(KernelArgs(bath.alpha, bath.mu, bath.omega_c, times))
+            assert self._bits(series.r) == self._bits(4.0 * kernel)
+
+    @pytest.mark.parametrize(
+        "model, lambdas, kwargs, expected",
+        [
+            (
+                ModelSpec(1.0, BathSpec(0.0025, 0.01, 1.0), DisplacementSpec(0.05, 0.05)),
+                (0.25, 0.0), {},
+                ("minimum", "0x1.53f06993b238ep+9", "0x1.4abf7c4726d37p-9"),
+            ),
+            (
+                ModelSpec(0.5, BathSpec(0.0025, 0.0, 1e3), DisplacementSpec(0.05, 0.05)),
+                (0.25, 0.0), {"amplitudes": QubitAmplitudes(0.6, 0.8), "normalized": True},
+                ("minimum", "0x1.841ddf638731bp+1", "0x1.57a4c6131a996p-8"),
+            ),
+            (
+                ModelSpec(1.0, BathSpec(0.027, 0.33, 1.0), DisplacementSpec(0.018, 0.92)),
+                (0.89, 0.7), {"normalized": True},
+                ("maximum", "0x1.3a85784fde970p+8", "0x1.d44188947f985p-8"),
+            ),
+        ],
+    )
+    def test_extremum_is_pinned(self, model, lambdas, kwargs, expected):
+        result = find_extremum(distance_series(model, *lambdas, **kwargs))
+        assert (result.kind, result.t.hex(), result.value.hex()) == expected
 
 
 # Edge values of every float input: zeros, infinities, nan, the ends of the
@@ -890,3 +986,90 @@ class TestLibraryProperty:
         with contextlib.suppress(QDephaseError):
             lam_c = find_lambda_c(model, l2)
             assert 0.01 <= lam_c <= 0.99
+
+
+# Edge values of a time: both zeros, subnormals, the largest time the closed
+# forms accept (MAX_SCALED_TIME / max(1, omega_c)) and the float just past it
+_TIME_EDGES = (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-3, 1.0, 1e4, 1e150,
+               math.nextafter(1e150, math.inf), -1.0, math.nan, math.inf, -math.inf)
+_MODELS = st.builds(
+    lambda alpha, mu, log_omega_c, gamma, nu: ModelSpec(
+        1.0, BathSpec(alpha, mu, 10.0**log_omega_c), DisplacementSpec(gamma, nu)
+    ),
+    st.floats(1e-4, 0.5),
+    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    st.floats(-6.0, 6.0),
+    st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    st.floats(1e-3, 3.0),
+)
+
+
+class TestLibraryPropertyOverTimes:
+    """Closed-form profiles, series and extrema at any time or grid: a finite,
+    physical result, or a QDephaseError exactly where a time is outside the
+    domain 0 <= max(1, omega_c) * t <= 1e150.  The quadrature backend is left
+    out (see ROADMAP, item 4)."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(model=_MODELS, data=st.data())
+    def test_profile_at_any_times(self, model, data):
+        bound = 1e150 / max(1.0, model.bath.omega_c)
+        element = st.one_of(
+            st.sampled_from(_TIME_EDGES + (bound, math.nextafter(bound, math.inf))),
+            st.floats(0.0, bound),
+            st.floats(),
+        )
+        t = data.draw(st.one_of(element, st.lists(element, min_size=1, max_size=6)))
+        times = np.asarray(t, dtype=float)
+        inside = bool(np.all((times >= 0.0) & (times <= bound)))
+        try:
+            profile = profile_at(model, t)
+        except QDephaseError:
+            assert not inside
+            return
+        assert inside
+        s0 = profile_at(model, 0.0).s
+        for field in (profile.r, profile.s, profile.phi):
+            assert np.shape(field) == times.shape and np.all(np.isfinite(field))
+        assert np.all(profile.r >= 0.0) and np.all(profile.s >= s0)
+        assert np.all(np.asarray(profile.phi)[times == 0.0] == 0.0)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        # the benchmark scenario (a dip near t = 50 / omega_c) or any model
+        model=st.one_of(
+            st.floats(-1.0, 1.0).map(lambda e: _benchmark_with_cutoff(10.0**e)), _MODELS
+        ),
+        # each field valid (twice the weight) or wild
+        kind=st.one_of(st.just("log"), st.just("log"), st.sampled_from(["linear", "cubic"])),
+        t_min=st.one_of(
+            st.floats(1e-4, 1.0), st.floats(1e-4, 1.0), st.sampled_from(_TIME_EDGES), st.floats()
+        ),
+        t_max=st.one_of(
+            st.floats(10.0, 1e4), st.floats(10.0, 1e4), st.sampled_from(_TIME_EDGES), st.floats()
+        ),
+        points=st.one_of(
+            st.integers(3, 60), st.integers(3, 60),
+            st.sampled_from([-1, 0, 1, 2, 3.5, math.nan, True]),
+        ),
+        normalized=st.booleans(),
+    )
+    def test_series_and_extremum_on_any_grid(
+        self, model, kind, t_min, t_max, points, normalized
+    ):
+        try:
+            grid = TimeGrid(kind, t_min, t_max, points)
+            series = distance_series(model, 0.25, 0.0, grid=grid, normalized=normalized)
+        except QDephaseError:
+            return
+        assert series.times.tolist() == grid.times().tolist()
+        assert np.all(np.isfinite(series.distance)) and np.all(series.distance >= 0.0)
+        assert np.all(series.abs_a1 <= 1.0 + 1e-9) and np.all(series.abs_a2 <= 1.0 + 1e-9)
+        with _series_calls():
+            try:
+                result = find_extremum(series)
+            except QDephaseError:
+                return
+        if result.kind != "none":
+            assert t_min <= result.t <= t_max
+            assert math.isfinite(result.value) and result.value >= 0.0

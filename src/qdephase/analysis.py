@@ -57,6 +57,7 @@ _RATIO_ARGS = ("alpha", "mu", "omega_c", "gamma", "nu", "lambda1", "lambda2")
 _limit_args = itemgetter(*_RATIO_ARGS[:5])
 
 _TIE_TOL = 1e-9
+_TREE_LEVELS = 7  # find_lambda_c: bisection levels per evaluator call
 # find_extremum: times per zoom round (each round narrows the bracket 16x)
 _ZOOM_POINTS = 33
 
@@ -274,6 +275,7 @@ def find_lambda_c(
     the ratio is undefined at a bracket end).  A midpoint where the ratio
     is undefined (it equals ``fixed``) is stepped past by one ulp.  The
     bisection stops at ``tol`` or when the bracket can no longer be split.
+    Each evaluator call covers _TREE_LEVELS levels, with the scalar loop's bits.
     """
     lo, hi = bracket
     if not (0.0 <= lo < hi <= 1.0):
@@ -287,28 +289,33 @@ def find_lambda_c(
     cell = _ratio_args(model, fixed, fixed)
     limits = limit_exponents(*_limit_args(cell))
 
-    def ratio(lam: float) -> float | None:
-        value = float(_gain_ratios({**cell, vary: np.float64(lam)}, limits))
-        return None if math.isnan(value) else value
+    def tree(lo: float, hi: float) -> tuple[list[float], list[float]]:
+        """lo, hi and the next _TREE_LEVELS levels of midpoints, in order, and their ratios."""
+        points = np.full(2**_TREE_LEVELS + 1, hi)
+        points[0] = lo
+        for n in reversed(range(_TREE_LEVELS)):
+            ends = points[:: 2 << n]
+            points[1 << n :: 2 << n] = 0.5 * (ends[:-1] + ends[1:])
+        return points.tolist(), _gain_ratios({**cell, vary: points}, limits).tolist()
 
-    r_lo, r_hi = ratio(lo), ratio(hi)
+    (points, values), i, j = tree(lo, hi), 0, 2**_TREE_LEVELS
+    r_lo, r_hi = (None if math.isnan(v) else v for v in (values[i], values[j]))
     if r_lo is None or r_hi is None or not (r_lo > 1.0 > r_hi):
         raise NoBracketError(
             f"no sign change across bracket [{lo}, {hi}]: "
             f"ratio(lo)={r_lo}, ratio(hi)={r_hi}; the gain region may be empty"
         )
     while 0.5 * (hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        r_mid = ratio(mid)
-        if r_mid is None:
+        if j - i < 2:
+            (points, values), i, j = tree(lo, hi), 0, 2**_TREE_LEVELS
+        k = (i + j) // 2
+        mid, r_mid = points[k], values[k]
+        if math.isnan(r_mid):  # step past it; the tree then re-grows
             mid = math.nextafter(mid, hi)
-            r_mid = ratio(mid)
+            r_mid, i, j = float(_gain_ratios({**cell, vary: np.float64(mid)}, limits)), k, k
         if mid in (lo, hi):
             break
-        if r_mid > 1.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi, i, j = (mid, hi, k, j) if r_mid > 1.0 else (lo, mid, i, k)
     return 0.5 * (lo + hi)
 
 
@@ -326,8 +333,9 @@ def region_map(
 
     ``plane`` names the (x, y) parameters from PLANE_PARAMETERS; grid values
     override the template model / correlation weights cell by cell.  With
-    ``refine_boundary`` the ratio = 1 crossing is bisected along every grid
-    edge whose endpoints carry opposite definite labels, to a resolution of
+    ``refine_boundary`` the ratio = 1 crossing is located along every grid
+    edge whose endpoints carry opposite definite labels, by the Illinois
+    method (a modified regula falsi) on log ratio, to a resolution of
     ``boundary_resolution`` (finite, >= 0) times the axis span.
     """
     x_name, y_name = plane
@@ -367,7 +375,7 @@ def region_map(
     boundary: list[tuple[float, float]] = []
     if refine_boundary:
         # the ratio = 1 crossing on every edge between a '+' and a '-' cell,
-        # x-edges row-major, then y-edges column-major, all bisected in
+        # x-edges row-major, then y-edges column-major, all refined in
         # lockstep: one ratios() call per round on the edges still open
         ey, ex = np.nonzero(plus[:, :-1] & minus[:, 1:] | minus[:, :-1] & plus[:, 1:])
         fx, fy = np.nonzero((plus[:-1, :] & minus[1:, :] | minus[:-1, :] & plus[1:, :]).T)
@@ -376,20 +384,30 @@ def region_map(
         hi = np.concatenate([xs[ex + 1], ys[fy + 1]])
         fixed = np.concatenate([ys[ey], xs[fx]])
         lo_above = np.concatenate([plus[ey, ex], plus[fy, fx]])
+        r_lo, r_hi = (np.concatenate([grid[ey, ex + d], grid[fy + d, fx]]) for d in (0, 1))
         # an edge runs from lo to hi, downwards on a descending axis
         x_res = boundary_resolution * abs(xs[-1] - xs[0]) if xs.size > 1 else 0.0
         y_res = boundary_resolution * abs(ys[-1] - ys[0]) if ys.size > 1 else 0.0
         res = np.where(along_x, x_res, y_res)
+        held = np.zeros(lo.size)  # the end kept last round: 1 hi, -1 lo, 0 none yet
         while True:
             mid = 0.5 * (lo + hi)
             k = np.flatnonzero((np.abs(hi - lo) > res) & (mid != lo) & (mid != hi))
             if k.size == 0:
                 break
-            m, f = mid[k], fixed[k]
+            # Illinois on g = log ratio (an end kept twice running has its g halved); the secant
+            # point moves 0.49 res toward the end kept last round, to close the bracket next round
+            a, b, f, h = lo[k], hi[k], fixed[k], held[k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ga, gb = np.log(r_lo[k]), np.log(r_hi[k])
+                m = (a * gb - b * ga) / (gb - ga) + 0.49 * res[k] * h * np.sign(b - a)
+            m = np.where((np.minimum(a, b) < m) & (m < np.maximum(a, b)), m, mid[k])
             r_mid = ratios(np.where(along_x[k], m, f), np.where(along_x[k], f, m))
             to_lo = (r_mid > 1.0) == lo_above[k]
-            lo[k], hi[k] = np.where(to_lo, m, lo[k]), np.where(to_lo, hi[k], m)
-            lo[k[np.isnan(r_mid)]] = np.nan  # an undefined midpoint drops the edge
+            r_lo[k] = np.where(to_lo, r_mid, np.where(h < 0, np.sqrt(r_lo[k]), r_lo[k]))
+            r_hi[k] = np.where(to_lo, np.where(h > 0, np.sqrt(r_hi[k]), r_hi[k]), r_mid)
+            lo[k], hi[k], held[k] = np.where(to_lo, m, a), np.where(to_lo, b, m), 2 * to_lo - 1
+            lo[k[np.isnan(r_mid)]] = np.nan  # an undefined point drops the edge
         kept = ~np.isnan(lo)
         v, f, on_x = 0.5 * (lo + hi)[kept], fixed[kept], along_x[kept]
         boundary = list(zip(np.where(on_x, v, f).tolist(), np.where(on_x, f, v).tolist()))

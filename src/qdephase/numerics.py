@@ -54,6 +54,9 @@ SMALL_EXPONENT_LIMIT = 1e-7
 # both overflow past ~1.34e154, and this bound keeps them finite with room.
 MAX_SCALED_TIME = 1e150
 
+# Largest quadrature exponent: from p ~ 45 the sine tail's w**(p-1) overflows.
+MAX_EXPONENT = 40.0
+
 # Every quadrature rule is a trapezoidal sum in a variable u with step
 # _STEP / 2**level, for level = 0 .. _LEVELS - 1.
 _STEP = 0.125
@@ -377,7 +380,9 @@ def _moment(
 ) -> float | np.ndarray:
     """Shared driver over the broadcast arguments: ``zero_value`` at t = 0,
     the DE sum split at ``delta(t, omega_c)`` at every t > 0 with c != 0,
-    one row per element."""
+    one row per element.  Exponents above MAX_EXPONENT are a DomainError."""
+    if not all_true(args.p <= MAX_EXPONENT):
+        raise DomainError(f"quadrature exponent p must be <= {MAX_EXPONENT:g}, got p={args.p}")
     times = np.asarray(args.t, dtype=float)
     params = (args.c, args.p, args.omega_c)
     if any(isinstance(x, np.ndarray) for x in params):

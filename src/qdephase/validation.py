@@ -31,7 +31,7 @@ from .dynamics import (
     reduced_state,
     trace_distance,
 )
-from .errors import DomainError
+from .errors import DomainError, QDephaseError
 
 __all__ = [
     "SuiteResult",
@@ -146,7 +146,7 @@ def check_physicality(samples: int, seed: int = 42) -> SuiteResult:
         worst = max(worst, excess)
         try:
             reduced_state(amps, factor)
-        except Exception:
+        except QDephaseError:
             failures += 1
             continue
         if excess > 1e-9:

@@ -76,6 +76,30 @@ def quad_sine(c: float, p: float, omega_c: float, t: float) -> float:
     return c * value
 
 
+def bisect_lambda_c(ratio, bracket=(0.01, 0.99), tol=1e-4):
+    """The documented critical-correlation bisection, one scalar ratio at a
+    time: None without ratio(lo) > 1 > ratio(hi); a midpoint where the ratio
+    is undefined (None) is stepped past by one ulp; stops at ``tol`` or when
+    the midpoint is an end."""
+    lo, hi = bracket
+    r_lo, r_hi = ratio(lo), ratio(hi)
+    if r_lo is None or r_hi is None or not (r_lo > 1.0 > r_hi):
+        return None
+    while 0.5 * (hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        r_mid = ratio(mid)
+        if r_mid is None:
+            mid = math.nextafter(mid, hi)
+            r_mid = ratio(mid)
+        if mid in (lo, hi):
+            break
+        if r_mid > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # Frozen reference values (40-digit derivations, see module docstring).
 # ---------------------------------------------------------------------------

@@ -56,9 +56,10 @@ def fast_converging_model():
 def ratio_budget(monkeypatch):
     """Cap the calls of the array gain-ratio evaluator at 500.
 
-    gain_ratio and find_lambda_c make one call per ratio; region_map
-    one for the grid and one per bisection round.  A bisection that stops
-    making progress then fails the test instead of hanging it.
+    gain_ratio makes one call per ratio; find_lambda_c one per seven
+    bisection levels, plus one per midpoint it steps past; region_map one
+    for the grid and one per refinement round.  A search that stops making
+    progress then fails the test instead of hanging it.
     """
     calls = []
     real = analysis._gain_ratios
@@ -290,6 +291,23 @@ class TestGainRatio:
         np.testing.assert_allclose(series.distance, d0 * np.exp(-series.r), rtol=1e-12)
 
 
+def _template_models(n, seed):
+    """(model, weight) pairs near the weak-coupling gain regime, as the
+    plane benchmark draws its templates."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(n):
+        alpha, gamma_coef = 10.0 ** rng.uniform(np.log10([1e-3, 0.02]), np.log10([6e-3, 0.1]))
+        bath = BathSpec(alpha=alpha, mu=rng.uniform(0.005, 0.05))
+        displacement = DisplacementSpec(gamma_coef=gamma_coef, nu=rng.uniform(0.02, 0.1))
+        model = ModelSpec(epsilon=1.0, bath=bath, displacement=displacement)
+        models.append((model, rng.uniform(0.0, 0.35)))
+    return models
+
+
+TEMPLATE_MODELS = _template_models(210, seed=11)
+
+
 class TestFindLambdaC:
     def test_benchmark_location(self, benchmark_model):
         lam_c = find_lambda_c(benchmark_model, 0.0, bracket=(0.05, 0.95), tol=1e-5)
@@ -342,10 +360,36 @@ class TestFindLambdaC:
         assert 0.5 * (0.01 + 0.99) == 0.5
         tol = 1e-4
         lam_c = find_lambda_c(model, 0.5, bracket=(0.01, 0.99), tol=tol, vary=vary)
+        ratio = {"lambda1": lambda lam: gain_ratio(model, lam, 0.5),
+                 "lambda2": lambda lam: gain_ratio(model, 0.5, lam)}[vary]
+        assert lam_c == oracles.bisect_lambda_c(ratio, tol=tol)
         # the ratio is symmetric in the two weights
         below = gain_ratio(model, 0.5, lam_c - 2 * tol)
         above = gain_ratio(model, 0.5, lam_c + 2 * tol)
         assert below > 1.0 > above
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-300])
+    @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
+    def test_equals_the_scalar_bisection(self, vary, tol):
+        # each call evaluates seven levels of the bisection tree at once; the
+        # walk through it must give the scalar bisection's float, bit for bit
+        for model, fixed in TEMPLATE_MODELS:
+            if vary == "lambda1":
+                want = oracles.bisect_lambda_c(lambda lam: gain_ratio(model, lam, fixed), tol=tol)
+            else:
+                want = oracles.bisect_lambda_c(lambda lam: gain_ratio(model, fixed, lam), tol=tol)
+            if want is None:
+                with pytest.raises(NoBracketError):
+                    find_lambda_c(model, fixed, tol=tol, vary=vary)
+            else:
+                assert find_lambda_c(model, fixed, tol=tol, vary=vary) == want, (model, fixed)
+
+    @pytest.mark.parametrize("vary,fixed", [("lambda1", 0.0), ("lambda2", 0.25)])
+    def test_a_few_evaluator_calls(self, benchmark_model, ratio_budget, vary, fixed):
+        # 13 bisection levels at tol 1e-4: the bracket ends and the first
+        # seven levels in one call, the next seven in another
+        find_lambda_c(benchmark_model, fixed, tol=1e-4, vary=vary)
+        assert len(ratio_budget) <= 4
 
     def test_undefined_ratio_at_bracket_end_is_no_bracket(self, benchmark_model):
         with pytest.raises(NoBracketError):
@@ -550,7 +594,8 @@ def _cell_ratio(model, l1, l2, plane, xv, yv):
 
 def _scalar_boundary(model, l1, l2, plane, xs, ys, labels, resolution):
     """Edge-by-edge bisection on the scalar gain_ratio: x-edges row-major,
-    then y-edges column-major; an undefined midpoint drops the edge."""
+    then y-edges column-major; an undefined midpoint drops the edge.  Each
+    point is (x, y, i) with i the index of its moving coordinate."""
 
     def crossing(fixed, lo, hi, axis, res):
         def h(v):
@@ -580,19 +625,45 @@ def _scalar_boundary(model, l1, l2, plane, xs, ys, labels, resolution):
             if {labels[iy][ix], labels[iy][ix + 1]} == {"+", "-"}:
                 v = crossing(yv, xs[ix], xs[ix + 1], "x", x_res)
                 if v is not None:
-                    points.append((v, yv))
+                    points.append((v, yv, 0))
     for ix, xv in enumerate(xs):
         for iy in range(len(ys) - 1):
             if {labels[iy][ix], labels[iy + 1][ix]} == {"+", "-"}:
                 v = crossing(xv, ys[iy], ys[iy + 1], "y", y_res)
                 if v is not None:
-                    points.append((xv, v))
+                    points.append((xv, v, 1))
     return points
 
 
+def _assert_boundary_near(result, model, plane, xs, ys, resolution):
+    """region_map's boundary against the _scalar_boundary oracle: the same
+    points in the same order, each with its fixed coordinate equal and its
+    moving one within resolution * span of the oracle's.
+
+    At resolution 0 the crossing is not unique: near it the sign of
+    ratio - 1 flips back and forth over up to thousands of ulp.  There a
+    point must lie on a sign change of the scalar ratio between adjacent
+    floats, within 1e-12 of the span of the oracle's.
+    """
+    want = _scalar_boundary(model, 0.25, 0.0, plane, xs, ys, result.labels, resolution)
+    got = result.boundary_points
+    assert want and len(got) == len(want)
+    spans = (abs(xs[-1] - xs[0]), abs(ys[-1] - ys[0]))
+    for point, (*expected, i) in zip(got, want):
+        assert point[1 - i] == expected[1 - i], (point, expected)
+        assert abs(point[i] - expected[i]) <= (resolution or 1e-12) * spans[i], (point, expected)
+        if resolution == 0.0:
+            v, coords = point[i], list(point)
+            signs = set()
+            for coords[i] in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)):
+                signs.add(_cell_ratio(model, 0.25, 0.0, plane, *coords) > 1.0)
+            assert signs == {False, True}, point
+
+
 class TestRegionMapArrayPath:
-    """region_map evaluates the plane in one array pass; every result must
-    equal, bit for bit, what the scalar gain_ratio gives cell by cell."""
+    """region_map evaluates the plane in one array pass; every cell must
+    equal, bit for bit, what the scalar gain_ratio gives, and every boundary
+    point lie within the resolution of the scalar bisection's."""
 
     @staticmethod
     def assert_cells_equal_scalar_gain_ratio(result, model, plane, xs, ys):
@@ -641,9 +712,7 @@ class TestRegionMapArrayPath:
             refine_boundary=True,
         )
         self.assert_cells_equal_scalar_gain_ratio(result, benchmark_model, plane, xs, ys)
-        want = _scalar_boundary(benchmark_model, 0.25, 0.0, plane, xs, ys, result.labels, 1e-4)
-        assert want
-        assert result.boundary_points == want
+        _assert_boundary_near(result, benchmark_model, plane, xs, ys, 1e-4)
 
     def test_boundary_at_zero_resolution_equals_scalar_bisection(self, benchmark_model):
         plane = ("lambda1", "lambda2")
@@ -653,12 +722,18 @@ class TestRegionMapArrayPath:
             benchmark_model, 0.25, 0.0, plane=plane, x_values=xs, y_values=ys,
             refine_boundary=True, boundary_resolution=0.0,
         )
-        want = _scalar_boundary(benchmark_model, 0.25, 0.0, plane, xs, ys, result.labels, 0.0)
-        assert want
-        assert result.boundary_points == want
+        _assert_boundary_near(result, benchmark_model, plane, xs, ys, 0.0)
 
-    def test_undefined_midpoint_drops_the_edge(self, benchmark_model):
-        # the first midpoint of the only crossing edge is lambda1 = lambda2
+    def test_undefined_point_drops_the_edge(self, benchmark_model, monkeypatch):
+        # the ratio made undefined between the grid values of lambda1: the
+        # only crossing edge is dropped, wherever its first point falls
+        real = analysis._gain_ratios
+
+        def undefined_inside(cell, limits=None):
+            on_grid = np.isin(cell["lambda1"], [0.1, 0.5])
+            return np.where(on_grid, real(cell, limits), np.nan)
+
+        monkeypatch.setattr(analysis, "_gain_ratios", undefined_inside)
         plane = ("lambda1", "lambda2")
         result = region_map(
             benchmark_model, 0.25, 0.0, plane=plane, x_values=[0.1, 0.5], y_values=[0.3],
@@ -669,6 +744,18 @@ class TestRegionMapArrayPath:
             benchmark_model, 0.25, 0.0, plane, [0.1, 0.5], [0.3], result.labels, 1e-4
         ) == []
         assert result.boundary_points == []
+
+    def test_infinite_ratio_end_is_refined(self, benchmark_model):
+        # below gamma ~ 1e-14 D(0) drops under its roundoff floor: the '+'
+        # end of the edge has an infinite ratio and no usable secant
+        plane, xs, ys = ("gamma", "lambda1"), [1e-15, 0.5], [0.5]
+        result = region_map(
+            benchmark_model, 0.25, 0.0, plane=plane, x_values=xs, y_values=ys,
+            refine_boundary=True,
+        )
+        assert result.labels == [["+", "-"]] and result.gain[0][0] is None
+        assert _cell_ratio(benchmark_model, 0.25, 0.0, plane, xs[0], ys[0]) == math.inf
+        _assert_boundary_near(result, benchmark_model, plane, xs, ys, 1e-4)
 
     @pytest.mark.parametrize(
         "plane,x_values",

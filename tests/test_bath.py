@@ -182,6 +182,21 @@ class TestProfileAt:
         assert p.r > 0.0
         assert math.isfinite(p.s) and math.isfinite(p.phi)
 
+    @pytest.mark.parametrize("mu,nu", [(1e300, 0.05), (41.0, 0.05), (0.5, 1e300), (0.5, 41.0)])
+    def test_quadrature_refuses_exponents_past_its_bound(self, mu, nu):
+        # mu = 1e300 overflowed delta**q in the head with a raw RuntimeWarning;
+        # the closed form refuses the same input through Gamma's overflow
+        m = ModelSpec(
+            epsilon=1.0,
+            bath=BathSpec(alpha=0.01, mu=mu, omega_c=1.0),
+            displacement=DisplacementSpec(gamma_coef=0.05, nu=nu),
+        )
+        with pytest.raises(DomainError, match="exponent"):
+            profile_at(m, 1.0, backend="quadrature")
+        if mu == 1e300:
+            with pytest.raises(DomainError, match="overflows"):
+                profile_at(m, 1.0, backend="closed_form")
+
     def test_ohmic_closed_form_uses_limit_branch(self):
         # mu = 0: r(t) = 2 alpha ln(1 + (wc t)^2) exactly
         m = ModelSpec(

@@ -206,6 +206,18 @@ class TestEvolve:
         assert err.startswith("error:") and "overflows" in err
         assert err.count("\n") == 1
 
+    def test_quadrature_exponent_bound_is_a_domain_error(self, tmp_path, capsys):
+        # mu = 1e300 on quadrature printed a raw overflow RuntimeWarning
+        path = tmp_path / "quad-mu.cfg"
+        path.write_text(
+            BENCHMARK_CONFIG.replace("mu = 0.01", "mu = 1e300") + "backend = quad\n",
+            encoding="utf-8",
+        )
+        assert main(["evolve", "--config", str(path), "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exponent" in err
+        assert err.count("\n") == 1
+
     def test_huge_epsilon_keeps_abs_a_finite(self, tmp_path, capsys):
         # 2*epsilon*t overflows at t = 1e4, but |A| does not depend on epsilon
         path = tmp_path / "eps.cfg"

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qdephase import DomainError, validation
+from qdephase import DomainError, PhysicalityError, validation
 
 
 @pytest.fixture
@@ -46,3 +46,23 @@ def test_agreement_tolerance_must_be_finite_and_positive(rel_tol):
     # nan would pass every sample, and 0 or -1 would fall back to the absolute floor
     with pytest.raises(DomainError):
         validation.check_backend_agreement(2, rel_tol=rel_tol)
+
+
+def test_physicality_lets_a_programming_error_surface(monkeypatch):
+    # only a library error is a physicality failure; a TypeError from a
+    # broken call is a defect and must not be counted as one
+    def broken(amps, factor):
+        raise TypeError("broken reduced_state")
+
+    monkeypatch.setattr(validation, "reduced_state", broken)
+    with pytest.raises(TypeError, match="broken reduced_state"):
+        validation.check_physicality(3)
+
+
+def test_physicality_counts_a_library_error_as_a_failure(monkeypatch):
+    def unphysical(amps, factor):
+        raise PhysicalityError("not a density matrix")
+
+    monkeypatch.setattr(validation, "reduced_state", unphysical)
+    result = validation.check_physicality(3)
+    assert result.failures == 3 and not result.passed

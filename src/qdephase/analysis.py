@@ -291,7 +291,7 @@ def find_lambda_c(
 
     def tree(lo: float, hi: float) -> tuple[list[float], list[float]]:
         """lo, hi and the next _TREE_LEVELS levels of midpoints, in order, and their ratios."""
-        points = np.full(2**_TREE_LEVELS + 1, hi)
+        points = np.full(2**_TREE_LEVELS + 1, hi, dtype=float)
         points[0] = lo
         for n in reversed(range(_TREE_LEVELS)):
             ends = points[:: 2 << n]

@@ -384,6 +384,15 @@ class TestFindLambdaC:
             else:
                 assert find_lambda_c(model, fixed, tol=tol, vary=vary) == want, (model, fixed)
 
+    @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
+    def test_integer_bracket_ends(self, benchmark_model, vary):
+        # the midpoints of (0, 1) are floats, whatever the type of the ends
+        lam_c = find_lambda_c(benchmark_model, 0.25, bracket=(0, 1), vary=vary)
+        assert lam_c == find_lambda_c(benchmark_model, 0.25, bracket=(0.0, 1.0), vary=vary)
+        ratio = {"lambda1": lambda lam: gain_ratio(benchmark_model, lam, 0.25),
+                 "lambda2": lambda lam: gain_ratio(benchmark_model, 0.25, lam)}[vary]
+        assert lam_c == oracles.bisect_lambda_c(ratio, bracket=(0, 1))
+
     @pytest.mark.parametrize("vary,fixed", [("lambda1", 0.0), ("lambda2", 0.25)])
     def test_a_few_evaluator_calls(self, benchmark_model, ratio_budget, vary, fixed):
         # 13 bisection levels at tol 1e-4: the bracket ends and the first

@@ -308,6 +308,13 @@ def _template_models(n, seed):
 TEMPLATE_MODELS = _template_models(210, seed=11)
 
 
+def _weight_ratio(model, fixed, vary):
+    """The scalar gain_ratio as a function of the weight named by ``vary``."""
+    if vary == "lambda1":
+        return lambda lam: gain_ratio(model, lam, fixed)
+    return lambda lam: gain_ratio(model, fixed, lam)
+
+
 class TestFindLambdaC:
     def test_benchmark_location(self, benchmark_model):
         lam_c = find_lambda_c(benchmark_model, 0.0, bracket=(0.05, 0.95), tol=1e-5)
@@ -360,9 +367,7 @@ class TestFindLambdaC:
         assert 0.5 * (0.01 + 0.99) == 0.5
         tol = 1e-4
         lam_c = find_lambda_c(model, 0.5, bracket=(0.01, 0.99), tol=tol, vary=vary)
-        ratio = {"lambda1": lambda lam: gain_ratio(model, lam, 0.5),
-                 "lambda2": lambda lam: gain_ratio(model, 0.5, lam)}[vary]
-        assert lam_c == oracles.bisect_lambda_c(ratio, tol=tol)
+        assert lam_c == oracles.bisect_lambda_c(_weight_ratio(model, 0.5, vary), tol=tol)
         # the ratio is symmetric in the two weights
         below = gain_ratio(model, 0.5, lam_c - 2 * tol)
         above = gain_ratio(model, 0.5, lam_c + 2 * tol)
@@ -374,10 +379,7 @@ class TestFindLambdaC:
         # each call evaluates seven levels of the bisection tree at once; the
         # walk through it must give the scalar bisection's float, bit for bit
         for model, fixed in TEMPLATE_MODELS:
-            if vary == "lambda1":
-                want = oracles.bisect_lambda_c(lambda lam: gain_ratio(model, lam, fixed), tol=tol)
-            else:
-                want = oracles.bisect_lambda_c(lambda lam: gain_ratio(model, fixed, lam), tol=tol)
+            want = oracles.bisect_lambda_c(_weight_ratio(model, fixed, vary), tol=tol)
             if want is None:
                 with pytest.raises(NoBracketError):
                     find_lambda_c(model, fixed, tol=tol, vary=vary)
@@ -389,9 +391,8 @@ class TestFindLambdaC:
         # the midpoints of (0, 1) are floats, whatever the type of the ends
         lam_c = find_lambda_c(benchmark_model, 0.25, bracket=(0, 1), vary=vary)
         assert lam_c == find_lambda_c(benchmark_model, 0.25, bracket=(0.0, 1.0), vary=vary)
-        ratio = {"lambda1": lambda lam: gain_ratio(benchmark_model, lam, 0.25),
-                 "lambda2": lambda lam: gain_ratio(benchmark_model, 0.25, lam)}[vary]
-        assert lam_c == oracles.bisect_lambda_c(ratio, bracket=(0, 1))
+        want = oracles.bisect_lambda_c(_weight_ratio(benchmark_model, 0.25, vary), bracket=(0, 1))
+        assert lam_c == want
 
     @pytest.mark.parametrize("vary,fixed", [("lambda1", 0.0), ("lambda2", 0.25)])
     def test_a_few_evaluator_calls(self, benchmark_model, ratio_budget, vary, fixed):
@@ -662,11 +663,11 @@ def _assert_boundary_near(result, model, plane, xs, ys, resolution):
         assert point[1 - i] == expected[1 - i], (point, expected)
         assert abs(point[i] - expected[i]) <= (resolution or 1e-12) * spans[i], (point, expected)
         if resolution == 0.0:
-            v, coords = point[i], list(point)
-            signs = set()
-            for coords[i] in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)):
-                signs.add(_cell_ratio(model, 0.25, 0.0, plane, *coords) > 1.0)
-            assert signs == {False, True}, point
+            v, above = point[i], set()
+            for u in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)):
+                xy = (u, point[1]) if i == 0 else (point[0], u)
+                above.add(_cell_ratio(model, 0.25, 0.0, plane, *xy) > 1.0)
+            assert above == {False, True}, point
 
 
 class TestRegionMapArrayPath:

@@ -52,7 +52,6 @@ from .numerics import (
     KernelArgs,
     QuadratureSettings,
     decay_kernel,
-    gamma,
     kernel_by_quadrature,
     oscillatory_moment,
     total_moment,
@@ -65,7 +64,6 @@ __all__ = [
     # numerics
     "QuadratureSettings",
     "KernelArgs",
-    "gamma",
     "decay_kernel",
     "total_moment",
     "oscillatory_moment",

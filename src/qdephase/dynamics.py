@@ -14,6 +14,8 @@ deep in the strong-coupling regime.
 Three distance routes are provided: the generic eigenvalue trace distance
 (the reference), and the closed forms for a shared environment state and for
 shared amplitudes (the fast paths).  They agree to 1e-12 by construction.
+Every route takes arrays, which broadcast elementwise, and ``(..., 2, 2)``
+stacks of density matrices; scalars keep Python arithmetic and give floats.
 """
 
 from __future__ import annotations
@@ -52,31 +54,36 @@ class QubitAmplitudes:
 
     Must be normalized: |b_plus|^2 + |b_minus|^2 = 1 within 1e-12.  Zero
     amplitudes are legal here (edge states); the correlated-scenario
-    constructor InitialStateSpec rejects them.
+    constructor InitialStateSpec rejects them.  Arrays hold one state per
+    element.
     """
 
-    b_plus: complex
-    b_minus: complex
+    b_plus: complex | np.ndarray
+    b_minus: complex | np.ndarray
 
     def __post_init__(self) -> None:
         # x * x, not x ** 2: a float power raises OverflowError, a product is inf
-        norm = abs(self.b_plus) * abs(self.b_plus) + abs(self.b_minus) * abs(self.b_minus)
-        if not math.isfinite(norm) or abs(norm - 1.0) > _NORM_TOL:
+        with np.errstate(over="ignore"):
+            norm = abs(self.b_plus) * abs(self.b_plus) + abs(self.b_minus) * abs(self.b_minus)
+        if not all_true(ok := abs(norm - 1.0) <= _NORM_TOL):
             raise DomainError(
                 f"amplitudes must satisfy |b+|^2 + |b-|^2 = 1 within {_NORM_TOL}, "
-                f"got {norm!r}"
+                f"got {_first_failing(norm, ok)!r}"
             )
 
     @classmethod
     def balanced(cls) -> "QubitAmplitudes":
         """The equal-weight superposition b+ = b- = 1/sqrt(2)."""
-        inv = 1.0 / math.sqrt(2.0)
-        return cls(inv, inv)
+        return _BALANCED
 
     @property
-    def coherence_scale(self) -> float:
+    def coherence_scale(self) -> float | np.ndarray:
         """|b+ b-*|, the prefactor of every off-diagonal element (<= 1/2)."""
         return abs(self.b_plus) * abs(self.b_minus)
+
+
+# one shared instance: the type is immutable, and checking it once saves every series a check
+_BALANCED = QubitAmplitudes(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -85,23 +92,48 @@ class InitialStateSpec:
 
     ``lam = 0`` is the uncorrelated product state, ``lam = 1`` the maximally
     correlated member of the family.  Both amplitudes must be non-zero for a
-    correlated scenario to be meaningful.
+    correlated scenario to be meaningful.  ``lam`` may be an array that
+    broadcasts against the amplitudes.
     """
 
     amplitudes: QubitAmplitudes
-    lam: float
+    lam: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
-            raise DomainError(f"correlation weight must lie in [0, 1], got {self.lam}")
-        if abs(self.amplitudes.b_plus) == 0.0 or abs(self.amplitudes.b_minus) == 0.0:
-            raise DomainError(
-                "correlated scenarios need non-zero amplitudes on both branches"
-            )
+        _check_unit("correlation weight", self.lam)
+        if not all_true(self.amplitudes.coherence_scale != 0.0):
+            raise DomainError("correlated scenarios need non-zero amplitudes on both branches")
+
+
+_DENSITY_ERRORS = (
+    (DomainError, "density matrix entries must be finite"),
+    (PhysicalityError, "density matrix is not Hermitian within 1e-12"),
+    (PhysicalityError, "density matrix trace differs from 1 by more than 1e-12"),
+    (PhysicalityError, "density matrix is not positive semidefinite (det = {:.3e})"),
+    (PhysicalityError, "off-diagonal element exceeds sqrt(rho11*rho22)"),
+)
+
+
+def _density_checks(rho: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The definition of a density matrix: one mask per condition of
+    _DENSITY_ERRORS, true where a matrix of the ``(..., 2, 2)`` stack meets
+    it, in that order; and the determinants."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q, off = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1]
+        det = (rho[..., 0, 0] * rho[..., 1, 1] - off * rho[..., 1, 0]).real
+        checks = (
+            np.isfinite(rho.view(float)).all((-2, -1)),
+            abs(rho - rho.conj().swapaxes(-2, -1)).max((-2, -1)) <= _NORM_TOL,
+            abs(p + q - 1.0) <= _NORM_TOL,
+            det >= -_NORM_TOL,
+            abs(off) <= np.sqrt(np.maximum(p, 0.0) * np.maximum(q, 0.0)) + _NORM_TOL,
+        )
+    return checks, det
 
 
 class QubitDensityMatrix:
-    """A validated 2x2 density matrix (Hermitian, unit trace, PSD).
+    """A validated 2x2 density matrix (Hermitian, unit trace, PSD), or a
+    ``(..., 2, 2)`` stack of them.
 
     Basis order is (excited, ground).  The entries array is read-only.
     """
@@ -110,22 +142,12 @@ class QubitDensityMatrix:
 
     def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=complex)
-        if arr.shape != (2, 2):
+        if arr.shape[-2:] != (2, 2):
             raise DomainError(f"density matrix must be 2x2, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise DomainError("density matrix entries must be finite")
-        if np.max(np.abs(arr - arr.conj().T)) > _NORM_TOL:
-            raise PhysicalityError("density matrix is not Hermitian within 1e-12")
-        if abs(arr[0, 0].real + arr[1, 1].real - 1.0) > _NORM_TOL:
-            raise PhysicalityError("density matrix trace differs from 1 by more than 1e-12")
-        det = (arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]).real
-        if det < -_NORM_TOL:
-            raise PhysicalityError(
-                f"density matrix is not positive semidefinite (det = {det:.3e})"
-            )
-        bound = math.sqrt(max(arr[0, 0].real, 0.0) * max(arr[1, 1].real, 0.0))
-        if abs(arr[0, 1]) > bound + _NORM_TOL:
-            raise PhysicalityError("off-diagonal element exceeds sqrt(rho11*rho22)")
+        checks, det = _density_checks(arr)
+        for ok, (error, message) in zip(checks, _DENSITY_ERRORS):
+            if not ok.all():
+                raise error(message.format(det[~ok][0]))
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -145,10 +167,15 @@ class PairWeights:
     b: float | np.ndarray
 
 
-def _first_outside_unit(x) -> float:
-    """The first element of x outside [0, 1], for a one-value message."""
-    values = np.ravel(x)
-    return values[~((values >= 0.0) & (values <= 1.0))][0]
+def _first_failing(values, ok):
+    """The first element of ``values`` where the mask ``ok`` is false, as a
+    Python scalar: one value for a message, whatever the shape."""
+    return np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0].item()
+
+
+def _check_unit(name: str, x) -> None:
+    if not all_true(ok := (x >= 0.0) & (x <= 1.0)):
+        raise DomainError(f"{name} must lie in [0, 1], got {_first_failing(x, ok)}")
 
 
 def normalization_c(lam, overlap):
@@ -157,10 +184,8 @@ def normalization_c(lam, overlap):
     C^2 = (1-lam)^2 + lam^2 + 2 lam (1-lam) * overlap; C_0 = C_1 = 1.
     Elementwise over broadcastable arrays.
     """
-    if not all_true((lam >= 0.0) & (lam <= 1.0)):
-        raise DomainError(f"correlation weight must lie in [0, 1], got {_first_outside_unit(lam)}")
-    if not all_true((overlap >= 0.0) & (overlap <= 1.0)):
-        raise DomainError(f"overlap must lie in [0, 1], got {_first_outside_unit(overlap)}")
+    _check_unit("correlation weight", lam)
+    _check_unit("overlap", overlap)
     # x * x, not x ** 2: numpy squares arrays but calls pow on scalars
     return np.sqrt((1.0 - lam) * (1.0 - lam) + lam * lam + 2.0 * lam * (1.0 - lam) * overlap)
 
@@ -206,62 +231,68 @@ def coherence_factor(
     return np.exp(-1.0j * angle) * unphased_coherence_factor(state, profile, overlap)
 
 
-def reduced_state(amplitudes: QubitAmplitudes, coherence: complex) -> QubitDensityMatrix:
-    """Assemble the reduced qubit state from amplitudes and the factor A.
+def _reduced_entries(amplitudes: QubitAmplitudes, coherence) -> np.ndarray:
+    """The ``(..., 2, 2)`` entries of the reduced states, unchecked; moduli
+    |A| > 1 are rescaled onto the unit disc."""
+    b_plus, b_minus = amplitudes.b_plus, amplitudes.b_minus
+    off = b_plus * b_minus.conjugate() * (coherence / np.maximum(abs(coherence), 1.0))
+    rho = np.empty(np.shape(off) + (2, 2), dtype=complex)
+    rho[..., 0, 0], rho[..., 0, 1] = abs(b_plus) ** 2, off
+    rho[..., 1, 0], rho[..., 1, 1] = off.conjugate(), abs(b_minus) ** 2
+    return rho
+
+
+def reduced_state(amplitudes: QubitAmplitudes, coherence) -> QubitDensityMatrix:
+    """Assemble the reduced qubit state from amplitudes and the factor A;
+    a stack of states for arrays, which broadcast elementwise.
 
     Rejects |A| > 1 + 1e-9; moduli within that roundoff band are rescaled
     onto the unit disc so the PSD validation cannot trip on noise.
     """
     mag = abs(coherence)
-    if mag > 1.0 + _ABS_A_TOL:
-        raise PhysicalityError(
-            f"coherence factor has modulus {mag!r} > 1 + {_ABS_A_TOL}"
-        )
-    if mag > 1.0:
-        coherence = coherence / mag
-    off = amplitudes.b_plus * amplitudes.b_minus.conjugate() * coherence
-    return QubitDensityMatrix(
-        [
-            [abs(amplitudes.b_plus) ** 2, off],
-            [off.conjugate(), abs(amplitudes.b_minus) ** 2],
-        ]
-    )
+    if not all_true(ok := np.logical_not(mag > 1.0 + _ABS_A_TOL)):
+        bad = _first_failing(mag, ok)
+        raise PhysicalityError(f"coherence factor has modulus {bad!r} > 1 + {_ABS_A_TOL}")
+    return QubitDensityMatrix(_reduced_entries(amplitudes, coherence))
 
 
 def _as_matrix(rho) -> np.ndarray:
     if isinstance(rho, QubitDensityMatrix):
         return rho.entries
     arr = np.asarray(rho, dtype=complex)
-    if arr.shape != (2, 2):
+    if arr.shape[-2:] != (2, 2):
         raise DomainError(f"density matrix must be 2x2, got shape {arr.shape}")
-    if np.max(np.abs(arr - arr.conj().T)) > 1e-10:
+    if np.max(np.abs(arr - arr.conj().swapaxes(-2, -1))) > 1e-10:
         raise DomainError("trace_distance requires Hermitian matrices")
     return arr
 
 
-def trace_distance(rho1, rho2) -> float:
+def trace_distance(rho1, rho2) -> float | np.ndarray:
     """Trace distance (1/2) Tr |rho1 - rho2| via eigenvalues of the difference.
 
-    Accepts QubitDensityMatrix instances or plain Hermitian 2x2 arrays.
+    Accepts QubitDensityMatrix instances or plain Hermitian 2x2 arrays, or
+    ``(..., 2, 2)`` stacks of either, which give an array of distances.
     For a traceless Hermitian difference with diagonal gap d and
     off-diagonal c this equals sqrt(d^2 + |c|^2).
     """
-    diff = _as_matrix(rho1) - _as_matrix(rho2)
-    eigenvalues = np.linalg.eigvalsh(diff)
-    return float(0.5 * np.sum(np.abs(eigenvalues)))
+    eigenvalues = np.linalg.eigvalsh(_as_matrix(rho1) - _as_matrix(rho2))
+    distance = 0.5 * np.sum(np.abs(eigenvalues), axis=-1)
+    return float(distance) if distance.ndim == 0 else distance
 
 
 def distance_same_environment(
-    b1: QubitAmplitudes, b2: QubitAmplitudes, coherence: complex
-) -> float:
+    b1: QubitAmplitudes, b2: QubitAmplitudes, coherence
+) -> float | np.ndarray:
     """Distance of two states differing only in amplitudes (shared A).
 
     D^2 = (|b1+|^2 - |b2+|^2)^2 + |b1+ b1-* - b2+ b2-*|^2 |A|^2, which is
     monotone in |A|: with a decaying factor this scenario always contracts.
+    Elementwise over array amplitudes and factors.
     """
     diag_gap = abs(b1.b_plus) ** 2 - abs(b2.b_plus) ** 2
     off_gap = b1.b_plus * b1.b_minus.conjugate() - b2.b_plus * b2.b_minus.conjugate()
-    return math.sqrt(diag_gap**2 + abs(off_gap) ** 2 * abs(coherence) ** 2)
+    distance = np.sqrt(diag_gap**2 + abs(off_gap) ** 2 * abs(coherence) ** 2)
+    return float(distance) if np.ndim(distance) == 0 else distance
 
 
 def pair_weights(lambda1, lambda2, overlap) -> PairWeights:
@@ -274,20 +305,22 @@ def pair_weights(lambda1, lambda2, overlap) -> PairWeights:
     )
 
 
-def _checked_bscale(bscale: float) -> float:
-    if not (math.isfinite(bscale) and 0.0 <= bscale <= 0.5 + _NORM_TOL):
-        raise DomainError(f"bscale = |b+ b-*| must lie in [0, 1/2], got {bscale}")
+def _checked_bscale(bscale):
+    if not all_true(ok := (bscale >= 0.0) & (bscale <= 0.5 + _NORM_TOL)):
+        bad = _first_failing(bscale, ok)
+        raise DomainError(f"bscale = |b+ b-*| must lie in [0, 1/2], got {bad}")
     return bscale
 
 
 def distance_same_amplitudes(
-    w: PairWeights, profile: DecoherenceProfile, bscale: float
+    w: PairWeights, profile: DecoherenceProfile, bscale
 ) -> float | np.ndarray:
     """Distance of two states sharing amplitudes but not correlation weight.
 
     Equals bscale * e^(-r) * sqrt(a^2 + b^2 e^(2s) + 2 a b e^s cos(2 phi))
     with bscale = |b+ b-*|; evaluated through exp(-r) and exp(s - r) so the
     intermediate e^(2s) cannot overflow.  The qubit splitting epsilon drops
-    out entirely.  Array-valued for a profile on a time array.
+    out entirely.  Array-valued for a profile on a time array or an array
+    ``bscale``.
     """
     return _checked_bscale(bscale) * np.abs(_mix(w.a, w.b, _exponentials(profile)))

@@ -3,8 +3,6 @@
 Everything in this module revolves around moments of the weight
 ``w**(p-1) * exp(-w/omega_c)`` on ``[0, inf)``:
 
-* ``gamma``            -- Euler gamma function (``math.gamma`` with domain
-  and overflow checks),
 * ``gamma_moment``     -- the closed-form total moment
   ``c * gamma(p) * omega_c**p``, guarded against overflow,
 * ``decay_kernel``     -- closed form of the dephasing kernel
@@ -34,7 +32,6 @@ __all__ = [
     "QuadratureSettings",
     "KernelArgs",
     "SMALL_EXPONENT_LIMIT",
-    "gamma",
     "gamma_moment",
     "decay_kernel",
     "total_moment",
@@ -115,31 +112,9 @@ class KernelArgs:
             )
 
 
-def gamma(x: float) -> float:
-    """Euler gamma function for positive real arguments (``math.gamma``).
-
-    Raises DomainError for x <= 0, non-finite x, and x above ~171.62, where
-    the result overflows a double.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma requires a finite x > 0, got {x}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise DomainError(f"gamma({x}) overflows a double") from None
-
-
 def all_true(mask) -> bool:
     """Every element of a boolean array or scalar is true (scalars skip numpy)."""
     return bool(mask.all()) if getattr(mask, "ndim", 0) else bool(mask)
-
-
-def _float_moment(c: float, p: float, omega_c: float) -> float:
-    try:
-        return c * math.gamma(p) * math.pow(omega_c, p) if c != 0.0 else 0.0
-    except OverflowError:
-        return math.inf
 
 
 def _gamma_and_power(p: float, omega_c: float) -> tuple[float, float]:
@@ -160,10 +135,11 @@ def gamma_moment(c, p, omega_c):
     Elementwise over broadcastable arrays, with the arithmetic of a call on
     floats (numpy has no gamma function), once per (p, omega_c) element, not
     per c.  A zero prefactor gives 0 whatever the exponent.  Raises
-    DomainError where the result overflows a double.
+    DomainError where the result overflows a double or p is a pole of Gamma.
     """
     if isinstance(c, float) and isinstance(p, float) and isinstance(omega_c, float):
-        value = _float_moment(float(c), p, omega_c)
+        g, w = _gamma_and_power(p, omega_c)
+        value = (float(c) * g) * w if c != 0.0 else 0.0
         if math.isfinite(value):
             return value
     else:

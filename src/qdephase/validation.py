@@ -1,14 +1,15 @@
 """Seeded self-validation suites: backend agreement, physicality, identities.
 
 Each suite draws its own deterministic sample from a seed, checks one
-contract, and reports counts plus the worst observed error.  The CLI
-``validate`` subcommand runs them all; the test suite reuses them for the
-acceptance criteria.
+contract on the whole sample at once (one array call per route), and reports
+counts plus the worst observed error.  The CLI ``validate`` subcommand runs
+them all; the test suite reuses them for the acceptance criteria.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,8 @@ from .bath import (
 from .dynamics import (
     InitialStateSpec,
     QubitAmplitudes,
+    _density_checks,
+    _reduced_entries,
     coherence_factor,
     distance_same_amplitudes,
     distance_same_environment,
@@ -31,7 +34,7 @@ from .dynamics import (
     reduced_state,
     trace_distance,
 )
-from .errors import DomainError, QDephaseError
+from .errors import DomainError
 
 __all__ = [
     "SuiteResult",
@@ -79,85 +82,88 @@ def _random_model(rng: np.random.Generator) -> ModelSpec:
     )
 
 
-def _random_amplitudes(rng: np.random.Generator) -> QubitAmplitudes:
+def _random_amplitudes(rng: np.random.Generator) -> tuple[complex, complex]:
+    """``(b_plus, b_minus)`` of a random normalized qubit state."""
     weight = rng.uniform(0.05, 0.95)
     phase_p = rng.uniform(0.0, 2.0 * math.pi)
     phase_m = rng.uniform(0.0, 2.0 * math.pi)
     b_plus = math.sqrt(weight) * complex(math.cos(phase_p), math.sin(phase_p))
     b_minus = math.sqrt(1.0 - weight) * complex(math.cos(phase_m), math.sin(phase_m))
-    return QubitAmplitudes(b_plus, b_minus)
+    return b_plus, b_minus
 
 
-def _sample_fields(draws: list[tuple], backends: list[str]) -> np.ndarray:
-    """r, s, phi (rows) of every sample (columns) on its backend, from one
-    array evaluation per backend.  Each draw starts with its model and t."""
-    params = np.reshape(
+def _draw(samples: int, seed: int, draw_one) -> tuple:
+    """``samples`` seeded draws ``draw_one(rng, i) = (model, x, ...)`` as
+    columns: the models, then one array per further value.  The draws stay a
+    loop because their rng order fixes the samples."""
+    try:
+        operator.index(samples)
+    except TypeError:
+        raise DomainError(f"sample count must be an integer, got {samples!r}") from None
+    if samples < 1:
+        raise DomainError(f"sample count must be at least 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    models, *values = zip(*[draw_one(rng, i) for i in range(samples)])
+    return models, *map(np.array, values)
+
+
+def _sample_fields(models, t: np.ndarray, backends) -> np.ndarray:
+    """r, s, phi (rows) of every sample (columns) on its backend, one name for
+    all or one per sample, from one array evaluation per backend."""
+    params = np.array(
         [(m.bath.alpha, m.bath.mu, m.bath.omega_c, m.displacement.gamma_coef, m.displacement.nu)
-         for m, *_ in draws],
-        (-1, 5),
-    )
-    t = np.array([d[1] for d in draws], dtype=float)
-    fields = np.empty((3, len(draws)))
-    for backend in dict.fromkeys(backends):
-        rows = [i for i, b in enumerate(backends) if b == backend]
-        fields[:, rows] = _profiles(*params[rows].T, t[rows], backend)
+         for m in models]
+    ).T
+    backends = np.broadcast_to(backends, len(models))
+    fields = np.empty((3, len(models)))
+    for backend in dict.fromkeys(backends.tolist()):
+        rows = backends == backend
+        fields[:, rows] = _profiles(*params[:, rows], t[rows], backend)
     return fields
+
+
+def _overlaps_and_epsilons(models) -> np.ndarray:
+    """The ground-coherent overlap (row 0) and epsilon (row 1) of each model."""
+    return np.array(
+        [(ground_coherent_overlap(m.displacement, m.bath.omega_c), m.epsilon) for m in models]
+    ).T
+
+
+def _result(name: str, errors: np.ndarray, failed: np.ndarray, tolerance: str) -> SuiteResult:
+    """A suite's result from its per-sample errors and failure mask."""
+    return SuiteResult(
+        name, errors.size, int(np.count_nonzero(failed)), float(errors.max(initial=0.0)), tolerance
+    )
 
 
 def check_backend_agreement(samples: int, rel_tol: float = 1e-6, seed: int = 42) -> SuiteResult:
     """Closed-form r, s, phi against the quadrature backend on random tuples."""
     if not 0.0 < rel_tol < math.inf:
         raise DomainError(f"rel_tol must be finite and positive, got {rel_tol}")
-    rng = np.random.default_rng(seed)
-    draws = [
-        (_random_model(rng), 0.0 if i % 25 == 0 else rng.uniform(0.0, 100.0))
-        for i in range(samples)
-    ]
-    closed = _sample_fields(draws, ["closed_form"] * samples)
-    quadr = _sample_fields(draws, ["quadrature"] * samples)
-    errors = np.abs(closed - quadr) / np.maximum(_ABS_FLOOR, rel_tol * np.abs(closed))
-    sample_worst = errors.max(0, initial=0.0)
-    return SuiteResult(
-        name="backend-agreement",
-        samples=samples,
-        failures=int(np.count_nonzero(sample_worst > 1.0)),
-        worst=float(sample_worst.max(initial=0.0)),
-        tolerance=f"max({_ABS_FLOOR:g}, {rel_tol:g}*rel), reported as fraction of tol",
-    )
+    models, t = _draw(samples, seed, lambda rng, i: (
+        _random_model(rng), 0.0 if i % 25 == 0 else rng.uniform(0.0, 100.0)))
+    closed = _sample_fields(models, t, "closed_form")
+    quadr = _sample_fields(models, t, "quadrature")
+    errors = (np.abs(closed - quadr) / np.maximum(_ABS_FLOOR, rel_tol * np.abs(closed))).max(0)
+    tolerance = f"max({_ABS_FLOOR:g}, {rel_tol:g}*rel), reported as fraction of tol"
+    return _result("backend-agreement", errors, errors > 1.0, tolerance)
 
 
 def check_physicality(samples: int, seed: int = 42) -> SuiteResult:
     """|A_lambda(t)| <= 1 + 1e-9 and valid density matrices, both backends."""
-    rng = np.random.default_rng(seed)
-    draws = [
-        (_random_model(rng), rng.uniform(0.0, 100.0), rng.uniform(0.0, 1.0), _random_amplitudes(rng))
-        for _ in range(samples)
-    ]
+    models, t, lam, b_plus, b_minus = _draw(samples, seed, lambda rng, i: (
+        _random_model(rng), rng.uniform(0.0, 100.0), rng.uniform(0.0, 1.0),
+        *_random_amplitudes(rng)))
     backends = ["quadrature" if i % 2 else "closed_form" for i in range(samples)]
-    failures = 0
-    worst = 0.0
-    for (model, t, lam, amps), fields, backend in zip(
-        draws, _sample_fields(draws, backends).T, backends
-    ):
-        overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
-        profile = DecoherenceProfile(t, *fields, backend)
-        factor = coherence_factor(InitialStateSpec(amps, lam), profile, model.epsilon, overlap)
-        excess = abs(factor) - 1.0
-        worst = max(worst, excess)
-        try:
-            reduced_state(amps, factor)
-        except QDephaseError:
-            failures += 1
-            continue
-        if excess > 1e-9:
-            failures += 1
-    return SuiteResult(
-        name="physicality",
-        samples=samples,
-        failures=failures,
-        worst=worst,
-        tolerance="|A| - 1 <= 1e-9; density matrix PSD/trace/Hermitian",
-    )
+    # odd samples hold quadrature fields; nothing downstream reads the backend tag
+    profile = DecoherenceProfile(t, *_sample_fields(models, t, backends), "closed_form")
+    overlap, epsilon = _overlaps_and_epsilons(models)
+    amps = QubitAmplitudes(b_plus, b_minus)
+    factor = coherence_factor(InitialStateSpec(amps, lam), profile, epsilon, overlap)
+    excess = np.abs(factor) - 1.0
+    valid = np.logical_and.reduce(_density_checks(_reduced_entries(amps, factor))[0])
+    tolerance = "|A| - 1 <= 1e-9; density matrix PSD/trace/Hermitian"
+    return _result("physicality", excess, (excess > 1e-9) | ~valid, tolerance)
 
 
 def check_overlap_consistency(
@@ -172,25 +178,13 @@ def check_overlap_consistency(
     (a debugging aid): the identity then fails by exp(offset/2), which is
     exactly what this suite is designed to catch.
     """
-    rng = np.random.default_rng(seed)
-    draws = [(_random_model(rng), 0.0) for _ in range(samples)]
-    failures = 0
-    worst = 0.0
-    for (model, _), s0 in zip(draws, _sample_fields(draws, ["closed_form"] * samples)[1]):
-        overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
-        if double_s_offset:
-            s0 = 2.0 * s0
-        err = abs(math.exp(s0) - overlap) / overlap
-        worst = max(worst, err)
-        if err > rel_tol:
-            failures += 1
-    return SuiteResult(
-        name="overlap-consistency",
-        samples=samples,
-        failures=failures,
-        worst=worst,
-        tolerance=f"{rel_tol:g} relative",
-    )
+    models, t = _draw(samples, seed, lambda rng, i: (_random_model(rng), 0.0))
+    s0 = _sample_fields(models, t, "closed_form")[1]
+    if double_s_offset:
+        s0 = 2.0 * s0
+    overlap = _overlaps_and_epsilons(models)[0]
+    err = np.abs(np.exp(s0) - overlap) / overlap
+    return _result("overlap-consistency", err, err > rel_tol, f"{rel_tol:g} relative")
 
 
 def check_distance_equivalence(
@@ -198,44 +192,26 @@ def check_distance_equivalence(
     abs_tol: float = 1e-12,
     seed: int = 42,
 ) -> SuiteResult:
-    """Closed-form distances against the eigenvalue trace distance."""
-    rng = np.random.default_rng(seed)
-    draws = [
-        (_random_model(rng), rng.uniform(0.0, 50.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
-         _random_amplitudes(rng), _random_amplitudes(rng))
-        for _ in range(samples)
-    ]
-    failures = 0
-    worst = 0.0
-    for (model, t, lam1, lam2, amps, amps_b), fields in zip(
-        draws, _sample_fields(draws, ["closed_form"] * samples).T
-    ):
-        overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
-        profile = DecoherenceProfile(t, *fields, "closed_form")
-        a1 = coherence_factor(InitialStateSpec(amps, lam1), profile, model.epsilon, overlap)
-        a2 = coherence_factor(InitialStateSpec(amps, lam2), profile, model.epsilon, overlap)
-        rho1 = reduced_state(amps, a1)
-        rho2 = reduced_state(amps, a2)
-
-        w = pair_weights(lam1, lam2, overlap)
-        closed = distance_same_amplitudes(w, profile, amps.coherence_scale)
-        generic = trace_distance(rho1, rho2)
-        err = abs(closed - generic)
-
-        closed_env = distance_same_environment(amps, amps_b, a1)
-        generic_env = trace_distance(rho1, reduced_state(amps_b, a1))
-        err = max(err, abs(closed_env - generic_env))
-
-        worst = max(worst, err)
-        if err > abs_tol:
-            failures += 1
-    return SuiteResult(
-        name="distance-equivalence",
-        samples=samples,
-        failures=failures,
-        worst=worst,
-        tolerance=f"{abs_tol:g} absolute",
-    )
+    """Closed-form distances against the eigenvalue trace distance: the
+    shared-amplitude pair (amps at lam1, lam2) and the shared-environment
+    pair (amps, amps_b at lam1)."""
+    models, t, lam1, lam2, *b = _draw(samples, seed, lambda rng, i: (
+        _random_model(rng), rng.uniform(0.0, 50.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
+        *_random_amplitudes(rng), *_random_amplitudes(rng)))
+    b = np.array(b)  # b_plus, b_minus of amps, then of amps_b
+    amps, amps_b = QubitAmplitudes(b[0], b[1]), QubitAmplitudes(b[2], b[3])
+    profile = DecoherenceProfile(t, *_sample_fields(models, t, "closed_form"), "closed_form")
+    overlap, epsilon = _overlaps_and_epsilons(models)
+    state = InitialStateSpec(amps, np.stack([lam1, lam2]))
+    a1, a2 = coherence_factor(state, profile, epsilon, overlap)
+    # one stack of the states (amps, a1), (amps, a2) and (amps_b, a1)
+    rho = reduced_state(QubitAmplitudes(b[[0, 0, 2]], b[[1, 1, 3]]), np.stack([a1, a2, a1])).entries
+    closed = np.stack([
+        distance_same_amplitudes(pair_weights(lam1, lam2, overlap), profile, amps.coherence_scale),
+        distance_same_environment(amps, amps_b, a1),
+    ])
+    err = np.abs(closed - trace_distance(rho[[0, 0]], rho[[1, 2]])).max(0)
+    return _result("distance-equivalence", err, err > abs_tol, f"{abs_tol:g} absolute")
 
 
 def run_all(

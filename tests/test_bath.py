@@ -14,7 +14,6 @@ from qdephase import (
     DisplacementSpec,
     DomainError,
     ModelSpec,
-    gamma,
     ground_coherent_overlap,
     profile_at,
     profile_limit,
@@ -233,8 +232,8 @@ class TestProfileAt:
             p1 = profile_at(m1, t)
             p2 = profile_at(m2, t / 2.0)
             assert p2.r == pytest.approx(2.0**0.6 * p1.r, rel=1e-12)
-            s0_1 = -0.5 * 0.2 * gamma(0.9)
-            s0_2 = -0.5 * 0.2 * gamma(0.9) * 2.0**0.9
+            s0_1 = -0.5 * 0.2 * math.gamma(0.9)
+            s0_2 = -0.5 * 0.2 * math.gamma(0.9) * 2.0**0.9
             assert p2.s - s0_2 == pytest.approx(2.0**kappa * (p1.s - s0_1), rel=1e-11)
             assert p2.phi == pytest.approx(2.0**kappa * p1.phi, rel=1e-12)
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -64,9 +65,13 @@ class TestAmplitudesAndStates:
         with pytest.raises(DomainError):
             QubitAmplitudes(1.0, 1.0)
 
-    @pytest.mark.parametrize("b_plus,b_minus", [(1e200, 0.0), (0.0, -1e200), (1e155, 1e155)])
+    @pytest.mark.parametrize(
+        "b_plus,b_minus",
+        [(1e200, 0.0), (0.0, -1e200), (1e155, 1e155), (np.array([INV_SQRT2, 1e200]), np.zeros(2))],
+    )
     def test_overflowing_norm_rejected(self, b_plus, b_minus):
-        # |b|**2 of a Python float raises OverflowError; the norm check must see inf
+        # |b|**2 of a Python float raises OverflowError and an array's warns;
+        # the norm check must see inf
         with pytest.raises(DomainError):
             QubitAmplitudes(b_plus, b_minus)
 
@@ -435,3 +440,91 @@ class TestEpsilonInvariance:
 
 def random_b():
     return QubitAmplitudes(math.sqrt(0.8), math.sqrt(0.2))
+
+
+def _stack_inputs(n, seed=23):
+    """Two lists of n random amplitudes and n factors with moduli up to the
+    roundoff band, where reduced_state rescales onto the unit disc."""
+    rng = np.random.default_rng(seed)
+    amps = [random_amplitudes(rng) for _ in range(n)]
+    amps_b = [random_amplitudes(rng) for _ in range(n)]
+    return amps, amps_b, rng.uniform(0.0, 1.0 + 5e-10, n) * np.exp(1j * rng.uniform(0.0, 7.0, n))
+
+
+class TestStacks:
+    """Stacked inputs give what per-element scalar calls give."""
+
+    AMPS, AMPS_B, FACTORS = _stack_inputs(60)
+
+    @staticmethod
+    def stacked(amps):
+        return QubitAmplitudes(np.array([a.b_plus for a in amps]), np.array([a.b_minus for a in amps]))
+
+    def test_reduced_state(self):
+        stack = reduced_state(self.stacked(self.AMPS), self.FACTORS).entries
+        assert stack.shape == (60, 2, 2)
+        for amps, factor, entries in zip(self.AMPS, self.FACTORS, stack):
+            np.testing.assert_allclose(
+                entries, reduced_state(amps, complex(factor)).entries, rtol=0.0, atol=1e-15
+            )
+
+    def test_trace_distance_is_bitwise_on_the_same_entries(self):
+        rho1 = reduced_state(self.stacked(self.AMPS), self.FACTORS)
+        rho2 = reduced_state(self.stacked(self.AMPS_B), self.FACTORS[::-1])
+        for pair in ((rho1, rho2), (rho1.entries, rho2.entries)):
+            stacked = trace_distance(*pair)
+            assert stacked.shape == (60,)
+            singles = [trace_distance(QubitDensityMatrix(a), QubitDensityMatrix(b))
+                       for a, b in zip(rho1.entries, rho2.entries)]
+            assert stacked.tolist() == singles
+
+    def test_distance_same_environment(self):
+        stacked = distance_same_environment(self.stacked(self.AMPS), self.stacked(self.AMPS_B), self.FACTORS)
+        singles = [distance_same_environment(a, b, complex(f))
+                   for a, b, f in zip(self.AMPS, self.AMPS_B, self.FACTORS)]
+        np.testing.assert_allclose(stacked, singles, rtol=0.0, atol=1e-15)
+
+    def test_scalar_calls_return_floats(self):
+        amps, amps_b = self.AMPS[0], self.AMPS_B[0]
+        rho = reduced_state(amps, 0.3j)
+        assert rho.entries.shape == (2, 2)
+        assert type(trace_distance(rho, reduced_state(amps_b, 0.3j))) is float
+        assert type(distance_same_environment(amps, amps_b, 0.3j)) is float
+
+    @pytest.mark.parametrize(
+        "bad,error,message",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], DomainError, "density matrix entries must be finite"),
+            ([[0.5, 0.2], [0.3, 0.5]], PhysicalityError, "density matrix is not Hermitian within 1e-12"),
+            ([[0.6, 0.0], [0.0, 0.5]], PhysicalityError,
+             "density matrix trace differs from 1 by more than 1e-12"),
+            ([[0.3, 0.6], [0.6, 0.7]], PhysicalityError,
+             "density matrix is not positive semidefinite (det = -1.500e-01)"),
+            # det = -1e-14 passes the PSD check, |rho01| > sqrt(rho11*rho22) = 0 does not
+            ([[1.0, 1e-7], [1e-7, 0.0]], PhysicalityError,
+             "off-diagonal element exceeds sqrt(rho11*rho22)"),
+        ],
+    )
+    @pytest.mark.parametrize("in_stack", [False, True])
+    def test_one_bad_matrix_raises_the_single_matrix_error(self, bad, error, message, in_stack):
+        valid = [[0.5, 0.5], [0.5, 0.5]]
+        entries = [valid, bad, valid] if in_stack else bad
+        with pytest.raises(error) as info:
+            QubitDensityMatrix(entries)
+        assert str(info.value) == message
+
+    def test_superunit_factor_in_a_stack_names_its_modulus(self):
+        factors = np.array([0.5, 1.0 + 1e-8, 0.2])
+        with pytest.raises(PhysicalityError, match=re.escape(f"modulus {abs(1.0 + 1e-8)!r} > 1")):
+            reduced_state(QubitAmplitudes.balanced(), factors)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+    def test_initial_state_refuses_an_array_weight_with_one_bad_element(self, bad):
+        with pytest.raises(DomainError, match=f"got {bad}"):
+            InitialStateSpec(QubitAmplitudes.balanced(), np.array([0.2, bad, 0.7]))
+
+    def test_array_amplitudes_are_checked_elementwise(self):
+        with pytest.raises(DomainError, match="got 2.0"):
+            QubitAmplitudes(np.array([INV_SQRT2, 1.0]), np.array([INV_SQRT2, 1.0]))
+        with pytest.raises(DomainError, match="non-zero amplitudes"):
+            InitialStateSpec(QubitAmplitudes(np.array([INV_SQRT2, 1.0]), np.array([INV_SQRT2, 0.0])), 0.5)

@@ -1,6 +1,7 @@
 """Gamma function, decay kernel, and quadrature primitives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,12 +13,16 @@ from qdephase import (
     KernelArgs,
     QuadratureSettings,
     decay_kernel,
-    gamma,
     kernel_by_quadrature,
     oscillatory_moment,
     total_moment,
 )
 from qdephase.numerics import SMALL_EXPONENT_LIMIT, gamma_moment
+
+
+def gamma(x):
+    """Gamma through gamma_moment(1, x, 1), which equals math.gamma(x) bit for bit."""
+    return gamma_moment(1.0, x, 1.0)
 
 
 class TestGamma:
@@ -50,10 +55,22 @@ class TestGamma:
             rhs = float(x) * gamma(float(x))
             assert abs(lhs - rhs) <= 1e-12 * lhs
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf, 172.0])
+    def test_equals_math_gamma_bitwise(self):
+        for x in np.random.default_rng(3).uniform(1e-3, 171.0, 500):
+            assert gamma(float(x)) == math.gamma(float(x))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 172.0])
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             gamma(bad)
+
+    @pytest.mark.parametrize("array", [False, True])
+    @pytest.mark.parametrize("pole", [0.0, -1.0])
+    def test_pole_is_a_domain_error_on_both_paths(self, pole, array):
+        # the float path raised a raw 'math domain error' here, the array path a DomainError
+        p = np.array([0.5, pole]) if array else pole
+        with pytest.raises(DomainError, match=r"gamma\(" + re.escape(repr(pole))):
+            gamma_moment(1.0, p, 1.0)
 
 
 def _float_path(c, p, omega_c):
@@ -157,7 +174,7 @@ class TestDecayKernel:
             c = 10.0 ** rng.uniform(-3, 0)
             p = rng.uniform(0.7, 2.0)
             wc = rng.uniform(0.5, 2.0)
-            limit = c * gamma(p) * wc**p
+            limit = c * math.gamma(p) * wc**p
             value = decay_kernel(KernelArgs(c, p, wc, 1e6 / wc))
             assert value == pytest.approx(limit, rel=1e-4)
 

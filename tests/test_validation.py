@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from qdephase import DomainError, PhysicalityError, validation
+from qdephase import DomainError, dynamics, validation
 
 
 @pytest.fixture
@@ -49,20 +50,86 @@ def test_agreement_tolerance_must_be_finite_and_positive(rel_tol):
 
 
 def test_physicality_lets_a_programming_error_surface(monkeypatch):
-    # only a library error is a physicality failure; a TypeError from a
-    # broken call is a defect and must not be counted as one
-    def broken(amps, factor):
-        raise TypeError("broken reduced_state")
+    # only a sample's own verdict is a physicality failure; a TypeError from a
+    # broken call inside the stacked route is a defect and must surface
+    def broken(rho):
+        raise TypeError("broken density check")
 
-    monkeypatch.setattr(validation, "reduced_state", broken)
-    with pytest.raises(TypeError, match="broken reduced_state"):
+    monkeypatch.setattr(validation, "_density_checks", broken)
+    with pytest.raises(TypeError, match="broken density check"):
         validation.check_physicality(3)
 
 
 def test_physicality_counts_a_library_error_as_a_failure(monkeypatch):
-    def unphysical(amps, factor):
-        raise PhysicalityError("not a density matrix")
+    # one unphysical sample among 7 is one failure: r = s = -1, phi = 0 on the
+    # first sample give |A| = ((1 - lam) e + lam) / C > 1
+    real = validation._profiles
 
-    monkeypatch.setattr(validation, "reduced_state", unphysical)
-    result = validation.check_physicality(3)
-    assert result.failures == 3 and not result.passed
+    def one_unphysical(*args):
+        r, s, phi = (np.array(x, dtype=float) for x in real(*args))
+        if args[6] == "closed_form":
+            r[0], s[0], phi[0] = -1.0, -1.0, 0.0
+        return r, s, phi
+
+    monkeypatch.setattr(validation, "_profiles", one_unphysical)
+    result = validation.check_physicality(7)
+    assert result.failures == 1 and not result.passed
+    assert result.worst > 1e-9
+
+
+SUITES = [
+    validation.check_backend_agreement,
+    validation.check_physicality,
+    validation.check_overlap_consistency,
+    validation.check_distance_equivalence,
+]
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("samples", [-3, 0, 2.5, "5", None])
+def test_sample_count_must_be_a_positive_integer(suite, samples):
+    # -3 printed 'pass -3/-3', 0 passed vacuously and 2.5 raised a raw TypeError
+    with pytest.raises(DomainError, match="sample count"):
+        suite(samples)
+
+
+ROUTE_FUNCTIONS = (
+    "coherence_factor",
+    "_reduced_entries",
+    "_density_checks",
+    "reduced_state",
+    "trace_distance",
+    "distance_same_amplitudes",
+    "distance_same_environment",
+)
+
+
+@pytest.mark.parametrize(
+    "suite,expected",
+    [
+        # reduced_state assembles its stack with _reduced_entries and checks it with _density_checks
+        (validation.check_physicality,
+         {"coherence_factor": 1, "_reduced_entries": 1, "_density_checks": 1}),
+        (validation.check_overlap_consistency, {}),
+        (validation.check_distance_equivalence,
+         {"coherence_factor": 1, "_reduced_entries": 1, "_density_checks": 1, "reduced_state": 1,
+          "trace_distance": 1, "distance_same_amplitudes": 1, "distance_same_environment": 1}),
+    ],
+)
+@pytest.mark.parametrize("samples", [1, 9])
+def test_one_call_per_route_whatever_the_sample_count(monkeypatch, suite, expected, samples):
+    calls = dict.fromkeys(ROUTE_FUNCTIONS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ROUTE_FUNCTIONS:
+        # patch both modules: reduced_state looks its helpers up in dynamics
+        for module in (validation, dynamics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(dynamics, name)))
+    assert suite(samples).passed
+    assert {k: v for k, v in calls.items() if v} == expected

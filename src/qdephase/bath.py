@@ -25,15 +25,18 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import (
+    _KERNEL,
+    _SINE,
     KernelArgs,
     QuadratureSettings,
     _closed_kernel,
+    _de_integral,
+    _first_failing,
+    _part,
     _time_terms,
+    _total_part,
     all_true,
     gamma_moment,
-    kernel_by_quadrature,
-    oscillatory_moment,
-    total_moment,
 )
 
 __all__ = [
@@ -143,21 +146,28 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
 def _profiles(alpha, mu, omega_c, gamma_coef, nu, t, backend: Backend, settings=None):
     """``(r, s, phi)`` elementwise over broadcastable times and parameters of
     valid ModelSpecs: floats for one model, or arrays, e.g. one value per
-    (model, t) sample."""
+    (model, t) sample.
+
+    The quadrature backend evaluates one DE table (see numerics): the r
+    kernel, the s kernel, the total moment of s(0) and the phi sine moment
+    as its parts, each with one row per time (the total moment: per model),
+    so 3N + 1 rows for one model at N times > 0.  The rows run through one
+    level loop, in blocks of ``numerics._BLOCK``.
+    """
     if backend not in ("closed_form", "quadrature"):
         raise DomainError(f"unknown backend {backend!r}")
     # the r row's parameters are a valid BathSpec's: only the s row and t need checks
     s_args = KernelArgs(np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu), omega_c, t)
     if backend == "quadrature":
-        r = np.maximum(4.0 * kernel_by_quadrature(KernelArgs(alpha, mu, omega_c, t), settings), 0.0)
-        s = (
-            2.0 * kernel_by_quadrature(s_args, settings)
-            - 0.5 * total_moment(gamma_coef, nu, omega_c, settings)
+        r, s_kernel, total, phi = _de_integral(
+            [_part(_KERNEL, KernelArgs(alpha, mu, omega_c, t)), _part(_KERNEL, s_args),
+             _total_part(gamma_coef, nu, omega_c), _part(_SINE, s_args)],
+            settings,
         )
-        return r, s, oscillatory_moment(s_args.c, s_args.p, omega_c, t, "sin", settings)
-    if not all_true(mu >= 0.0):
+        return np.maximum(4.0 * r, 0.0), 2.0 * s_kernel - 0.5 * total, phi
+    if not all_true(ok := mu >= 0.0):
         raise DomainError(
-            f"closed-form backend needs mu >= 0, got mu={mu}; "
+            f"closed-form backend needs mu >= 0, got mu={_first_failing(mu, ok)}; "
             "use backend='quadrature' for mu in (-1, 0)"
         )
     terms = _time_terms(omega_c, t)

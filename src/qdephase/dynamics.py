@@ -27,7 +27,7 @@ import numpy as np
 
 from .bath import DecoherenceProfile
 from .errors import DomainError, PhysicalityError
-from .numerics import all_true
+from .numerics import _first_failing, all_true
 
 __all__ = [
     "QubitAmplitudes",
@@ -167,12 +167,6 @@ class PairWeights:
     b: float | np.ndarray
 
 
-def _first_failing(values, ok):
-    """The first element of ``values`` where the mask ``ok`` is false, as a
-    Python scalar: one value for a message, whatever the shape."""
-    return np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0].item()
-
-
 def _check_unit(name: str, x) -> None:
     if not all_true(ok := (x >= 0.0) & (x <= 1.0)):
         raise DomainError(f"{name} must lie in [0, 1], got {_first_failing(x, ok)}")
@@ -226,8 +220,10 @@ def coherence_factor(
     t = np.where(np.isinf(profile.t), 0.0, profile.t)
     with np.errstate(over="ignore"):
         angle = 2.0 * epsilon * t
-    if not all_true(np.isfinite(angle)):
-        raise DomainError(f"free phase 2*epsilon*t overflows a double (epsilon={epsilon})")
+    if not all_true(ok := np.isfinite(angle)):
+        raise DomainError(
+            f"free phase 2*epsilon*t overflows a double (epsilon={_first_failing(epsilon, ok)})"
+        )
     return np.exp(-1.0j * angle) * unphased_coherence_factor(state, profile, overlap)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -95,12 +95,12 @@ class KernelArgs:
     t: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not all_true((self.c >= 0.0) & (self.c < math.inf)):
-            raise DomainError(f"kernel prefactor c must be >= 0, got {self.c}")
-        if not all_true((self.p > -1.0) & (self.p < math.inf)):
-            raise DomainError(f"kernel exponent p must be > -1, got {self.p}")
-        if not all_true((self.omega_c > 0.0) & (self.omega_c < math.inf)):
-            raise DomainError(f"omega_c must be positive, got {self.omega_c}")
+        if not all_true(ok := (self.c >= 0.0) & (self.c < math.inf)):
+            raise DomainError(f"kernel prefactor c must be >= 0, got {_first_failing(self.c, ok)}")
+        if not all_true(ok := (self.p > -1.0) & (self.p < math.inf)):
+            raise DomainError(f"kernel exponent p must be > -1, got {_first_failing(self.p, ok)}")
+        if not all_true(ok := (self.omega_c > 0.0) & (self.omega_c < math.inf)):
+            raise DomainError(f"omega_c must be positive, got {_first_failing(self.omega_c, ok)}")
         times = np.asarray(self.t, dtype=float)
         # a quotient, not max(1, omega_c) * t, which can overflow
         if not all_true(
@@ -115,6 +115,12 @@ class KernelArgs:
 def all_true(mask) -> bool:
     """Every element of a boolean array or scalar is true (scalars skip numpy)."""
     return bool(mask.all()) if getattr(mask, "ndim", 0) else bool(mask)
+
+
+def _first_failing(values, ok):
+    """The first element of ``values`` where the mask ``ok`` is false, as a
+    Python scalar: one value for a message, whatever the shape."""
+    return np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)][0].item()
 
 
 def _gamma_and_power(p: float, omega_c: float) -> tuple[float, float]:
@@ -176,9 +182,9 @@ def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     ``(c/2) * log(1 + x^2)`` is returned.  Strictly negative exponents are
     refused here; ``kernel_by_quadrature`` serves that regime.
     """
-    if not all_true(args.p >= 0.0):
+    if not all_true(ok := args.p >= 0.0):
         raise DomainError(
-            f"closed-form kernel needs p >= 0, got p={args.p}; "
+            f"closed-form kernel needs p >= 0, got p={_first_failing(args.p, ok)}; "
             "use kernel_by_quadrature for p in (-1, 0)"
         )
     return _closed_kernel(args.c, args.p, args.omega_c, _time_terms(args.omega_c, args.t))
@@ -222,9 +228,31 @@ def _closed_kernel(c, p, omega_c, terms, sine=False):
 #             Fourier-type integrals (J. Comput. Appl. Math. 112 (1999) 229).
 #
 # delta sits on a zero of the trig factor, so every oscillatory tail is the
-# same sine integral.  The rules run on [times x nodes] arrays and share one
-# level-halving loop and one convergence gate; each time leaves the loop at
-# its own level, so its value does not depend on the other times.
+# same sine integral.  An _Integral is one kind of quantity: its split, head
+# and tails.  A part is one kind over broadcast arguments, with one row per
+# element at t > 0 and c != 0.  _de_integral evaluates a table of parts on
+# [rows x nodes] arrays, its rows stacked as
+#
+#   [ envelope only (total moment) | envelope + sine (kernels) | sine only ]
+#
+# so that each part, the envelope rows and the sine rows are contiguous
+# slices, and stay so as converged rows leave in order.  The node tables, the
+# level-halving loop, the convergence gate and the error report are shared;
+# a smooth factor or a power runs once per run of adjacent parts that share
+# it.  A part whose parameters are floats keeps its exponents floats, so
+# numpy's fast paths for float exponents (v ** 2.0 is v * v) give the bits of
+# a one-part call.  Each row leaves the loop at its own level, so its value
+# does not depend on the other rows, and the table runs in equal blocks of at
+# most _BLOCK rows, which bound the [rows x nodes] temporaries of long arrays.
+
+# Rows of a DE table that go through the level loop together.
+_BLOCK = 128
+
+# Fields of a DE table, one value per row each: the row's time, split point
+# and arguments; what the head, envelope and sine take from them at every
+# level; and the exponents of a part whose parameters are arrays.
+(_T, _DELTA, _C, _WC, _P, _HEAD_SHIFT, _TAIL_SHIFT, _HEAD_FACTOR, _TAIL_FACTOR, _TAIL_EXPONENT,
+ _SINE_FACTOR, _HEAD_POWER, _NODE_POWER, _SINE_POWER, _FIELDS) = range(15)
 
 
 @cache
@@ -249,9 +277,16 @@ def _unit_nodes(level: int, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the integrand of that row has its scale.
     """
     z, dz = _tanh_sinh(level)
-    ez = np.exp(shift - z)
-    v = 1.0 / (1.0 + ez)
-    return v, dz * ez * v * v
+    # in place: the [rows x nodes] temporaries of a table are its largest
+    # allocations; the weights are dz * e**(shift - z) * v * v
+    ez = shift - z
+    np.exp(ez, out=ez)
+    v = 1.0 + ez
+    np.divide(1.0, v, out=v)
+    ez *= dz
+    ez *= v
+    ez *= v
+    return v, ez
 
 
 @cache
@@ -286,105 +321,268 @@ def _ooura_mori(level: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(m * phi[keep], weight[keep])
 
 
-def _de_integral(
-    what: str, c, p, omega_c, t: np.ndarray, delta: np.ndarray, q_offset: float,
-    g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    envelope_tail: bool, sine_sign: float, settings: QuadratureSettings | None,
-) -> np.ndarray:
-    """``c * (head + [envelope] + sine_sign * sine)`` for 1-D ``t`` and ``delta``.
+class _Integral(NamedTuple):
+    """One kind of DE integral: its name, the split point ``split(t,
+    omega_c)``, the head exponent ``q = p + q_offset`` and smooth factor
+    ``g(e, w, t)`` given ``e = exp(-w/omega_c)``, whether it has the envelope
+    tail, and the sign of its sine tail (0 for none)."""
 
-    ``c``, ``p`` and ``omega_c`` are floats, or all three hold one value per
-    row (time).  The head exponent is ``q = p + q_offset`` and ``g(w, t,
-    omega_c)`` its smooth factor.  Every level halves the step of all rules;
-    a row is done once two successive levels agree to within
-    ``max(abs_tol, rel_tol * |value|)``.
-    """
-    s = settings if settings is not None else QuadratureSettings()
-    rows = np.arange(len(t))
-    tc, dc = t[:, None], delta[:, None]
-    # per-row values become columns of the [rows x nodes] arrays; floats stay
-    # floats, so numpy's fast paths for float exponents (v ** 2.0 is v * v)
-    # keep the bits of a one-model call
-    per_row = isinstance(p, np.ndarray)
-    c, p, wc = (c[:, None], p[:, None], omega_c[:, None]) if per_row else (c, p, omega_c)
-    q = p + q_offset
-    r = np.minimum(q, 1.0) if per_row else min(q, 1.0)
+    what: str
+    split: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    q_offset: float
+    g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    envelope: bool
+    sine_sign: float
+
+
+# With delta = pi/(2t), the kernel is the head of w**(p+1) * (1 - cos(w t))/w**2
+# on [0, delta], plus the envelope tail, minus the cosine tail, which equals
+# plus the Ooura-Mori sine integral.
+_KERNEL = _Integral(
+    "kernel quadrature", lambda t, _: 0.5 * math.pi / t, 2.0,
+    lambda e, w, tc: e * 2.0 * (np.sin(0.5 * w * tc) / w) ** 2, True, 1.0,
+)
+# one power of w goes into sin(w t)/w = t*sinc(w t/pi), which is smooth
+_SINE = _Integral(
+    "sine moment", lambda t, _: math.pi / t, 1.0,
+    lambda e, w, tc: e * tc * np.sinc(w * tc / math.pi), False, -1.0,
+)
+_COSINE = _Integral(
+    "cosine moment", lambda t, _: 0.5 * math.pi / t, 0.0,
+    lambda e, w, tc: e * np.cos(w * tc), False, -1.0,
+)
+# no trig factor: any t > 0 will do, and the split is at omega_c
+_TOTAL = _Integral(
+    "total moment", lambda t, wc: np.full_like(t, wc), 0.0, lambda e, w, tc: e, True, 0.0
+)
+
+
+def _part(integral: _Integral, args: KernelArgs, zero_value=0.0) -> tuple:
+    """A part of a DE table: ``integral`` over the broadcast ``args``, and its
+    value at t = 0 or c = 0.  Exponents above MAX_EXPONENT are a DomainError."""
+    if not all_true(ok := args.p <= MAX_EXPONENT):
+        raise DomainError(
+            f"quadrature exponent p must be <= {MAX_EXPONENT:g}, got p={_first_failing(args.p, ok)}"
+        )
+    return integral, args, zero_value
+
+
+def _de_table(pieces: list, bounds: list[int]) -> tuple[np.ndarray, list]:
+    """The ``[_FIELDS x rows x 1]`` table of the pieces, whose rows start at
+    ``bounds``, and each piece's float exponents ``(q/r - 1, 1/r, p - 1)``, or
+    None where its rows hold them."""
+    table = np.zeros((_FIELDS, bounds[-1]))
+    powers = []
+    for (integral, _, _, t, c, p, wc), a, b in zip(pieces, bounds, bounds[1:]):
+        per_row = isinstance(p, np.ndarray)
+        q = p + integral.q_offset
+        r = np.minimum(q, 1.0) if per_row else min(q, 1.0)
+        power = (q / r - 1.0, 1.0 / r, p - 1.0)
+        powers.append(None if per_row else power)
+        rows = table[:, a:b]
+        if per_row:
+            rows[_HEAD_POWER], rows[_NODE_POWER], rows[_SINE_POWER] = power
+        delta = integral.split(t, wc)
+        rows[_T], rows[_DELTA], rows[_C], rows[_WC], rows[_P] = t, delta, c, wc, p
+        # r is held in the head shift until the log below
+        rows[_HEAD_SHIFT], rows[_HEAD_FACTOR] = r, delta ** q / r
+        if integral.envelope:
+            rows[_TAIL_FACTOR] = delta ** p
+        if integral.sine_sign:
+            rows[_SINE_FACTOR] = integral.sine_sign / t
     # centre the head where w = delta*v**(1/r) reaches omega_c when delta is
     # larger, the envelope tail where w = delta/v does (clipped so that
     # e**(shift - z) stays finite)
-    head_shift = np.minimum(r * np.log1p(dc / wc), 650.0)
-    tail_shift = np.minimum(np.log(wc / dc), 650.0)
-    out = np.empty(len(t))
-    prev = np.full(len(t), np.nan)
-    for level in range(_LEVELS):
-        v, dv = _unit_nodes(level, head_shift)
-        head = (v ** (q / r - 1.0) * g(dc * v ** (1.0 / r), tc, wc) * dv).sum(1, keepdims=True)
-        value = dc ** q / r * head
-        if envelope_tail:
-            v, dv = _unit_nodes(level, tail_shift)
-            tail = (np.exp(-(p + 1.0) * np.log(v) - dc / (wc * v)) * dv).sum(1, keepdims=True)
-            value += dc ** p * tail
-        if sine_sign:
-            y, dy = _ooura_mori(level)
-            w = dc + y / tc
-            value += sine_sign / tc * (w ** (p - 1.0) * np.exp(-w / wc) * dy).sum(1, keepdims=True)
-        value = (value * c)[:, 0]
-        gap = np.abs(value - prev)
-        tol = np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
-        done = gap <= tol
-        out[rows[done]] = value[done]
-        if done.all():
-            return out
-        more = ~done
-        rows, prev, gap, tol = rows[more], value[more], gap[more], tol[more]
-        tc, dc, head_shift, tail_shift = tc[more], dc[more], head_shift[more], tail_shift[more]
-        if per_row:
-            c, p, wc, q, r = c[more], p[more], wc[more], q[more], r[more]
-    worst = int(np.argmax(gap / tol))
-    p = p[worst, 0] if per_row else p
-    raise ConvergenceError(
-        f"{what} (p={p}, t={t[rows[worst]]}) did not converge: "
-        f"level gap {gap[worst]:.3e} > {tol[worst]:.3e}"
+    delta, wc, p = table[_DELTA], table[_WC], table[_P]
+    table[_HEAD_SHIFT] = np.minimum(table[_HEAD_SHIFT] * np.log1p(delta / wc), 650.0)
+    env = slice(0, bounds[sum(piece[0].envelope for piece in pieces)])
+    table[_TAIL_SHIFT, env] = np.minimum(np.log(wc[env] / delta[env]), 650.0)
+    table[_TAIL_EXPONENT, env] = -(p[env] + 1.0)
+    return table[:, :, None], powers
+
+
+def _runs(spans: list, key: Callable) -> list:
+    """``(rows, key(span))`` over the spans, adjacent ones merged where their
+    key is one value that is not None."""
+    runs = []
+    for span in spans:
+        k = key(span)
+        if runs and k is not None and runs[-1][1] == k:
+            runs[-1] = (slice(runs[-1][0].start, span[0].stop), k)
+        else:
+            runs.append((span[0], k))
+    return runs
+
+
+class _Layout(NamedTuple):
+    """Where the pieces of a block's rows sit: the runs of rows that share a
+    float node, head or sine exponent (None: the rows hold theirs) or a smooth
+    factor, and the envelope and sine rows.  Sine runs count from the first
+    sine row."""
+
+    node: list
+    head: list
+    g: list
+    envelope: slice
+    sine: slice
+    sine_power: list
+
+
+def _layout(pieces: list, powers: list, starts: list, n_envelope: int, n_sine_free: int) -> _Layout:
+    """The layout of rows whose pieces start at ``starts``."""
+    spans = [(slice(a, b), integral.g, power)
+             for (integral, *_), a, b, power in zip(pieces, starts, starts[1:], powers) if a < b]
+    sine = slice(starts[n_sine_free], starts[-1])
+    sine_spans = [(slice(i.start - sine.start, i.stop - sine.start), g, power)
+                  for i, g, power in spans if i.stop > sine.start]
+    return _Layout(
+        _runs(spans, lambda span: span[2] and span[2][1]),
+        _runs(spans, lambda span: span[2] and span[2][0]),
+        _runs(spans, lambda span: span[1]),
+        slice(0, starts[n_envelope]), sine,
+        _runs(sine_spans, lambda span: span[2] and span[2][2]),
     )
 
 
-def _moment(
-    what: str, args: KernelArgs, settings: QuadratureSettings | None,
-    delta: Callable[[np.ndarray, np.ndarray], np.ndarray], q_offset: float,
-    g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    envelope_tail: bool, sine_sign: float, zero_value=0.0,
-) -> float | np.ndarray:
-    """Shared driver over the broadcast arguments: ``zero_value`` at t = 0,
-    the DE sum split at ``delta(t, omega_c)`` at every t > 0 with c != 0,
-    one row per element.  Exponents above MAX_EXPONENT are a DomainError."""
-    if not all_true(args.p <= MAX_EXPONENT):
-        raise DomainError(f"quadrature exponent p must be <= {MAX_EXPONENT:g}, got p={args.p}")
-    times = np.asarray(args.t, dtype=float)
-    params = (args.c, args.p, args.omega_c)
-    if any(isinstance(x, np.ndarray) for x in params):
-        times, *params = np.broadcast_arrays(times, *params)
-    on = (times > 0.0) & (params[0] != 0.0)
-    out = np.full(times.shape, zero_value)
-    if on.any():
-        t = times[on]
-        c, p, wc = (x[on] if isinstance(x, np.ndarray) else x for x in params)
-        out[on] = _de_integral(
-            what, c, p, wc, t, delta(t, wc), q_offset, g, envelope_tail, sine_sign, settings
-        )
-    return out[()]
+def _powers(base: np.ndarray, m: np.ndarray, runs: list, field: int) -> np.ndarray:
+    """``base ** exponent`` row by row, one call per run: its float exponent,
+    or its rows' ``field``."""
+    out = np.empty_like(base)
+    for i, exponent in runs:
+        np.power(base[i], m[field, i] if exponent is None else exponent, out=out[i])
+    return out
+
+
+def _head_sums(level: int, m: np.ndarray, layout: _Layout) -> np.ndarray:
+    """The head sums of the table rows ``m``."""
+    v, dv = _unit_nodes(level, m[_HEAD_SHIFT])
+    w = _powers(v, m, layout.node, _NODE_POWER)
+    f = _powers(v, m, layout.head, _HEAD_POWER)
+    w *= m[_DELTA]
+    e = np.negative(w)
+    e /= m[_WC]
+    np.exp(e, out=e)
+    for i, g in layout.g:
+        f[i] *= g(e[i], w[i], m[_T, i])
+    f *= dv
+    return f.sum(1, keepdims=True)
+
+
+def _envelope_sums(level: int, m: np.ndarray) -> np.ndarray:
+    """The envelope tail sums of the table rows ``m``: the tanh-sinh sum of
+    ``e**(-(p+1) log v - delta/(omega_c v))``."""
+    v, dv = _unit_nodes(level, m[_TAIL_SHIFT])
+    x = np.log(v)
+    x *= m[_TAIL_EXPONENT]
+    v *= m[_WC]
+    np.divide(m[_DELTA], v, out=v)
+    x -= v
+    np.exp(x, out=x)
+    x *= dv
+    return x.sum(1, keepdims=True)
+
+
+def _sine_sums(level: int, m: np.ndarray, runs: list) -> np.ndarray:
+    """The Ooura-Mori sums of ``F(delta + y/t)`` over the table rows ``m``;
+    ``runs`` as the layout's sine_power."""
+    y, dy = _ooura_mori(level)
+    w = y / m[_T]
+    w += m[_DELTA]
+    f = _powers(w, m, runs, _SINE_POWER)
+    np.negative(w, out=w)
+    w /= m[_WC]
+    np.exp(w, out=w)
+    f *= w
+    f *= dy
+    return f.sum(1, keepdims=True)
+
+
+def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> list:
+    """Every part's ``c * (head + [envelope] + sine_sign * sine)``, elementwise
+    over its broadcast arguments, from one table of rows.
+
+    Every level halves the step of all rules; a row is done once two
+    successive levels agree to within ``max(abs_tol, rel_tol * |value|)``.
+    The ConvergenceError of rows that never do names the one furthest from
+    its tolerance.
+    """
+    s = settings if settings is not None else QuadratureSettings()
+    outs, pieces = [], []
+    for integral, args, zero_value in parts:
+        times = np.asarray(args.t, dtype=float)
+        params = (args.c, args.p, args.omega_c)
+        if any(isinstance(x, np.ndarray) for x in params):
+            times, *params = np.broadcast_arrays(times, *params)
+        on = (times > 0.0) & (params[0] != 0.0)
+        outs.append(np.full(times.shape, zero_value))
+        if on.any():
+            c, p, wc = (x[on] if isinstance(x, np.ndarray) else x for x in params)
+            pieces.append((integral, outs[-1], on, times[on], c, p, wc))
+    # envelope only, envelope + sine, sine only
+    pieces.sort(key=lambda piece: bool(piece[0].sine_sign) - piece[0].envelope)
+    bounds = [0]
+    for piece in pieces:
+        bounds.append(bounds[-1] + len(piece[3]))
+    table, powers = _de_table(pieces, bounds)
+    n_envelope = sum(piece[0].envelope for piece in pieces)
+    n_sine_free = sum(not piece[0].sine_sign for piece in pieces)
+    values = np.empty(bounds[-1])
+    failures = []
+    # the fewest blocks of at most _BLOCK rows, all of one size
+    n_blocks = -(-bounds[-1] // _BLOCK)
+    size = -(-bounds[-1] // n_blocks) if n_blocks else 1
+    for first in range(0, bounds[-1], size):
+        m = table[:, first:first + size]
+        rows = np.arange(first, first + m.shape[1])
+        layout = _layout(pieces, powers, np.searchsorted(rows, bounds).tolist(), n_envelope,
+                         n_sine_free)
+        value = np.full(len(rows), np.nan)
+        for level in range(_LEVELS):
+            prev = value
+            value = m[_HEAD_FACTOR] * _head_sums(level, m, layout)
+            env, sine = layout.envelope, layout.sine
+            if env.stop:
+                value[env] += m[_TAIL_FACTOR, env] * _envelope_sums(level, m[:, env])
+            if sine.start < sine.stop:
+                value[sine] += m[_SINE_FACTOR, sine] * _sine_sums(level, m[:, sine], layout.sine_power)
+            value = (value * m[_C])[:, 0]
+            gap = np.abs(value - prev)
+            tol = np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
+            done = gap <= tol
+            if done.any():
+                values[rows[done]] = value[done]
+                if done.all():
+                    break
+                more = ~done
+                m, rows, value, gap, tol = m[:, more], rows[more], value[more], gap[more], tol[more]
+                layout = _layout(pieces, powers, np.searchsorted(rows, bounds).tolist(),
+                                 n_envelope, n_sine_free)
+        else:
+            worst = int(np.argmax(gap / tol))
+            what = pieces[int(np.searchsorted(bounds, rows[worst], "right")) - 1][0].what
+            failures.append((gap[worst] / tol[worst], (
+                f"{what} (p={m[_P, worst, 0]}, t={m[_T, worst, 0]}) did not converge: "
+                f"level gap {gap[worst]:.3e} > {tol[worst]:.3e}"
+            )))
+    if failures:
+        raise ConvergenceError(failures[int(np.argmax([ratio for ratio, _ in failures]))][1])
+    for (_, out, on, *_), a, b in zip(pieces, bounds, bounds[1:]):
+        out[on] = values[a:b]
+    return [out[()] for out in outs]
+
+
+def _total_part(c, p, omega_c) -> tuple:
+    """The total moment as a table part (p > 0)."""
+    if not all_true(ok := p > 0.0):
+        raise DomainError(f"total moment diverges for p <= 0, got p={_first_failing(p, ok)}")
+    # the least t > 0, which no omega_c takes out of range
+    return _part(_TOTAL, KernelArgs(c, p, omega_c, math.ulp(0.0)))
 
 
 def total_moment(c, p, omega_c, settings: QuadratureSettings | None = None):
     """``c * Int_0^inf w**(p-1) e**(-w/omega_c) dw`` by quadrature (p > 0),
     elementwise over broadcastable arguments."""
-    if not all_true(p > 0.0):
-        raise DomainError(f"total moment diverges for p <= 0, got p={p}")
-    # no trig factor: any t > 0 will do (the least, which no omega_c takes out
-    # of range), and the split is at omega_c
-    return _moment(
-        "total moment", KernelArgs(c, p, omega_c, math.ulp(0.0)), settings,
-        lambda t, wc: np.full_like(t, wc), 0.0, lambda w, _, wc: np.exp(-w / wc), True, 0.0,
-    )
+    return _de_integral([_total_part(c, p, omega_c)], settings)[0]
 
 
 def oscillatory_moment(
@@ -405,18 +603,11 @@ def oscillatory_moment(
         raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
     args = KernelArgs(c, p, omega_c, t)
     if kind == "sin":
-        # one power of w goes into sin(w t)/w = t*sinc(w t/pi), which is smooth
-        return _moment(
-            "sine moment", args, settings, lambda t, _: math.pi / t, 1.0,
-            lambda w, tc, wc: np.exp(-w / wc) * tc * np.sinc(w * tc / math.pi), False, -1.0,
-        )
-    if not all_true(p > 0.0):
-        raise DomainError(f"cosine moment diverges for p <= 0, got p={p}")
+        return _de_integral([_part(_SINE, args)], settings)[0]
+    if not all_true(ok := p > 0.0):
+        raise DomainError(f"cosine moment diverges for p <= 0, got p={_first_failing(p, ok)}")
     total = total_moment(c, p, omega_c, settings) if np.any(np.asarray(t) == 0.0) else 0.0
-    return _moment(
-        "cosine moment", args, settings, lambda t, _: 0.5 * math.pi / t, 0.0,
-        lambda w, tc, wc: np.exp(-w / wc) * np.cos(w * tc), False, -1.0, total,
-    )
+    return _de_integral([_part(_COSINE, args, total)], settings)[0]
 
 
 def kernel_by_quadrature(
@@ -426,13 +617,6 @@ def kernel_by_quadrature(
 
     Serves as the independent oracle for ``decay_kernel`` and as the
     computational route for exponents in (-1, 0] where the closed form
-    does not apply.  Elementwise over the broadcast arguments.  With
-    delta = pi/(2t), the kernel is the head of ``w**(p+1) *
-    (1 - cos(w t))/w**2`` on [0, delta], plus the envelope tail, minus the
-    cosine tail, which equals plus the Ooura-Mori sine integral.
+    does not apply.  Elementwise over the broadcast arguments.
     """
-    return _moment(
-        "kernel quadrature", args, settings, lambda t, _: 0.5 * math.pi / t, 2.0,
-        lambda w, tc, wc: np.exp(-w / wc) * 2.0 * (np.sin(0.5 * w * tc) / w) ** 2,
-        True, 1.0,
-    )
+    return _de_integral([_part(_KERNEL, args)], settings)[0]

@@ -1,6 +1,7 @@
 """Parameter records, decoherence profiles, and backend agreement."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +12,20 @@ from hypothesis import strategies as st
 import oracles
 from qdephase import (
     BathSpec,
+    ConvergenceError,
     DisplacementSpec,
     DomainError,
+    KernelArgs,
     ModelSpec,
+    QuadratureSettings,
+    bath,
     ground_coherent_overlap,
+    kernel_by_quadrature,
+    oscillatory_moment,
     profile_at,
     profile_limit,
+    total_moment,
+    validation,
 )
 from qdephase.bath import _profiles
 
@@ -268,6 +277,26 @@ class TestProfileAt:
             point = profile_at(benchmark_model, float(t), backend="quadrature")
             assert (whole.r[i], whole.s[i], whole.phi[i]) == (point.r, point.s, point.phi)
 
+    @pytest.mark.parametrize(
+        "mu,gamma_coef,nu", [(-0.6, 0.3, 0.9), (1.0, 0.0, 2.0), (2.0, 0.4, 0.5)]
+    )
+    def test_quadrature_time_array_matches_single_times_over_models(self, mu, gamma_coef, nu):
+        model = ModelSpec(1.0, BathSpec(0.01, mu, 1.3), DisplacementSpec(gamma_coef, nu))
+        times = np.array([0.0, 1e-3, 0.5, 7.0, 300.0, 1e4])
+        whole = profile_at(model, times, backend="quadrature")
+        for i, t in enumerate(times):
+            point = profile_at(model, float(t), backend="quadrature")
+            assert (whole.r[i], whole.s[i], whole.phi[i]) == (point.r, point.s, point.phi)
+
+    @pytest.mark.parametrize("mu", [-0.5, np.array([0.5, -0.5, 1.0])])
+    def test_closed_form_names_the_first_negative_mu(self, mu):
+        with pytest.raises(DomainError) as raised:
+            _profiles(0.1, mu, 1.0, 0.1, 0.8, 1.0, "closed_form")
+        assert str(raised.value) == (
+            "closed-form backend needs mu >= 0, got mu=-0.5; "
+            "use backend='quadrature' for mu in (-1, 0)"
+        )
+
     def test_time_array_validation(self, benchmark_model):
         with pytest.raises(DomainError):
             profile_at(benchmark_model, np.array([0.0, 1.0, -1.0]))
@@ -310,6 +339,100 @@ class TestBatchedProfiles:
                     # in 40% of the draws, at most 5.1e-7 of the quadrature
                     # tolerance over 41000 values
                     assert abs(got - want) <= 1e-5 * max(1e-10, 1e-8 * abs(want))
+
+
+# exponents with numpy's fast paths for float powers (v ** 2.0 is v * v)
+# among the draws
+_MU = st.one_of(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0]), _uniform(-0.95, 2.0))
+_NU = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), _uniform(1e-3, 2.0))
+_TIMES = st.lists(
+    st.one_of(st.just(0.0), _uniform(-3.0, 3.0).map(lambda e: 10.0**e)), min_size=1, max_size=6
+)
+
+
+class TestQuadratureTable:
+    """The quadrature backend evaluates a profile as one DE table: the r
+    kernel, the s kernel, the total moment of s(0) and the phi sine moment."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The number of parts of every DE table the bath layer evaluates."""
+        calls = []
+        real = bath._de_integral
+
+        def counted(parts, settings):
+            calls.append(len(parts))
+            return real(parts, settings)
+
+        monkeypatch.setattr(bath, "_de_integral", counted)
+        return calls
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=_uniform(-4.0, 0.0).map(lambda e: 10.0**e), mu=_MU, omega_c=_uniform(0.5, 2.0),
+        gamma_coef=st.one_of(st.just(0.0), _uniform(-4.0, 0.0).map(lambda e: 10.0**e)), nu=_NU,
+        times=_TIMES,
+    )
+    def test_equals_the_moments_one_at_a_time(self, alpha, mu, omega_c, gamma_coef, nu, times):
+        model = ModelSpec(0.0, BathSpec(alpha, mu, omega_c), DisplacementSpec(gamma_coef, nu))
+        t = np.array(times)
+        profile = profile_at(model, t, backend="quadrature")
+        c, kappa = np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu)
+        r = np.maximum(4.0 * kernel_by_quadrature(KernelArgs(alpha, mu, omega_c, t)), 0.0)
+        s = (2.0 * kernel_by_quadrature(KernelArgs(c, kappa, omega_c, t))
+             - 0.5 * total_moment(gamma_coef, nu, omega_c))
+        phi = oscillatory_moment(c, kappa, omega_c, t, "sin")
+        for got, want in ((profile.r, r), (profile.s, s), (profile.phi, phi)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_table_per_profile(self, benchmark_model, tables):
+        profile_at(benchmark_model, np.geomspace(1e-2, 1e3, 8), backend="quadrature")
+        profile_at(benchmark_model, 2.0, backend="quadrature")
+        profile_at(benchmark_model, np.geomspace(1e-2, 1e3, 8))
+        assert tables == [4, 4]
+
+    @pytest.mark.parametrize(
+        "suite", [validation.check_backend_agreement, validation.check_physicality]
+    )
+    def test_one_table_per_suite(self, tables, suite):
+        assert suite(9).passed
+        assert tables == [4]
+
+    def test_unmet_tolerance_names_the_worst_row(self):
+        alpha, mu, gamma_coef, nu = 0.3, -0.2, 0.3, 0.4
+        model = ModelSpec(1.0, BathSpec(alpha, mu, 1.0), DisplacementSpec(gamma_coef, nu))
+        t = np.array([1.0, 7.0, 100.0])
+        harsh = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(ConvergenceError) as raised:
+            profile_at(model, t, backend="quadrature", settings=harsh)
+        c, kappa = math.sqrt(alpha * gamma_coef), 0.5 * (mu + nu)
+        alone = []
+        for moment in (
+            lambda: kernel_by_quadrature(KernelArgs(alpha, mu, 1.0, t), harsh),
+            lambda: kernel_by_quadrature(KernelArgs(c, kappa, 1.0, t), harsh),
+            lambda: total_moment(gamma_coef, nu, 1.0, harsh),
+            lambda: oscillatory_moment(c, kappa, 1.0, t, "sin", harsh),
+        ):
+            try:
+                moment()
+            except ConvergenceError as error:
+                alone.append(str(error))
+
+        def ratio(message):
+            gap, tol = re.search(r"level gap (\S+) > (\S+)$", message).groups()
+            return float(gap) / float(tol)
+
+        # both kernels fail too, but the sine moment is furthest from its tolerance
+        assert len(alone) == 3 and str(raised.value) == max(alone, key=ratio)
+        assert str(raised.value).startswith("sine moment (p=0.1, t=")
+
+    @pytest.mark.parametrize("mu,nu", [(45.0, 0.5), (0.5, 45.0)])
+    def test_exponent_refused_before_any_quadrature(self, tables, mu, nu):
+        model = ModelSpec(1.0, BathSpec(0.01, mu, 1.0), DisplacementSpec(0.05, nu))
+        harsh = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(DomainError, match="quadrature exponent p must be <= 40"):
+            profile_at(model, np.array([0.5, 3.0]), backend="quadrature", settings=harsh)
+        assert tables == []
 
 
 class TestProfileLimit:

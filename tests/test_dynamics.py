@@ -180,6 +180,16 @@ class TestCoherenceFactor:
         with pytest.raises(DomainError, match="overflows"):
             coherence_factor(state, profile, 1e305, overlap)
 
+    @pytest.mark.parametrize("epsilon", [1e305, np.array([1.0, 1e305, 2.0])])
+    def test_overflowing_free_phase_names_the_epsilon(self, benchmark_model, epsilon):
+        overlap = ground_coherent_overlap(benchmark_model.displacement, 1.0)
+        state = InitialStateSpec(QubitAmplitudes.balanced(), 0.25)
+        profile = profile_at(benchmark_model, np.array([1.0, 1e4, 2.0]))
+        with pytest.raises(DomainError) as raised:
+            coherence_factor(state, profile, epsilon, overlap)
+        # an array epsilon is named by its first element that overflows
+        assert str(raised.value) == "free phase 2*epsilon*t overflows a double (epsilon=1e+305)"
+
     def test_t0_factor_real_and_unit_only_when_uncorrelated(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

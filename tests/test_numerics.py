@@ -193,6 +193,35 @@ class TestDecayKernel:
             KernelArgs(**kwargs)
 
 
+class TestDomainMessages:
+    """A refused array argument is named by its first bad element; a float
+    argument is printed as it always was."""
+
+    @pytest.mark.parametrize(
+        "call,bad,message",
+        [
+            (lambda x: KernelArgs(x, 0.5, 1.0, 1.0), -2.0,
+             "kernel prefactor c must be >= 0, got -2.0"),
+            (lambda x: KernelArgs(1.0, x, 1.0, 1.0), -2.0,
+             "kernel exponent p must be > -1, got -2.0"),
+            (lambda x: KernelArgs(1.0, 0.5, x, 1.0), -2.0, "omega_c must be positive, got -2.0"),
+            (lambda x: kernel_by_quadrature(KernelArgs(1.0, x, 1.0, 1.0)), 45.0,
+             "quadrature exponent p must be <= 40, got p=45.0"),
+            (lambda x: total_moment(1.0, x, 1.0), -0.5,
+             "total moment diverges for p <= 0, got p=-0.5"),
+            (lambda x: oscillatory_moment(1.0, x, 1.0, 1.0, "cos"), -0.5,
+             "cosine moment diverges for p <= 0, got p=-0.5"),
+            (lambda x: decay_kernel(KernelArgs(1.0, x, 1.0, 1.0)), -0.5,
+             "closed-form kernel needs p >= 0, got p=-0.5; use kernel_by_quadrature for p in (-1, 0)"),
+        ],
+    )
+    @pytest.mark.parametrize("array", [False, True])
+    def test_names_the_bad_element(self, call, bad, message, array):
+        with pytest.raises(DomainError) as raised:
+            call(np.array([1.0, bad, 2.0]) if array else bad)
+        assert str(raised.value) == message
+
+
 class TestKernelOracleEquivalence:
     def test_closed_form_matches_quadrature_on_random_grid(self):
         rng = np.random.default_rng(42)

@@ -233,17 +233,23 @@ def _closed_kernel(c, p, omega_c, terms, sine=False):
 # element at t > 0 and c != 0.  _de_integral evaluates a table of parts on
 # [rows x nodes] arrays, its rows stacked as
 #
-#   [ envelope only (total moment) | envelope + sine (kernels) | sine only ]
+#   [ sine only (sin/cos moments) | sine + envelope (kernels) | envelope only ]
 #
-# so that each part, the envelope rows and the sine rows are contiguous
-# slices, and stay so as converged rows leave in order.  The node tables, the
-# level-halving loop, the convergence gate and the error report are shared;
-# a smooth factor or a power runs once per run of adjacent parts that share
-# it.  A part whose parameters are floats keeps its exponents floats, so
-# numpy's fast paths for float exponents (v ** 2.0 is v * v) give the bits of
-# a one-part call.  Each row leaves the loop at its own level, so its value
-# does not depend on the other rows, and the table runs in equal blocks of at
-# most _BLOCK rows, which bound the [rows x nodes] temporaries of long arrays.
+# so that each part is a contiguous slice, the sine rows are the first and
+# the envelope rows the last of every block, and all stay so as converged rows
+# leave in order.  The node tables, the level-halving loop, the convergence
+# gate and the error report are shared; a smooth factor or a power runs once
+# per part, and the node power v**(1/r) only for a part with exponents per
+# row or a float q < 1 (at r = 1, w = delta*v).  A part whose parameters are
+# floats keeps its exponents floats: numpy computes v ** 2.0, ** 0.5 and
+# ** -1.0 through square, sqrt and reciprocal, and a column of the same
+# exponents through pow, which differs in the last bit, so float exponents
+# give the bits of a one-part call.  They are also faster: on a 25 x 124 block
+# np.power takes ~2-4 us with the float exponent 1.0 or 2.0 and ~12 us with a
+# column of exponents (2 vCPU, numpy 2.4).  Each row leaves the loop at its
+# own level, so its value does not depend on the other rows, and the table
+# runs in equal blocks of at most _BLOCK rows, which bound the [rows x nodes]
+# temporaries of long arrays.
 
 # Rows of a DE table that go through the level loop together.
 _BLOCK = 128
@@ -367,21 +373,23 @@ def _part(integral: _Integral, args: KernelArgs, zero_value=0.0) -> tuple:
     return integral, args, zero_value
 
 
-def _de_table(pieces: list, bounds: list[int]) -> tuple[np.ndarray, list]:
+def _exponents(integral: _Integral, p) -> tuple:
+    """``(q, r, (q/r - 1, 1/r, p - 1))``: a part's head exponent, its
+    substitution power, and the head, node and sine powers."""
+    q = p + integral.q_offset
+    r = np.minimum(q, 1.0) if isinstance(p, np.ndarray) else min(q, 1.0)
+    return q, r, (q / r - 1.0, 1.0 / r, p - 1.0)
+
+
+def _de_table(pieces: list, bounds: list[int]) -> np.ndarray:
     """The ``[_FIELDS x rows x 1]`` table of the pieces, whose rows start at
-    ``bounds``, and each piece's float exponents ``(q/r - 1, 1/r, p - 1)``, or
-    None where its rows hold them."""
+    ``bounds``."""
     table = np.zeros((_FIELDS, bounds[-1]))
-    powers = []
-    for (integral, _, _, t, c, p, wc), a, b in zip(pieces, bounds, bounds[1:]):
-        per_row = isinstance(p, np.ndarray)
-        q = p + integral.q_offset
-        r = np.minimum(q, 1.0) if per_row else min(q, 1.0)
-        power = (q / r - 1.0, 1.0 / r, p - 1.0)
-        powers.append(None if per_row else power)
+    for (integral, _, _, t, c, p, wc, power), a, b in zip(pieces, bounds, bounds[1:]):
         rows = table[:, a:b]
-        if per_row:
-            rows[_HEAD_POWER], rows[_NODE_POWER], rows[_SINE_POWER] = power
+        q, r, exponents = _exponents(integral, p)
+        if power is None:
+            rows[_HEAD_POWER], rows[_NODE_POWER], rows[_SINE_POWER] = exponents
         delta = integral.split(t, wc)
         rows[_T], rows[_DELTA], rows[_C], rows[_WC], rows[_P] = t, delta, c, wc, p
         # r is held in the head shift until the log below
@@ -395,75 +403,41 @@ def _de_table(pieces: list, bounds: list[int]) -> tuple[np.ndarray, list]:
     # e**(shift - z) stays finite)
     delta, wc, p = table[_DELTA], table[_WC], table[_P]
     table[_HEAD_SHIFT] = np.minimum(table[_HEAD_SHIFT] * np.log1p(delta / wc), 650.0)
-    env = slice(0, bounds[sum(piece[0].envelope for piece in pieces)])
+    env = slice(bounds[sum(not piece[0].envelope for piece in pieces)], None)
     table[_TAIL_SHIFT, env] = np.minimum(np.log(wc[env] / delta[env]), 650.0)
     table[_TAIL_EXPONENT, env] = -(p[env] + 1.0)
-    return table[:, :, None], powers
+    return table[:, :, None]
 
 
-def _runs(spans: list, key: Callable) -> list:
-    """``(rows, key(span))`` over the spans, adjacent ones merged where their
-    key is one value that is not None."""
-    runs = []
-    for span in spans:
-        k = key(span)
-        if runs and k is not None and runs[-1][1] == k:
-            runs[-1] = (slice(runs[-1][0].start, span[0].stop), k)
-        else:
-            runs.append((span[0], k))
-    return runs
+def _spans(pieces: list, bounds: list[int], rows: np.ndarray, m: np.ndarray) -> tuple:
+    """The envelope rows (the last) and the sine rows (the first) of the block
+    ``m`` of table rows ``rows``, and ``(slice, integral, (head, node, sine
+    powers))`` of each piece in it: its floats, or views of its rows'."""
+    starts = np.searchsorted(rows, bounds).tolist()
+    spans = [
+        (slice(a, b), piece[0], m[_HEAD_POWER:_FIELDS, a:b] if piece[-1] is None else piece[-1])
+        for piece, a, b in zip(pieces, starts, starts[1:]) if a < b
+    ]
+    n_sine_only = sum(not piece[0].envelope for piece in pieces)
+    n_sine = sum(bool(piece[0].sine_sign) for piece in pieces)
+    return slice(starts[n_sine_only], starts[-1]), slice(0, starts[n_sine]), spans
 
 
-class _Layout(NamedTuple):
-    """Where the pieces of a block's rows sit: the runs of rows that share a
-    float node, head or sine exponent (None: the rows hold theirs) or a smooth
-    factor, and the envelope and sine rows.  Sine runs count from the first
-    sine row."""
-
-    node: list
-    head: list
-    g: list
-    envelope: slice
-    sine: slice
-    sine_power: list
-
-
-def _layout(pieces: list, powers: list, starts: list, n_envelope: int, n_sine_free: int) -> _Layout:
-    """The layout of rows whose pieces start at ``starts``."""
-    spans = [(slice(a, b), integral.g, power)
-             for (integral, *_), a, b, power in zip(pieces, starts, starts[1:], powers) if a < b]
-    sine = slice(starts[n_sine_free], starts[-1])
-    sine_spans = [(slice(i.start - sine.start, i.stop - sine.start), g, power)
-                  for i, g, power in spans if i.stop > sine.start]
-    return _Layout(
-        _runs(spans, lambda span: span[2] and span[2][1]),
-        _runs(spans, lambda span: span[2] and span[2][0]),
-        _runs(spans, lambda span: span[1]),
-        slice(0, starts[n_envelope]), sine,
-        _runs(sine_spans, lambda span: span[2] and span[2][2]),
-    )
-
-
-def _powers(base: np.ndarray, m: np.ndarray, runs: list, field: int) -> np.ndarray:
-    """``base ** exponent`` row by row, one call per run: its float exponent,
-    or its rows' ``field``."""
-    out = np.empty_like(base)
-    for i, exponent in runs:
-        np.power(base[i], m[field, i] if exponent is None else exponent, out=out[i])
-    return out
-
-
-def _head_sums(level: int, m: np.ndarray, layout: _Layout) -> np.ndarray:
+def _head_sums(level: int, m: np.ndarray, spans: list) -> np.ndarray:
     """The head sums of the table rows ``m``."""
     v, dv = _unit_nodes(level, m[_HEAD_SHIFT])
-    w = _powers(v, m, layout.node, _NODE_POWER)
-    f = _powers(v, m, layout.head, _HEAD_POWER)
+    f = np.empty_like(v)
+    for i, _, (head, node, _) in spans:
+        np.power(v[i], head, out=f[i])
+        if isinstance(node, np.ndarray) or node != 1.0:  # 1/r, 1.0 unless q < 1
+            np.power(v[i], node, out=v[i])
+    w = v  # in place: w = delta*v**(1/r)
     w *= m[_DELTA]
     e = np.negative(w)
     e /= m[_WC]
     np.exp(e, out=e)
-    for i, g in layout.g:
-        f[i] *= g(e[i], w[i], m[_T, i])
+    for i, integral, _ in spans:
+        f[i] *= integral.g(e[i], w[i], m[_T, i])
     f *= dv
     return f.sum(1, keepdims=True)
 
@@ -482,13 +456,17 @@ def _envelope_sums(level: int, m: np.ndarray) -> np.ndarray:
     return x.sum(1, keepdims=True)
 
 
-def _sine_sums(level: int, m: np.ndarray, runs: list) -> np.ndarray:
-    """The Ooura-Mori sums of ``F(delta + y/t)`` over the table rows ``m``;
-    ``runs`` as the layout's sine_power."""
+def _sine_sums(level: int, m: np.ndarray, spans: list) -> np.ndarray:
+    """The Ooura-Mori sums of ``F(delta + y/t)`` over the table rows ``m``,
+    the first rows of a block whose pieces are ``spans`` (the sine pieces
+    come first, so their slices index ``m`` as they index the block)."""
     y, dy = _ooura_mori(level)
     w = y / m[_T]
     w += m[_DELTA]
-    f = _powers(w, m, runs, _SINE_POWER)
+    f = np.empty_like(w)
+    for i, integral, (_, _, sine) in spans:
+        if integral.sine_sign:
+            np.power(w[i], sine, out=f[i])
     np.negative(w, out=w)
     w /= m[_WC]
     np.exp(w, out=w)
@@ -517,15 +495,14 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
         outs.append(np.full(times.shape, zero_value))
         if on.any():
             c, p, wc = (x[on] if isinstance(x, np.ndarray) else x for x in params)
-            pieces.append((integral, outs[-1], on, times[on], c, p, wc))
-    # envelope only, envelope + sine, sine only
-    pieces.sort(key=lambda piece: bool(piece[0].sine_sign) - piece[0].envelope)
+            power = None if isinstance(p, np.ndarray) else _exponents(integral, p)[2]
+            pieces.append((integral, outs[-1], on, times[on], c, p, wc, power))
+    # sine only, sine + envelope, envelope only
+    pieces.sort(key=lambda piece: piece[0].envelope - bool(piece[0].sine_sign))
     bounds = [0]
     for piece in pieces:
         bounds.append(bounds[-1] + len(piece[3]))
-    table, powers = _de_table(pieces, bounds)
-    n_envelope = sum(piece[0].envelope for piece in pieces)
-    n_sine_free = sum(not piece[0].sine_sign for piece in pieces)
+    table = _de_table(pieces, bounds)
     values = np.empty(bounds[-1])
     failures = []
     # the fewest blocks of at most _BLOCK rows, all of one size
@@ -534,17 +511,15 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
     for first in range(0, bounds[-1], size):
         m = table[:, first:first + size]
         rows = np.arange(first, first + m.shape[1])
-        layout = _layout(pieces, powers, np.searchsorted(rows, bounds).tolist(), n_envelope,
-                         n_sine_free)
+        env, sine, spans = _spans(pieces, bounds, rows, m)
         value = np.full(len(rows), np.nan)
         for level in range(_LEVELS):
             prev = value
-            value = m[_HEAD_FACTOR] * _head_sums(level, m, layout)
-            env, sine = layout.envelope, layout.sine
-            if env.stop:
+            value = m[_HEAD_FACTOR] * _head_sums(level, m, spans)
+            if env.start < env.stop:
                 value[env] += m[_TAIL_FACTOR, env] * _envelope_sums(level, m[:, env])
-            if sine.start < sine.stop:
-                value[sine] += m[_SINE_FACTOR, sine] * _sine_sums(level, m[:, sine], layout.sine_power)
+            if sine.stop:
+                value[sine] += m[_SINE_FACTOR, sine] * _sine_sums(level, m[:, sine], spans)
             value = (value * m[_C])[:, 0]
             gap = np.abs(value - prev)
             tol = np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
@@ -555,8 +530,7 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
                     break
                 more = ~done
                 m, rows, value, gap, tol = m[:, more], rows[more], value[more], gap[more], tol[more]
-                layout = _layout(pieces, powers, np.searchsorted(rows, bounds).tolist(),
-                                 n_envelope, n_sine_free)
+                env, sine, spans = _spans(pieces, bounds, rows, m)
         else:
             worst = int(np.argmax(gap / tol))
             what = pieces[int(np.searchsorted(bounds, rows[worst], "right")) - 1][0].what

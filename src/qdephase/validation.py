@@ -9,6 +9,7 @@ them all; the test suite reuses them for the acceptance criteria.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -102,6 +103,8 @@ def _draw(samples: int, seed: int, draw_one) -> tuple:
         raise DomainError(f"sample count must be an integer, got {samples!r}") from None
     if samples < 1:
         raise DomainError(f"sample count must be at least 1, got {samples}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     models, *values = zip(*[draw_one(rng, i) for i in range(samples)])
     return models, *map(np.array, values)

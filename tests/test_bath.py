@@ -21,6 +21,7 @@ from qdephase import (
     bath,
     ground_coherent_overlap,
     kernel_by_quadrature,
+    numerics,
     oscillatory_moment,
     profile_at,
     profile_limit,
@@ -425,6 +426,34 @@ class TestQuadratureTable:
         # both kernels fail too, but the sine moment is furthest from its tolerance
         assert len(alone) == 3 and str(raised.value) == max(alone, key=ratio)
         assert str(raised.value).startswith("sine moment (p=0.1, t=")
+
+    def test_mixed_table_equals_each_part_alone(self, monkeypatch):
+        # array alpha and mu give the kernels and the sine moment exponents
+        # per row, float gamma, nu and omega_c give the total moment float
+        # exponents; at these times rows leave at levels 1 and 2
+        rng = np.random.default_rng(5)
+        t = np.geomspace(1e-3, 1e4, 40)
+        alpha, mu = 10.0 ** rng.uniform(-4.0, 0.0, t.size), rng.uniform(-0.9, 2.0, t.size)
+        gamma_coef, nu, omega_c = 0.05, 0.5, 1.0
+        counts = []  # rows of each part in the block, whenever rows have left
+        real = numerics._spans
+
+        def spy(pieces, bounds, rows, m):
+            counts.append(np.bincount(np.searchsorted(bounds, rows, "right"), minlength=len(bounds)))
+            return real(pieces, bounds, rows, m)
+
+        monkeypatch.setattr(numerics, "_spans", spy)
+        r, s, phi = _profiles(alpha, mu, omega_c, gamma_coef, nu, t, "quadrature")
+        assert any(((0 < b) & (b < a)).any() for a, b in zip(counts, counts[1:]))
+        c, kappa = np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu)
+        alone = (
+            np.maximum(4.0 * kernel_by_quadrature(KernelArgs(alpha, mu, omega_c, t)), 0.0),
+            2.0 * kernel_by_quadrature(KernelArgs(c, kappa, omega_c, t))
+            - 0.5 * total_moment(gamma_coef, nu, omega_c),
+            oscillatory_moment(c, kappa, omega_c, t, "sin"),
+        )
+        for got, want in zip((r, s, phi), alone):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mu,nu", [(45.0, 0.5), (0.5, 45.0)])
     def test_exponent_refused_before_any_quadrature(self, tables, mu, nu):

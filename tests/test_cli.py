@@ -415,6 +415,12 @@ class TestValidate:
         assert captured.out == ""
         assert_one_error_line(captured.err)
 
+    def test_negative_seed_is_a_domain_error(self, capsys):
+        assert main(["validate", "--samples", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
+
     def test_zero_samples_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["validate", "--samples", "0"])

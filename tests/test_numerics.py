@@ -8,13 +8,18 @@ import pytest
 
 import oracles
 from qdephase import (
+    BathSpec,
     ConvergenceError,
+    DisplacementSpec,
     DomainError,
     KernelArgs,
+    ModelSpec,
     QuadratureSettings,
     decay_kernel,
     kernel_by_quadrature,
+    numerics,
     oscillatory_moment,
+    profile_at,
     total_moment,
 )
 from qdephase.numerics import SMALL_EXPONENT_LIMIT, gamma_moment
@@ -294,6 +299,26 @@ class TestMoments:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             oscillatory_moment(1.0, 0.5, 1.0, 1.0, "tan")
+
+    def test_quadrature_needs_no_gamma(self, monkeypatch):
+        # the quadrature backend is the oracle of the gamma closed forms
+        def no_gamma(*args):
+            raise AssertionError("gamma evaluated")
+
+        monkeypatch.setattr(math, "gamma", no_gamma)
+        monkeypatch.setattr(numerics, "gamma_moment", no_gamma)
+        model = ModelSpec(0.3, BathSpec(0.01, 0.5, 1.0), DisplacementSpec(0.05, 1.5))
+        times = np.array([0.0, 0.3, 7.0, 2e3])
+        profile_at(model, times, backend="quadrature")
+        kernel_by_quadrature(KernelArgs(0.3, -0.4, 1.0, times))
+        oscillatory_moment(0.3, 0.7, 1.0, times, "sin")
+        oscillatory_moment(0.3, 0.7, 1.0, times, "cos")
+        oscillatory_moment(0.3, 0.7, 1.0, 0.0, "cos")
+        total_moment(0.3, 0.7, 1.0)
+        with pytest.raises(AssertionError, match="gamma evaluated"):
+            profile_at(model, times)
+        with pytest.raises(AssertionError, match="gamma evaluated"):
+            decay_kernel(KernelArgs(0.3, 0.7, 1.0, times))
 
 
 class TestQuadratureSettings:

@@ -93,6 +93,14 @@ def test_sample_count_must_be_a_positive_integer(suite, samples):
         suite(samples)
 
 
+@pytest.mark.parametrize("suite", [*SUITES, validation.run_all])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_seed_must_be_a_non_negative_integer(suite, seed):
+    # -1 raised numpy's raw ValueError, 1.5 a raw TypeError
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        suite(2, seed=seed)
+
+
 ROUTE_FUNCTIONS = (
     "coherence_factor",
     "_reduced_entries",

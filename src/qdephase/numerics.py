@@ -250,6 +250,17 @@ def _closed_kernel(c, p, omega_c, terms, sine=False):
 # own level, so its value does not depend on the other rows, and the table
 # runs in equal blocks of at most _BLOCK rows, which bound the [rows x nodes]
 # temporaries of long arrays.
+#
+# The loop runs the levels in passes (0, 1), (2,), (3,), ...: most rows leave
+# at level 1, so the first pass evaluates two levels at once.  Level 0's
+# tanh-sinh nodes are level 1's even nodes and its weights twice theirs, bit
+# for bit (ceil(3.2/h) and ceil(4.5/h) double when h halves), so the head and
+# the envelope run on level 1's nodes and level 0's sum is twice the
+# even-column sum (Takahasi and Mori, Publ. RIMS 9 (1974) 721).  The
+# Ooura-Mori nodes do not nest: the sine tail runs on both levels' nodes side
+# by side.  Level 0 has no level before it to agree with, so only the last
+# level of a pass can accept a row, and every row leaves at the level it
+# would one level at a time.
 
 # Rows of a DE table that go through the level loop together.
 _BLOCK = 128
@@ -325,6 +336,16 @@ def _ooura_mori(level: int) -> tuple[np.ndarray, np.ndarray]:
         weight = math.pi * sine * dphi
     keep = np.abs(weight) > 1e-30  # also drops the far-left 0/0 and inf/inf
     return _frozen(m * phi[keep], weight[keep])
+
+
+@cache
+def _ooura_mori_levels(levels: tuple[int, ...]) -> tuple:
+    """The Ooura-Mori nodes and weights of ``levels`` side by side, and the
+    slice of each level's."""
+    rules = [_ooura_mori(level) for level in levels]
+    ends = np.cumsum([len(y) for y, _ in rules]).tolist()
+    return (*_frozen(*(np.concatenate(arrays) for arrays in zip(*rules))),
+            tuple(slice(a, b) for a, b in zip([0, *ends], ends)))
 
 
 class _Integral(NamedTuple):
@@ -423,9 +444,18 @@ def _spans(pieces: list, bounds: list[int], rows: np.ndarray, m: np.ndarray) -> 
     return slice(starts[n_sine_only], starts[-1]), slice(0, starts[n_sine]), spans
 
 
-def _head_sums(level: int, m: np.ndarray, spans: list) -> np.ndarray:
-    """The head sums of the table rows ``m``."""
-    v, dv = _unit_nodes(level, m[_HEAD_SHIFT])
+def _level_sums(f: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
+    """Row sums of the tanh-sinh terms ``f`` on the nodes of the last of
+    ``levels``, one column per level; level 0's are twice the even columns'."""
+    total = f.sum(1, keepdims=True)
+    if len(levels) == 1:
+        return total
+    return np.concatenate((2.0 * f[:, ::2].sum(1, keepdims=True), total), 1)
+
+
+def _head_sums(levels: tuple[int, ...], m: np.ndarray, spans: list) -> np.ndarray:
+    """The head sums of the table rows ``m`` at ``levels``, one column each."""
+    v, dv = _unit_nodes(levels[-1], m[_HEAD_SHIFT])
     f = np.empty_like(v)
     for i, _, (head, node, _) in spans:
         np.power(v[i], head, out=f[i])
@@ -439,13 +469,13 @@ def _head_sums(level: int, m: np.ndarray, spans: list) -> np.ndarray:
     for i, integral, _ in spans:
         f[i] *= integral.g(e[i], w[i], m[_T, i])
     f *= dv
-    return f.sum(1, keepdims=True)
+    return _level_sums(f, levels)
 
 
-def _envelope_sums(level: int, m: np.ndarray) -> np.ndarray:
-    """The envelope tail sums of the table rows ``m``: the tanh-sinh sum of
-    ``e**(-(p+1) log v - delta/(omega_c v))``."""
-    v, dv = _unit_nodes(level, m[_TAIL_SHIFT])
+def _envelope_sums(levels: tuple[int, ...], m: np.ndarray) -> np.ndarray:
+    """The envelope tail sums of the table rows ``m`` at ``levels``: the
+    tanh-sinh sums of ``e**(-(p+1) log v - delta/(omega_c v))``."""
+    v, dv = _unit_nodes(levels[-1], m[_TAIL_SHIFT])
     x = np.log(v)
     x *= m[_TAIL_EXPONENT]
     v *= m[_WC]
@@ -453,14 +483,14 @@ def _envelope_sums(level: int, m: np.ndarray) -> np.ndarray:
     x -= v
     np.exp(x, out=x)
     x *= dv
-    return x.sum(1, keepdims=True)
+    return _level_sums(x, levels)
 
 
-def _sine_sums(level: int, m: np.ndarray, spans: list) -> np.ndarray:
-    """The Ooura-Mori sums of ``F(delta + y/t)`` over the table rows ``m``,
-    the first rows of a block whose pieces are ``spans`` (the sine pieces
-    come first, so their slices index ``m`` as they index the block)."""
-    y, dy = _ooura_mori(level)
+def _sine_sums(levels: tuple[int, ...], m: np.ndarray, spans: list) -> np.ndarray:
+    """The Ooura-Mori sums of ``F(delta + y/t)`` at ``levels`` over the table
+    rows ``m``, the first rows of a block whose pieces are ``spans`` (the sine
+    pieces come first, so their slices index ``m`` as they index the block)."""
+    y, dy, cuts = _ooura_mori_levels(levels)
     w = y / m[_T]
     w += m[_DELTA]
     f = np.empty_like(w)
@@ -472,7 +502,7 @@ def _sine_sums(level: int, m: np.ndarray, spans: list) -> np.ndarray:
     np.exp(w, out=w)
     f *= w
     f *= dy
-    return f.sum(1, keepdims=True)
+    return np.concatenate([f[:, cut].sum(1, keepdims=True) for cut in cuts], 1)
 
 
 def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> list:
@@ -513,14 +543,16 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
         rows = np.arange(first, first + m.shape[1])
         env, sine, spans = _spans(pieces, bounds, rows, m)
         value = np.full(len(rows), np.nan)
-        for level in range(_LEVELS):
-            prev = value
-            value = m[_HEAD_FACTOR] * _head_sums(level, m, spans)
+        for levels in ((0, 1), *((level,) for level in range(2, _LEVELS))):
+            sums = m[_HEAD_FACTOR] * _head_sums(levels, m, spans)
             if env.start < env.stop:
-                value[env] += m[_TAIL_FACTOR, env] * _envelope_sums(level, m[:, env])
+                sums[env] += m[_TAIL_FACTOR, env] * _envelope_sums(levels, m[:, env])
             if sine.stop:
-                value[sine] += m[_SINE_FACTOR, sine] * _sine_sums(level, m[:, sine], spans)
-            value = (value * m[_C])[:, 0]
+                sums[sine] += m[_SINE_FACTOR, sine] * _sine_sums(levels, m[:, sine], spans)
+            sums *= m[_C]
+            # the gate sees the last two levels: level 0 accepts no row
+            prev = value if len(levels) == 1 else sums[:, -2]
+            value = sums[:, -1]
             gap = np.abs(value - prev)
             tol = np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
             done = gap <= tol

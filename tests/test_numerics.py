@@ -387,3 +387,125 @@ class TestDoubleExponentialRules:
         times = np.array([0.5, 3.0, 7.0, 40.0])
         with pytest.raises(ConvergenceError, match="converge"):
             kernel_by_quadrature(KernelArgs(1.0, 0.5, 1.0, times), harsh)
+
+
+def _hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+class TestPairedFirstPass:
+    """The level loop's first pass evaluates levels 0 and 1 together: level
+    0's tanh-sinh nodes are level 1's even nodes, and the two Ooura-Mori
+    levels run side by side."""
+
+    def test_tanh_sinh_levels_nest_bit_for_bit(self):
+        (z0, dz0), (z1, dz1) = numerics._tanh_sinh(0), numerics._tanh_sinh(1)
+        assert z1[::2].tobytes() == z0.tobytes()
+        assert (2.0 * dz1[::2]).tobytes() == dz0.tobytes()
+
+    def test_ooura_mori_levels_side_by_side(self):
+        y, dy, cuts = numerics._ooura_mori_levels((0, 1))
+        assert len(cuts) == 2 and cuts[1].stop == len(y) == len(dy)
+        for level, cut in enumerate(cuts):
+            y_level, dy_level = numerics._ooura_mori(level)
+            assert y[cut].tobytes() == y_level.tobytes()
+            assert dy[cut].tobytes() == dy_level.tobytes()
+
+    # values before the paired pass, as float.hex, and the rows of the table
+    # at each level: every row leaves where it did one level at a time
+    PROFILES = {
+        "sub-ohmic, t = 0": (
+            ModelSpec(1.0, BathSpec(0.02, -0.5, 1.0), DisplacementSpec(0.05, 0.5)),
+            [0.0, 0.01, 1.0, 100.0, 3000.0],
+            {0: 13, 1: 13},
+            (
+                ["0x0.0p+0", "0x1.dbc64b88dc913p-19", "0x1.ca8626ee923edp-6",
+                 "0x1.bb54b80591108p+0", "0x1.567498951853cp+3"],
+                ["-0x1.6affa0e2a5926p-5", "-0x1.6af8ff3c3e7ecp-5", "-0x1.6edf4eb44b17dp-6",
+                 "0x1.f9c00eb828f86p-3", "0x1.d925280ecbe5fp-2"],
+                ["0x0.0p+0", "0x1.4b93ea496173ap-12", "0x1.96ebb55021925p-6",
+                 "0x1.94548d7b8ecf3p-5", "0x1.96d59a3269294p-5"],
+            ),
+        ),
+        "gamma = 0": (
+            ModelSpec(0.5, BathSpec(0.01, 1.0, 2.0), DisplacementSpec(0.0, 0.5)),
+            [0.5, 20.0],
+            {0: 2, 1: 2, 2: 2},
+            (
+                ["0x1.47ae147ae147bp-5", "0x1.4779af172f7d7p-4"],
+                ["0x0.0p+0", "0x0.0p+0"],
+                ["0x0.0p+0", "0x0.0p+0"],
+            ),
+        ),
+        "three rows leave at level 2": (
+            ModelSpec(0.0, BathSpec(0.003, 0.7, 1.0), DisplacementSpec(0.02, 1.3)),
+            [1e-3, 0.2, 7.0, 1e4],
+            {0: 13, 1: 13, 2: 3},
+            (
+                ["0x1.3e73226cd3801p-27", "0x1.783becae93564p-12", "0x1.b84eed4de479cp-7",
+                 "0x1.fe0c7f4ad036cp-7"],
+                ["-0x1.26152b2e1ce9fp-7", "-0x1.128f00142aa4dp-7", "0x1.96ceaf65b6f2ep-8",
+                 "0x1.ab1ce9ad3efe4p-8"],
+                ["0x1.03e947dc1c34ap-17", "0x1.867df7665dadcp-10", "0x1.1c47393a236dcp-10",
+                 "0x1.9fdbc12825b08p-21"],
+            ),
+        ),
+    }
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """``(function, levels, rows, same)`` of every head, envelope and sine
+        sum; ``same``: a paired call equals its levels one at a time, bit for
+        bit (None for one level)."""
+        calls = []
+        for name in ("_head_sums", "_envelope_sums", "_sine_sums"):
+            real = getattr(numerics, name)
+
+            def spy(levels, m, *rest, real=real, name=name):
+                sums = real(levels, m, *rest)
+                same = None
+                if len(levels) > 1:
+                    alone = np.concatenate([real((level,), m, *rest) for level in levels], 1)
+                    same = sums.tobytes() == alone.tobytes()
+                calls.append((name, levels, m.shape[1], same))
+                return sums
+
+            monkeypatch.setattr(numerics, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_profile_bits_and_levels(self, sums, name):
+        model, times, rows, want = self.PROFILES[name]
+        profile = profile_at(model, np.array(times), backend="quadrature")
+        assert [_hexes(x) for x in (profile.r, profile.s, profile.phi)] == list(want)
+        heads = [(levels, n) for f, levels, n, _ in sums if f == "_head_sums"]
+        assert {level: n for levels, n in heads for level in levels} == rows
+
+    T = np.array([0.0, 0.03, 2.0, 500.0])
+
+    @pytest.mark.parametrize("call,want", [
+        (lambda t: kernel_by_quadrature(KernelArgs(0.2, -0.3, 1.5, t)),
+         ["0x0.0p+0", "0x1.556a41b33c30cp-13", "0x1.ed951ab71c9edp-3", "0x1.0d690e431009ap+2"]),
+        (lambda t: oscillatory_moment(0.2, 0.4, 1.5, t, "sin"),
+         ["0x0.0p+0", "0x1.3363d5373e33ap-7", "0x1.4300d1bf8a850p-3", "0x1.636e1e33849fdp-6"]),
+        (lambda t: oscillatory_moment(0.2, 0.4, 1.5, t, "cos"),
+         ["0x1.0b2250c59d6ebp-1", "0x1.0afb98021c743p-1", "0x1.27e523b71f4dap-2",
+          "0x1.e9c1b7a6298e7p-6"]),
+        (lambda t: total_moment(0.2, 0.4, 1.5), ["0x1.0b2250c59d6ebp-1"]),
+    ], ids=["kernel", "sin", "cos", "total"])
+    def test_one_part_bits(self, call, want):
+        assert _hexes(call(self.T)) == want
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_paired_pass_equals_each_level_alone(self, sums, name):
+        model, times, _, _ = self.PROFILES[name]
+        profile_at(model, np.array(times), backend="quadrature")
+        assert [same for *_, same in sums if same is not None] == [True] * 3
+
+    def test_rows_leaving_at_level_one_take_one_call_each(self, sums):
+        model, times, rows, _ = self.PROFILES["sub-ohmic, t = 0"]
+        assert rows == {0: 13, 1: 13}
+        profile_at(model, np.array(times), backend="quadrature")
+        assert sorted(call[:3] for call in sums) == [
+            ("_envelope_sums", (0, 1), 9), ("_head_sums", (0, 1), 13), ("_sine_sums", (0, 1), 12)
+        ]

@@ -53,7 +53,7 @@ from .numerics import (
     QuadratureSettings,
     decay_kernel,
     kernel_by_quadrature,
-    oscillatory_moment,
+    sine_moment,
     total_moment,
 )
 
@@ -66,7 +66,7 @@ __all__ = [
     "KernelArgs",
     "decay_kernel",
     "total_moment",
-    "oscillatory_moment",
+    "sine_moment",
     "kernel_by_quadrature",
     # bath
     "BathSpec",

@@ -10,9 +10,9 @@ functions of time, built from the effective coupling weight
              - (1/2) * Int f^2(w) dw                     (correlation weight)
     phi(t) =     Int g_h(w) f(w) sin(w t) dw             (correlation phase)
 
-Each has a closed form through the Euler gamma function and an independent
-quadrature route; ``profile_at`` exposes both as interchangeable backends,
-for one time or an array of times.
+Each has a closed form through the Euler gamma function for every mu > -1,
+and a gamma-free quadrature route that serves as its oracle; ``profile_at``
+exposes both as interchangeable backends, for one time or an array of times.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .numerics import (
     QuadratureSettings,
     _closed_kernel,
     _de_integral,
-    _first_failing,
     _part,
     _time_terms,
     _total_part,
@@ -58,9 +57,8 @@ Backend = Literal["closed_form", "quadrature"]
 class BathSpec:
     """Spectral density parameters: coupling strength, ohmicity, cutoff.
 
-    ``mu = 0`` is the ohmic case, ``mu > 0`` super-ohmic.  The closed-form
-    backend needs ``mu >= 0`` (with the documented mu -> 0 limit); values in
-    (-1, 0) are served by the quadrature backend only.
+    ``mu = 0`` is the ohmic case, ``mu > 0`` super-ohmic and ``mu`` in
+    (-1, 0) sub-ohmic; both backends serve every ``mu > -1``.
     """
 
     alpha: float
@@ -165,11 +163,6 @@ def _profiles(alpha, mu, omega_c, gamma_coef, nu, t, backend: Backend, settings=
             settings,
         )
         return np.maximum(4.0 * r, 0.0), 2.0 * s_kernel - 0.5 * total, phi
-    if not all_true(ok := mu >= 0.0):
-        raise DomainError(
-            f"closed-form backend needs mu >= 0, got mu={_first_failing(mu, ok)}; "
-            "use backend='quadrature' for mu in (-1, 0)"
-        )
     terms = _time_terms(omega_c, t)
     r = 4.0 * _closed_kernel(alpha, mu, omega_c, terms)
     s_kernel, phi = _closed_kernel(s_args.c, s_args.p, omega_c, terms, sine=True)
@@ -185,9 +178,9 @@ def profile_at(
     """Evaluate r(t), s(t), phi(t) with the chosen backend.
 
     ``t`` is one time or an array of times; the profile's fields have the
-    same shape.  Both backends agree to quadrature tolerance wherever both
-    apply; the quadrature backend additionally serves ohmicity exponents in
-    (-1, 0).  Both evaluate a whole time array in one numpy pass.
+    same shape.  Both backends serve every mu > -1 and agree to quadrature
+    tolerance; the gamma-free quadrature is the oracle of the closed form.
+    Both evaluate a whole time array in one numpy pass.
     """
     b, d = m.bath, m.displacement
     times = np.asarray(t, dtype=float)[()]

@@ -8,10 +8,10 @@ Everything in this module revolves around moments of the weight
 * ``decay_kernel``     -- closed form of the dephasing kernel
   ``c * Int_0^inf w**(p-1) exp(-w/omega_c) (1 - cos(w t)) dw``, for one
   time or an array of times,
-* ``total_moment`` / ``oscillatory_moment`` / ``kernel_by_quadrature``
+* ``total_moment`` / ``sine_moment`` / ``kernel_by_quadrature``
   -- double-exponential quadrature of the same integrals, kept fully
-  independent of the closed forms (no gamma function anywhere) so the two
-  routes can cross-check each other.
+  independent of the closed forms (no gamma function anywhere): the oracle
+  that the closed forms are checked against.
 
 All functions are pure; nothing here holds mutable state (the node tables
 are cached constants), so concurrent calls are safe.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,15 +35,16 @@ __all__ = [
     "gamma_moment",
     "decay_kernel",
     "total_moment",
-    "oscillatory_moment",
+    "sine_moment",
     "kernel_by_quadrature",
 ]
 
-# Below this exponent the closed-form kernel switches to its analytic
+# Below this |exponent| the closed-form kernel switches to its analytic
 # p -> 0 limit (c/2)*log(1 + (omega_c*t)**2).  The stabilised evaluation
-# (expm1 + half-angle sine) stays accurate for arbitrarily small p, so the
-# switch only has to cover p = 0 itself; at the seam the two branches agree
-# to ~1e-8 relative, comfortably inside the 1e-6 requirement.
+# (expm1 + half-angle sine) stays accurate for arbitrarily small |p|, so the
+# switch only has to cover p = 0 itself.  At the seams p = +-1e-7 the limits
+# are off by ~|p| log(omega_c*t) relative for the sine moment and half that
+# for the kernel: 1e-6 for the sine at omega_c*t ~ 2e4.
 SMALL_EXPONENT_LIMIT = 1e-7
 
 # Largest t and omega_c * t accepted.  The closed forms square x = omega_c * t
@@ -82,8 +83,7 @@ class QuadratureSettings:
 class KernelArgs:
     """Arguments of the decay kernel: prefactor, exponent, cutoff, time.
 
-    ``p > -1`` keeps ``w**(p-1) * (1 - cos(w t))`` integrable at the origin;
-    the closed-form branch additionally needs ``p >= 0`` (see decay_kernel).
+    ``p > -1`` keeps ``w**(p-1) * (1 - cos(w t))`` integrable at the origin.
     Times need ``0 <= max(1, omega_c) * t <= MAX_SCALED_TIME``.  ``t`` is one
     time or an array of times; ``c``, ``p`` and ``omega_c`` are floats or
     arrays that broadcast against it.
@@ -136,7 +136,8 @@ _GAMMA_AND_POWER = np.frompyfunc(_gamma_and_power, 2, 2)
 
 def gamma_moment(c, p, omega_c):
     """``c * gamma(p) * omega_c**p``, the closed form of ``c * Int_0^inf
-    w**(p-1) e**(-w/omega_c) dw``, for p > 0.
+    w**(p-1) e**(-w/omega_c) dw`` for p > 0, and the Gamma prefactor of the
+    oscillatory closed forms for every p > -1.
 
     Elementwise over broadcastable arrays, with the arithmetic of a call on
     floats (numpy has no gamma function), once per (p, omega_c) element, not
@@ -161,11 +162,11 @@ def gamma_moment(c, p, omega_c):
 
 
 def _small_exponent_limit(p, limit, gamma_form):
-    """``gamma_form(p)`` elementwise, ``limit`` where p < SMALL_EXPONENT_LIMIT
+    """``gamma_form(p)`` elementwise, ``limit`` where |p| < SMALL_EXPONENT_LIMIT
     (both may be pairs; arrays then come back stacked).  ``gamma_form`` gets 1
     in place of such an exponent, so Gamma is never evaluated near its pole at 0.
     """
-    small = p < SMALL_EXPONENT_LIMIT
+    small = abs(p) < SMALL_EXPONENT_LIMIT
     if not isinstance(small, np.ndarray):
         return limit if small else gamma_form(p)
     return np.where(small, limit, gamma_form(np.where(small, 1.0, p)))
@@ -177,36 +178,44 @@ def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     Equals ``c * gamma(p) * omega_c**p * (1 - cos(p*atan(x)) / (1+x^2)**(p/2))``
     with ``x = omega_c * t``, elementwise over the broadcast arguments.  The
     brace is evaluated via ``expm1`` and a half-angle sine so no precision
-    is lost when ``p`` or ``t`` is small.  Where ``p`` is below
-    SMALL_EXPONENT_LIMIT (including ``p = 0``) the analytic limit
-    ``(c/2) * log(1 + x^2)`` is returned.  Strictly negative exponents are
-    refused here; ``kernel_by_quadrature`` serves that regime.
+    is lost when ``p`` or ``t`` is small.  The form holds for every p > -1
+    (Gradshteyn and Ryzhik, 3.944; on (-1, 0) Gamma(p) and the brace are both
+    negative).  Below p = -1/2 the brace is evaluated about the pole of Gamma
+    at -1, where it vanishes.  Where ``|p|`` is below SMALL_EXPONENT_LIMIT
+    (including ``p = 0``) the analytic limit ``(c/2) * log(1 + x^2)`` is
+    returned.
     """
-    if not all_true(ok := args.p >= 0.0):
-        raise DomainError(
-            f"closed-form kernel needs p >= 0, got p={_first_failing(args.p, ok)}; "
-            "use kernel_by_quadrature for p in (-1, 0)"
-        )
     return _closed_kernel(args.c, args.p, args.omega_c, _time_terms(args.omega_c, args.t))
 
 
 def _time_terms(omega_c, t) -> tuple:
-    """``(log(1 + x^2) / 2, atan(x))``, x = omega_c * t: all a closed form takes from t."""
+    """``(log(1 + x^2) / 2, atan(x), x)``, x = omega_c * t: all a closed form takes from t."""
     x = omega_c * np.asarray(t, dtype=float)
-    return 0.5 * np.log1p(x * x), np.arctan(x)
+    return 0.5 * np.log1p(x * x), np.arctan(x), x
 
 
 def _closed_kernel(c, p, omega_c, terms, sine=False):
     """decay_kernel on precomputed ``_time_terms``; with ``sine`` the pair of it and
     ``c * Int_0^inf w**(p-1) e**(-w/omega_c) sin(w t) dw``, the same moment times
     ``sin(p*atan(x)) / (1+x^2)**(p/2)`` (shared Gamma and damping)."""
-    half_log, atan = terms
+    half_log, atan, x = terms
 
     def gamma_form(p):
         b = p * half_log
         damp = np.exp(-b)
         moment = gamma_moment(c, p, omega_c)
-        kernel = moment * (-np.expm1(-b) + damp * 2.0 * np.sin(0.5 * p * atan) ** 2)
+        brace = -np.expm1(-b) + damp * 2.0 * np.sin(0.5 * p * atan) ** 2
+        if all_true(p >= 0.0):
+            kernel = moment * brace
+        else:
+            # below p = -1/2, with d = p + 1, cos(p*atan(x)) / (1+x^2)**(p/2) is
+            # (cos(d*atan(x)) + x sin(d*atan(x))) / (1+x^2)**(d/2): a brace that keeps
+            # its digits as d -> 0, where the one above cancels to zero
+            d = p + 1.0
+            pole = -np.expm1(-d * half_log) + np.exp(-d * half_log) * (
+                2.0 * np.sin(0.5 * d * atan) ** 2 - x * np.sin(d * atan))
+            # + 0.0 turns the -0.0 of a zero brace times a negative Gamma(p) into 0.0
+            kernel = moment * np.where(p < -0.5, pole, brace)[()] + 0.0
         # + 0.0 turns the -0.0 of a zero prefactor and a negative sine into 0.0
         return (kernel, moment * np.sin(p * atan) * damp + 0.0) if sine else kernel
 
@@ -233,7 +242,7 @@ def _closed_kernel(c, p, omega_c, terms, sine=False):
 # element at t > 0 and c != 0.  _de_integral evaluates a table of parts on
 # [rows x nodes] arrays, its rows stacked as
 #
-#   [ sine only (sin/cos moments) | sine + envelope (kernels) | envelope only ]
+#   [ sine only (sine moments) | sine + envelope (kernels) | envelope only ]
 #
 # so that each part is a contiguous slice, the sine rows are the first and
 # the envelope rows the last of every block, and all stay so as converged rows
@@ -374,24 +383,20 @@ _SINE = _Integral(
     "sine moment", lambda t, _: math.pi / t, 1.0,
     lambda e, w, tc: e * tc * np.sinc(w * tc / math.pi), False, -1.0,
 )
-_COSINE = _Integral(
-    "cosine moment", lambda t, _: 0.5 * math.pi / t, 0.0,
-    lambda e, w, tc: e * np.cos(w * tc), False, -1.0,
-)
 # no trig factor: any t > 0 will do, and the split is at omega_c
 _TOTAL = _Integral(
     "total moment", lambda t, wc: np.full_like(t, wc), 0.0, lambda e, w, tc: e, True, 0.0
 )
 
 
-def _part(integral: _Integral, args: KernelArgs, zero_value=0.0) -> tuple:
-    """A part of a DE table: ``integral`` over the broadcast ``args``, and its
-    value at t = 0 or c = 0.  Exponents above MAX_EXPONENT are a DomainError."""
+def _part(integral: _Integral, args: KernelArgs) -> tuple:
+    """A part of a DE table: ``integral`` over the broadcast ``args``, which is
+    0 at t = 0 or c = 0.  Exponents above MAX_EXPONENT are a DomainError."""
     if not all_true(ok := args.p <= MAX_EXPONENT):
         raise DomainError(
             f"quadrature exponent p must be <= {MAX_EXPONENT:g}, got p={_first_failing(args.p, ok)}"
         )
-    return integral, args, zero_value
+    return integral, args
 
 
 def _exponents(integral: _Integral, p) -> tuple:
@@ -516,13 +521,13 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
     """
     s = settings if settings is not None else QuadratureSettings()
     outs, pieces = [], []
-    for integral, args, zero_value in parts:
+    for integral, args in parts:
         times = np.asarray(args.t, dtype=float)
         params = (args.c, args.p, args.omega_c)
         if any(isinstance(x, np.ndarray) for x in params):
             times, *params = np.broadcast_arrays(times, *params)
         on = (times > 0.0) & (params[0] != 0.0)
-        outs.append(np.full(times.shape, zero_value))
+        outs.append(np.zeros(times.shape))
         if on.any():
             c, p, wc = (x[on] if isinstance(x, np.ndarray) else x for x in params)
             power = None if isinstance(p, np.ndarray) else _exponents(integral, p)[2]
@@ -554,7 +559,8 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
             prev = value if len(levels) == 1 else sums[:, -2]
             value = sums[:, -1]
             gap = np.abs(value - prev)
-            tol = np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
+            with np.errstate(over="ignore"):  # an infinite tolerance accepts the row
+                tol = np.maximum(s.abs_tol, s.rel_tol * np.abs(value))
             done = gap <= tol
             if done.any():
                 values[rows[done]] = value[done]
@@ -591,29 +597,17 @@ def total_moment(c, p, omega_c, settings: QuadratureSettings | None = None):
     return _de_integral([_total_part(c, p, omega_c)], settings)[0]
 
 
-def oscillatory_moment(
-    c, p, omega_c, t: float | np.ndarray,
-    kind: Literal["cos", "sin"],
-    settings: QuadratureSettings | None = None,
+def sine_moment(
+    c, p, omega_c, t: float | np.ndarray, settings: QuadratureSettings | None = None
 ) -> float | np.ndarray:
-    """``c * Int_0^inf w**(p-1) e**(-w/omega_c) trig(w t) dw`` by quadrature.
+    """``c * Int_0^inf w**(p-1) e**(-w/omega_c) sin(w t) dw`` by quadrature, p > -1.
 
     ``t`` is one time or an array of times, and ``c``, ``p``, ``omega_c``
     floats or arrays that broadcast against it, validated as KernelArgs.
-    The cosine moment needs p > 0; the sine moment converges for p > -1.
-    The head runs to the first zero of the trig factor (pi/(2t) for cos,
-    pi/t for sin); the rest is one Ooura-Mori sine integral, accurate for
-    arbitrarily large t.
+    The head runs to the first zero of sin(w t), pi/t; the rest is one
+    Ooura-Mori sine integral, accurate for arbitrarily large t.
     """
-    if kind not in ("cos", "sin"):
-        raise DomainError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    args = KernelArgs(c, p, omega_c, t)
-    if kind == "sin":
-        return _de_integral([_part(_SINE, args)], settings)[0]
-    if not all_true(ok := p > 0.0):
-        raise DomainError(f"cosine moment diverges for p <= 0, got p={_first_failing(p, ok)}")
-    total = total_moment(c, p, omega_c, settings) if np.any(np.asarray(t) == 0.0) else 0.0
-    return _de_integral([_part(_COSINE, args, total)], settings)[0]
+    return _de_integral([_part(_SINE, KernelArgs(c, p, omega_c, t))], settings)[0]
 
 
 def kernel_by_quadrature(
@@ -621,8 +615,7 @@ def kernel_by_quadrature(
 ) -> float | np.ndarray:
     """Quadrature evaluation of the decay kernel's defining integral.
 
-    Serves as the independent oracle for ``decay_kernel`` and as the
-    computational route for exponents in (-1, 0] where the closed form
-    does not apply.  Elementwise over the broadcast arguments.
+    The independent oracle of ``decay_kernel``; elementwise over the
+    broadcast arguments.
     """
     return _de_integral([_part(_KERNEL, args)], settings)[0]

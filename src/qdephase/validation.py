@@ -72,7 +72,7 @@ class SuiteResult:
 def _random_model(rng: np.random.Generator) -> ModelSpec:
     alpha = 10.0 ** rng.uniform(-4, 0)
     gamma_coef = 10.0 ** rng.uniform(-4, 0)
-    mu = rng.uniform(1e-3, 2.0)
+    mu = rng.uniform(-1.0, 2.0)
     nu = rng.uniform(1e-3, 2.0)
     omega_c = rng.uniform(0.5, 2.0)
     epsilon = rng.uniform(0.0, 2.0)

@@ -1089,12 +1089,15 @@ class TestLibraryProperty:
 # forms accept (MAX_SCALED_TIME / max(1, omega_c)) and the float just past it
 _TIME_EDGES = (0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-3, 1.0, 1e4, 1e150,
                math.nextafter(1e150, math.inf), -1.0, math.nan, math.inf, -math.inf)
+# Edge values of mu: next to the pole of Gamma at -1, the two closed-form
+# braces' seam at -1/2, both sides of the small-exponent seam, and 0
+_MU_EDGES = (math.nextafter(-1.0, 0.0), -0.999, -0.5, -1e-7, -5e-8, 0.0, 5e-8)
 _MODELS = st.builds(
     lambda alpha, mu, log_omega_c, gamma, nu: ModelSpec(
         1.0, BathSpec(alpha, mu, 10.0**log_omega_c), DisplacementSpec(gamma, nu)
     ),
     st.floats(1e-4, 0.5),
-    st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    st.one_of(st.sampled_from(_MU_EDGES), st.floats(-1.0, 3.0, exclude_min=True)),
     st.floats(-6.0, 6.0),
     st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
     st.floats(1e-3, 3.0),

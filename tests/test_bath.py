@@ -22,16 +22,16 @@ from qdephase import (
     ground_coherent_overlap,
     kernel_by_quadrature,
     numerics,
-    oscillatory_moment,
     profile_at,
     profile_limit,
+    sine_moment,
     total_moment,
     validation,
 )
 from qdephase.bath import _profiles
 
 
-def random_model(rng, mu_range=(1e-3, 2.0)):
+def random_model(rng, mu_range=(-1.0, 3.0)):
     return ModelSpec(
         epsilon=rng.uniform(0.0, 2.0),
         bath=BathSpec(
@@ -172,24 +172,31 @@ class TestProfileAt:
             assert p.s - p.r <= 1e-12
 
     def test_r_monotone_for_small_mu(self):
+        # r'(t) is a positive multiple of sin((mu+1) atan(x)), which is >= 0 for mu <= 1
         rng = np.random.default_rng(11)
         for _ in range(10):
-            m = random_model(rng, mu_range=(1e-3, 1.0))
+            m = random_model(rng, mu_range=(-1.0, 1.0))
             times = np.geomspace(1e-3, 1e3, 120)
             values = [profile_at(m, float(t)).r for t in times]
             assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
 
-    def test_negative_mu_needs_quadrature(self):
-        m = ModelSpec(
-            epsilon=0.0,
-            bath=BathSpec(alpha=0.1, mu=-0.5, omega_c=1.0),
-            displacement=DisplacementSpec(gamma_coef=0.1, nu=0.8),
-        )
-        with pytest.raises(DomainError, match="quadrature"):
-            profile_at(m, 1.0, backend="closed_form")
-        p = profile_at(m, 1.0, backend="quadrature")
-        assert p.r > 0.0
-        assert math.isfinite(p.s) and math.isfinite(p.phi)
+    @staticmethod
+    def assert_backends_agree(closed, quadr):
+        for got, want in zip(closed, quadr):
+            assert np.all(np.abs(got - want) <= np.maximum(1e-8, 1e-6 * np.abs(want)))
+
+    def test_negative_mu_closed_form_matches_quadrature(self):
+        # mu in (-1, 0), with kappa = (mu + nu)/2 on either side of 0
+        times = (1.0, np.geomspace(1e-3, 1e4, 400))
+        for mu, nu in ((-0.5, 0.8), (-0.999, 0.4), (-0.9, 1.5), (-0.2, 0.2), (-2e-7, 0.05)):
+            m = ModelSpec(0.0, BathSpec(0.1, mu, 1.0), DisplacementSpec(0.1, nu))
+            for t in times:
+                closed = profile_at(m, t)
+                quadr = profile_at(m, t, backend="quadrature")
+                self.assert_backends_agree(
+                    (closed.r, closed.s, closed.phi), (quadr.r, quadr.s, quadr.phi)
+                )
+                assert np.all(closed.r > 0.0) and np.all(closed.s - closed.r <= 1e-12)
 
     @pytest.mark.parametrize("mu,nu", [(1e300, 0.05), (41.0, 0.05), (0.5, 1e300), (0.5, 41.0)])
     def test_quadrature_refuses_exponents_past_its_bound(self, mu, nu):
@@ -289,14 +296,14 @@ class TestProfileAt:
             point = profile_at(model, float(t), backend="quadrature")
             assert (whole.r[i], whole.s[i], whole.phi[i]) == (point.r, point.s, point.phi)
 
-    @pytest.mark.parametrize("mu", [-0.5, np.array([0.5, -0.5, 1.0])])
-    def test_closed_form_names_the_first_negative_mu(self, mu):
-        with pytest.raises(DomainError) as raised:
-            _profiles(0.1, mu, 1.0, 0.1, 0.8, 1.0, "closed_form")
-        assert str(raised.value) == (
-            "closed-form backend needs mu >= 0, got mu=-0.5; "
-            "use backend='quadrature' for mu in (-1, 0)"
-        )
+    @pytest.mark.parametrize("mu", [-0.5, np.array([0.5, -0.7, 1.0, -0.5])])
+    def test_closed_form_serves_negative_mu(self, mu):
+        t = np.array([0.0, 0.3, 40.0, 1e4])
+        closed = _profiles(0.1, mu, 1.0, 0.1, 0.8, t, "closed_form")
+        self.assert_backends_agree(closed, _profiles(0.1, mu, 1.0, 0.1, 0.8, t, "quadrature"))
+        for i, row in enumerate(np.broadcast_to(mu, t.shape)):
+            one = _profiles(0.1, float(row), 1.0, 0.1, 0.8, float(t[i]), "closed_form")
+            assert one == tuple(field[i] for field in closed)
 
     def test_time_array_validation(self, benchmark_model):
         with pytest.raises(DomainError):
@@ -312,7 +319,7 @@ def _uniform(low, high):
 # gamma_coef, nu and t
 _SAMPLE = st.tuples(
     _uniform(-4.0, 0.0).map(lambda e: 10.0**e),
-    _uniform(1e-3, 2.0),
+    _uniform(-1.0, 2.0).filter(lambda mu: mu > -1.0),
     _uniform(0.5, 2.0),
     _uniform(-4.0, 0.0).map(lambda e: 10.0**e),
     _uniform(1e-3, 2.0),
@@ -382,7 +389,7 @@ class TestQuadratureTable:
         r = np.maximum(4.0 * kernel_by_quadrature(KernelArgs(alpha, mu, omega_c, t)), 0.0)
         s = (2.0 * kernel_by_quadrature(KernelArgs(c, kappa, omega_c, t))
              - 0.5 * total_moment(gamma_coef, nu, omega_c))
-        phi = oscillatory_moment(c, kappa, omega_c, t, "sin")
+        phi = sine_moment(c, kappa, omega_c, t)
         for got, want in ((profile.r, r), (profile.s, s), (profile.phi, phi)):
             assert got.tobytes() == want.tobytes()
 
@@ -412,7 +419,7 @@ class TestQuadratureTable:
             lambda: kernel_by_quadrature(KernelArgs(alpha, mu, 1.0, t), harsh),
             lambda: kernel_by_quadrature(KernelArgs(c, kappa, 1.0, t), harsh),
             lambda: total_moment(gamma_coef, nu, 1.0, harsh),
-            lambda: oscillatory_moment(c, kappa, 1.0, t, "sin", harsh),
+            lambda: sine_moment(c, kappa, 1.0, t, harsh),
         ):
             try:
                 moment()
@@ -450,7 +457,7 @@ class TestQuadratureTable:
             np.maximum(4.0 * kernel_by_quadrature(KernelArgs(alpha, mu, omega_c, t)), 0.0),
             2.0 * kernel_by_quadrature(KernelArgs(c, kappa, omega_c, t))
             - 0.5 * total_moment(gamma_coef, nu, omega_c),
-            oscillatory_moment(c, kappa, omega_c, t, "sin"),
+            sine_moment(c, kappa, omega_c, t),
         )
         for got, want in zip((r, s, phi), alone):
             assert got.tobytes() == want.tobytes()

@@ -218,6 +218,32 @@ class TestEvolve:
         assert err.startswith("error:") and "exponent" in err
         assert err.count("\n") == 1
 
+    def test_huge_relative_tolerance_accepts_every_row(self, tmp_path, capsys):
+        # rel_tol * |value| overflowed with a raw RuntimeWarning; an infinite
+        # tolerance accepts the row
+        path = tmp_path / "huge-tol.cfg"
+        path.write_text(
+            "alpha = 0.01\ngamma = 0.05\nmu = 0.5\nnu = 1e-300\nlambda1 = 0.25\n"
+            "backend = quad\nrel_tol = 1e300\n",
+            encoding="utf-8",
+        )
+        assert main(["evolve", "--config", str(path), "--points", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.split()) == 4
+
+    def test_sub_ohmic_default_backend_matches_quadrature(self, tmp_path, capsys):
+        # the default closed-form backend serves mu in (-1, 0)
+        path = tmp_path / "sub-ohmic.cfg"
+        path.write_text(BENCHMARK_CONFIG.replace("mu = 0.01", "mu = -0.5"), encoding="utf-8")
+        assert main(["evolve", "--config", str(path), "--points", "40"]) == 0
+        closed = capsys.readouterr().out.split()
+        assert main(["evolve", "--config", str(path), "--points", "40", "--backend", "quad"]) == 0
+        quadr = capsys.readouterr().out.split()
+        assert closed[0] == quadr[0] == CSV_HEADER and len(closed) == len(quadr) == 41
+        for row, row_q in zip(closed[1:], quadr[1:]):
+            for got, want in zip(map(float, row.split(",")), map(float, row_q.split(","))):
+                assert abs(got - want) <= max(1e-8, 1e-6 * abs(want))
+
     def test_huge_epsilon_keeps_abs_a_finite(self, tmp_path, capsys):
         # 2*epsilon*t overflows at t = 1e4, but |A| does not depend on epsilon
         path = tmp_path / "eps.cfg"
@@ -292,6 +318,20 @@ class TestRegion:
         assert all(len(row) == 4 for row in payload["labels"])
         flat = [c for row in payload["labels"] for c in row]
         assert "+" in flat and "-" in flat
+
+    @pytest.mark.parametrize("mu", ["-0.5", "0"])
+    def test_ohmic_and_sub_ohmic_baths_diverge(self, tmp_path, capsys, mu):
+        # r(t) has no finite limit for mu <= 0, whatever the backend
+        path = tmp_path / "sub-ohmic.cfg"
+        path.write_text(BENCHMARK_CONFIG.replace("mu = 0.01", f"mu = {mu}"), encoding="utf-8")
+        code = main(
+            ["region", "--config", str(path), "--plane", "alpha,lambda1",
+             "--x-range", "1e-5:0.02:4", "--y-range", "0.05:0.95:5"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "diverges" in err
 
     def test_zero_area_range(self, config_path, capsys):
         code = main(
@@ -373,6 +413,15 @@ class TestCritical:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "no-bracket"
         assert payload["lambda_c"] is None
+
+    @pytest.mark.parametrize("mu", ["-0.5", "0"])
+    def test_ohmic_and_sub_ohmic_baths_diverge(self, tmp_path, capsys, mu):
+        path = tmp_path / "sub-ohmic.cfg"
+        path.write_text(BENCHMARK_CONFIG.replace("mu = 0.01", f"mu = {mu}"), encoding="utf-8")
+        assert main(["critical", "--config", str(path), "--bracket", "0.05:0.95"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "diverges" in err
 
     def test_inverted_bracket(self, config_path, capsys):
         assert main(["critical", "--config", config_path, "--bracket", "0.9:0.1"]) == 2

@@ -18,8 +18,8 @@ from qdephase import (
     decay_kernel,
     kernel_by_quadrature,
     numerics,
-    oscillatory_moment,
     profile_at,
+    sine_moment,
     total_moment,
 )
 from qdephase.numerics import SMALL_EXPONENT_LIMIT, gamma_moment
@@ -183,9 +183,50 @@ class TestDecayKernel:
             value = decay_kernel(KernelArgs(c, p, wc, 1e6 / wc))
             assert value == pytest.approx(limit, rel=1e-4)
 
-    def test_negative_exponent_refused(self):
-        with pytest.raises(DomainError, match="quadrature"):
-            decay_kernel(KernelArgs(1.0, -0.5, 1.0, 1.0))
+    # p in (-1, 0): -2e-7 takes the Gamma form just past the small-exponent
+    # seam, -5e-8 the limit; -0.5 takes the limit if the seam tests p, not |p|
+    SUB_OHMIC = (-0.999, -0.9, -0.5, -0.1, -1e-3, -1e-5, -2e-7, -5e-8)
+
+    @pytest.mark.parametrize("p", SUB_OHMIC)
+    @pytest.mark.parametrize("wc", [0.5, 1.0, 2.0])
+    def test_negative_exponents_match_quadrature(self, p, wc):
+        t = np.geomspace(1e-3, 1e4, 400)
+        args = KernelArgs(0.7, p, wc, t)
+        closed, oracle = decay_kernel(args), kernel_by_quadrature(args)
+        assert np.all(np.abs(closed - oracle) <= np.maximum(1e-8, 1e-6 * np.abs(oracle)))
+        for i in (0, 133, 399):
+            assert decay_kernel(KernelArgs(0.7, p, wc, float(t[i]))) == closed[i]
+
+    @pytest.mark.parametrize("p", SUB_OHMIC)
+    def test_negative_exponents_match_direct_quadrature(self, p):
+        # scipy on the raw integrands, and the sine moment that phi is made of
+        for wc, t in ((0.5, 0.3), (1.0, 2.0), (2.0, 9.0)):
+            closed = decay_kernel(KernelArgs(0.7, p, wc, t))
+            oracle = oracles.quad_kernel(0.7, p, wc, t)
+            assert abs(closed - oracle) <= max(1e-8, 1e-6 * abs(oracle))
+            _, sine = numerics._closed_kernel(0.7, p, wc, numerics._time_terms(wc, t), sine=True)
+            oracle = oracles.quad_sine(0.7, p, wc, t)
+            assert abs(sine - oracle) <= max(1e-8, 1e-6 * abs(oracle))
+
+    @pytest.mark.parametrize("d", [1e-6, 1e-10, 1e-14, 2.0**-53])
+    def test_exponents_next_to_minus_one(self, d):
+        # Gamma(p) has a pole at -1 and the brace a zero; the kernel tends to
+        # c (x atan(x) - log(1 + x^2)/2) / omega_c, with an O(d) correction
+        p, wc = d - 1.0, 1.5
+        t = np.geomspace(1e-3, 1e4, 50)
+        x = wc * t
+        closed = decay_kernel(KernelArgs(0.7, p, wc, t))
+        oracle = kernel_by_quadrature(KernelArgs(0.7, p, wc, t))
+        assert np.all(np.abs(closed - oracle) <= np.maximum(1e-8, 1e-6 * np.abs(oracle)))
+        limit = 0.7 * (x * np.arctan(x) - 0.5 * np.log1p(x * x)) / wc
+        assert closed == pytest.approx(limit, rel=10.0 * d * np.log(x.max()))
+        # x**2 is subnormal here, where a cancelling brace can round below zero
+        tiny = np.geomspace(1e-170, 1e-150, 200)
+        assert np.all(decay_kernel(KernelArgs(0.7, p, wc, tiny)) >= 0.0)
+
+    def test_zero_time_is_positive_zero(self):
+        for p in (-0.9, -0.3, 0.0, 0.5):
+            assert math.copysign(1.0, decay_kernel(KernelArgs(0.7, p, 1.0, 0.0))) == 1.0
 
     def test_exponent_below_minus_one_rejected(self):
         with pytest.raises(DomainError):
@@ -214,10 +255,6 @@ class TestDomainMessages:
              "quadrature exponent p must be <= 40, got p=45.0"),
             (lambda x: total_moment(1.0, x, 1.0), -0.5,
              "total moment diverges for p <= 0, got p=-0.5"),
-            (lambda x: oscillatory_moment(1.0, x, 1.0, 1.0, "cos"), -0.5,
-             "cosine moment diverges for p <= 0, got p=-0.5"),
-            (lambda x: decay_kernel(KernelArgs(1.0, x, 1.0, 1.0)), -0.5,
-             "closed-form kernel needs p >= 0, got p=-0.5; use kernel_by_quadrature for p in (-1, 0)"),
         ],
     )
     @pytest.mark.parametrize("array", [False, True])
@@ -277,28 +314,15 @@ class TestMoments:
     def test_sine_moment_against_direct_quadrature(self):
         for (c, p, t) in [(1.0, 0.03, 1.0), (0.5, 0.9, 2.5), (1.0, 1.4, 0.7)]:
             expected = oracles.quad_sine(c, p, 1.0, t)
-            assert oscillatory_moment(c, p, 1.0, t, "sin") == pytest.approx(expected, rel=1e-8)
+            assert sine_moment(c, p, 1.0, t) == pytest.approx(expected, rel=1e-8)
 
     def test_sine_moment_zero_time(self):
-        assert oscillatory_moment(1.0, 0.5, 1.0, 0.0, "sin") == 0.0
-
-    def test_cosine_moment_zero_time_equals_total(self):
-        total = total_moment(1.0, 0.5, 1.0)
-        assert oscillatory_moment(1.0, 0.5, 1.0, 0.0, "cos") == pytest.approx(total, rel=1e-12)
-
-    def test_cosine_moment_rejects_nonpositive_exponent(self):
-        with pytest.raises(DomainError):
-            oscillatory_moment(1.0, 0.0, 1.0, 1.0, "cos")
+        assert sine_moment(1.0, 0.5, 1.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("p,wc", [(math.nan, 1.0), (0.5, -1.0), (0.5, 0.0), (0.5, math.inf)])
     def test_bad_exponent_or_cutoff_rejected(self, p, wc):
-        for kind in ("sin", "cos"):
-            with pytest.raises(DomainError):
-                oscillatory_moment(1.0, p, wc, 1.0, kind)
-
-    def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
-            oscillatory_moment(1.0, 0.5, 1.0, 1.0, "tan")
+            sine_moment(1.0, p, wc, 1.0)
 
     def test_quadrature_needs_no_gamma(self, monkeypatch):
         # the quadrature backend is the oracle of the gamma closed forms
@@ -311,9 +335,7 @@ class TestMoments:
         times = np.array([0.0, 0.3, 7.0, 2e3])
         profile_at(model, times, backend="quadrature")
         kernel_by_quadrature(KernelArgs(0.3, -0.4, 1.0, times))
-        oscillatory_moment(0.3, 0.7, 1.0, times, "sin")
-        oscillatory_moment(0.3, 0.7, 1.0, times, "cos")
-        oscillatory_moment(0.3, 0.7, 1.0, 0.0, "cos")
+        sine_moment(0.3, 0.7, 1.0, times)
         total_moment(0.3, 0.7, 1.0)
         with pytest.raises(AssertionError, match="gamma evaluated"):
             profile_at(model, times)
@@ -337,6 +359,12 @@ class TestQuadratureSettings:
     def test_invalid_settings(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureSettings(**kwargs)
+
+    def test_infinite_tolerance_accepts_without_overflow(self):
+        # rel_tol * |value| overflows to an infinite tolerance, which accepts
+        # the row at level 1, not to a RuntimeWarning
+        value = total_moment(1.0, 1e-300, 1.0, QuadratureSettings(rel_tol=1e300))
+        assert math.isfinite(value) and value > 1e299
 
     def test_defaults(self):
         s = QuadratureSettings()
@@ -365,21 +393,21 @@ class TestDoubleExponentialRules:
         # every time leaves the level loop on its own, so the values are exact
         assert grid.shape == times.shape and list(grid) == points and grid[0] == 0.0
 
-    @pytest.mark.parametrize("kind,p", [("sin", -0.4), ("sin", 0.8), ("cos", 0.05), ("cos", 2.2)])
-    def test_moment_array_equals_points(self, kind, p):
+    @pytest.mark.parametrize("p", [-0.4, 0.8], ids=lambda p: f"sin-{p}")
+    def test_moment_array_equals_points(self, p):
         times = np.array([0.0, 2e-3, 0.9, 13.0, 3e5])
-        grid = oscillatory_moment(0.7, p, 0.8, times, kind)
-        points = [oscillatory_moment(0.7, p, 0.8, float(t), kind) for t in times]
+        grid = sine_moment(0.7, p, 0.8, times)
+        points = [sine_moment(0.7, p, 0.8, float(t)) for t in times]
         assert grid.shape == times.shape and list(grid) == points
 
     @pytest.mark.parametrize(
         "args",
-        [(1.0, 0.5, 1.0, 1e4, "sin"), (1.0, 1.7, 1.0, 1e5, "cos"), (0.3, -0.5, 1.0, 300.0, "sin")],
+        [(1.0, 0.5, 1.0, 1e4), (1.0, 1.7, 1.0, 1e5), (0.3, -0.5, 1.0, 300.0)],
     )
     def test_tiny_abs_tol_terminates_and_agrees(self, args):
         # abs_tol = 1e-300 leaves the relative tolerance in charge
-        tight = oscillatory_moment(*args, settings=QuadratureSettings(abs_tol=1e-300))
-        assert tight == pytest.approx(oscillatory_moment(*args), rel=1e-12)
+        tight = sine_moment(*args, settings=QuadratureSettings(abs_tol=1e-300))
+        assert tight == pytest.approx(sine_moment(*args), rel=1e-12)
 
     def test_unmeetable_tolerances_raise(self):
         # two levels can agree to the last bit at one time, not at all four here
@@ -486,13 +514,10 @@ class TestPairedFirstPass:
     @pytest.mark.parametrize("call,want", [
         (lambda t: kernel_by_quadrature(KernelArgs(0.2, -0.3, 1.5, t)),
          ["0x0.0p+0", "0x1.556a41b33c30cp-13", "0x1.ed951ab71c9edp-3", "0x1.0d690e431009ap+2"]),
-        (lambda t: oscillatory_moment(0.2, 0.4, 1.5, t, "sin"),
+        (lambda t: sine_moment(0.2, 0.4, 1.5, t),
          ["0x0.0p+0", "0x1.3363d5373e33ap-7", "0x1.4300d1bf8a850p-3", "0x1.636e1e33849fdp-6"]),
-        (lambda t: oscillatory_moment(0.2, 0.4, 1.5, t, "cos"),
-         ["0x1.0b2250c59d6ebp-1", "0x1.0afb98021c743p-1", "0x1.27e523b71f4dap-2",
-          "0x1.e9c1b7a6298e7p-6"]),
         (lambda t: total_moment(0.2, 0.4, 1.5), ["0x1.0b2250c59d6ebp-1"]),
-    ], ids=["kernel", "sin", "cos", "total"])
+    ], ids=["kernel", "sin", "total"])
     def test_one_part_bits(self, call, want):
         assert _hexes(call(self.T)) == want
 
@@ -509,3 +534,76 @@ class TestPairedFirstPass:
         assert sorted(call[:3] for call in sums) == [
             ("_envelope_sums", (0, 1), 9), ("_head_sums", (0, 1), 13), ("_sine_sums", (0, 1), 12)
         ]
+
+
+class TestClosedFormBits:
+    """Closed-form r, s, phi and decay_kernel for mu >= 0, as float.hex,
+    recorded before the closed form served mu in (-1, 0): on both sides of
+    the small-exponent seam (5e-8 takes the limit, 1e-7 the Gamma form) and
+    away from it."""
+
+    T = np.array([0.0, 1e-3, 0.7, 30.0, 1e4])
+
+    # mu: (r, s, phi, decay_kernel(KernelArgs(0.3, mu, 1.3, T)))
+    GOLDEN = {
+        0.0: (
+            ["0x0.0p+0", "0x1.2256ec58e509cp-24", "0x1.8b5d1d6b47292p-6",
+             "0x1.2c25591a5da45p-2", "0x1.840081e4f1abap-1"],
+            ["-0x1.f88b91cdf4346p-5", "-0x1.f88b707d245ecp-5", "-0x1.4c1c93b40fe30p-5",
+             "0x1.ab4897a7f1279p-4", "0x1.9ae7c4ea2dedcp-3"],
+            ["0x0.0p+0", "0x1.4db0d1c310444p-15", "0x1.5b35b65d8b67fp-6",
+             "0x1.6e609b3490a7dp-6", "0x1.d1f1ce31f2a7cp-8"],
+            ["0x0.0p+0", "0x1.10317d9356b92p-22", "0x1.72a74b9492b69p-4",
+             "0x1.19630388b7ca1p+0", "0x1.6bc079c6a290ep+1"],
+        ),
+        5e-08: (
+            ["0x0.0p+0", "0x1.2256ec58e509cp-24", "0x1.8b5d1d6b47292p-6",
+             "0x1.2c25591a5da45p-2", "0x1.840081e4f1abap-1"],
+            ["-0x1.f88b91cdf4346p-5", "-0x1.f88b707d24538p-5", "-0x1.4c1c938cc498ap-5",
+             "0x1.ab4895f7b2ec1p-4", "0x1.9ae7c1f5378e4p-3"],
+            ["0x0.0p+0", "0x1.4db0d1bf5473ap-15", "0x1.5b35b6286e9c5p-6",
+             "0x1.6e6098e4d1eebp-6", "0x1.d1f1c6d11d40dp-8"],
+            ["0x0.0p+0", "0x1.10317d9356b92p-22", "0x1.72a74b9492b69p-4",
+             "0x1.19630388b7ca1p+0", "0x1.6bc079c6a290ep+1"],
+        ),
+        1e-07: (
+            ["0x0.0p+0", "0x1.2256eda6a2e8ap-24", "0x1.8b5d1e8dbe5e6p-6",
+             "0x1.2c25558564439p-2", "0x1.8400756196842p-1"],
+            ["-0x1.f88b91cdf4346p-5", "-0x1.f88b707d24484p-5", "-0x1.4c1c9365794e6p-5",
+             "0x1.ab48944774b21p-4", "0x1.9ae7bf0041356p-3"],
+            ["0x0.0p+0", "0x1.4db0d1bb98a30p-15", "0x1.5b35b5f351d0ep-6",
+             "0x1.6e60969513395p-6", "0x1.d1f1bf7047f7cp-8"],
+            ["0x0.0p+0", "0x1.10317ecc38ba0p-22", "0x1.72a74ca4e2787p-4",
+             "0x1.1963002d0dff5p+0", "0x1.6bc06e0b7d1bdp+1"],
+        ),
+        0.5: (
+            ["0x0.0p+0", "0x1.b80fe13418c7bp-24", "0x1.0625c76f34bc7p-5",
+             "0x1.2524e288c3ec2p-3", "0x1.490d5721ad1b0p-3"],
+            ["-0x1.f88b91cdf4346p-5", "-0x1.f88b68574a421p-5", "-0x1.301bfdb5a5ed0p-5",
+             "0x1.d985336f7f67ep-5", "0x1.3b54212237703p-4"],
+            ["0x0.0p+0", "0x1.57b249e7b8418p-15", "0x1.46c358e8f6ca6p-6",
+             "0x1.1ab6829372608p-7", "0x1.4fdae6aa1a3cdp-11"],
+            ["0x0.0p+0", "0x1.9c8ee320d73b3p-22", "0x1.eb86d5f082e14p-4",
+             "0x1.12d2946037ad6p-1", "0x1.347c81af92495p-1"],
+        ),
+        2.0: (
+            ["0x0.0p+0", "0x1.7001307f94ac5p-21", "0x1.06a5b017da084p-3",
+             "0x1.15123fc8da7e0p-3", "0x1.14e3bceed7656p-3"],
+            ["-0x1.f88b91cdf4346p-5", "-0x1.f88b328592f25p-5", "-0x1.17b63307ddd40p-6",
+             "0x1.2ae12f3154d98p-6", "0x1.26650095ac760p-6"],
+            ["0x0.0p+0", "0x1.044746cb55e91p-14", "0x1.5f7da3ac67bebp-6",
+             "0x1.ed51783d25c4fp-12", "0x1.d5f072d21625dp-22"],
+            ["0x0.0p+0", "0x1.59011d779b618p-19", "0x1.ec76aa2cb8cf6p-2",
+             "0x1.03c11bcc4cd62p-1", "0x1.0395811fe9ef0p-1"],
+        ),
+    }
+
+    @pytest.mark.parametrize("mu", GOLDEN)
+    def test_bits(self, mu):
+        model = ModelSpec(1.0, BathSpec(0.02, mu, 1.3), DisplacementSpec(0.05, 0.4))
+        profile = profile_at(model, self.T)
+        kernel = decay_kernel(KernelArgs(0.3, mu, 1.3, self.T))
+        got = [_hexes(x) for x in (profile.r, profile.s, profile.phi, kernel)]
+        assert got == [list(x) for x in self.GOLDEN[mu]]
+        one = profile_at(model, float(self.T[2]))
+        assert [one.r, one.s, one.phi] == [profile.r[2], profile.s[2], profile.phi[2]]

@@ -39,13 +39,17 @@ __all__ = [
     "kernel_by_quadrature",
 ]
 
-# Below this |exponent| the closed-form kernel switches to its analytic
-# p -> 0 limit (c/2)*log(1 + (omega_c*t)**2).  The stabilised evaluation
-# (expm1 + half-angle sine) stays accurate for arbitrarily small |p|, so the
-# switch only has to cover p = 0 itself.  At the seams p = +-1e-7 the limits
-# are off by ~|p| log(omega_c*t) relative for the sine moment and half that
-# for the kernel: 1e-6 for the sine at omega_c*t ~ 2e4.
+# For -_NEGATIVE_EXPONENT_LIMIT < p < SMALL_EXPONENT_LIMIT the closed forms switch
+# to their analytic p -> 0 limits, (c/2)*log(1 + x**2) and c*atan(x) with
+# x = omega_c*t.  The limits are off by ~|p| log(x) relative for the sine moment
+# and half that for the kernel: just below p = 1e-7 that is 1e-6, the quadrature
+# tolerance, at x ~ 2e4, and ~1.9 times it at x ~ 2e8.  The stabilised Gamma
+# forms (expm1 + half-angle sine) stay within 1e-9 tolerances of 50-digit values
+# down to |p| = 1e-20, so the negative side switches only above -1e-12, where
+# the limits are off by < 1e-9 relative at every accepted time.  The positive
+# side keeps 1e-7, so its values are unchanged (float.hex goldens in the tests).
 SMALL_EXPONENT_LIMIT = 1e-7
+_NEGATIVE_EXPONENT_LIMIT = 1e-12
 
 # Largest t and omega_c * t accepted.  The closed forms square x = omega_c * t
 # and the quadrature kernel squares t (its integrand is ~t**2/4 at w -> 0);
@@ -162,11 +166,12 @@ def gamma_moment(c, p, omega_c):
 
 
 def _small_exponent_limit(p, limit, gamma_form):
-    """``gamma_form(p)`` elementwise, ``limit`` where |p| < SMALL_EXPONENT_LIMIT
-    (both may be pairs; arrays then come back stacked).  ``gamma_form`` gets 1
-    in place of such an exponent, so Gamma is never evaluated near its pole at 0.
+    """``gamma_form(p)`` elementwise, ``limit`` where -_NEGATIVE_EXPONENT_LIMIT <
+    p < SMALL_EXPONENT_LIMIT (both may be pairs; arrays then come back stacked).
+    ``gamma_form`` gets 1 in place of such an exponent, so Gamma is never
+    evaluated at its pole at 0.
     """
-    small = abs(p) < SMALL_EXPONENT_LIMIT
+    small = (p > -_NEGATIVE_EXPONENT_LIMIT) & (p < SMALL_EXPONENT_LIMIT)
     if not isinstance(small, np.ndarray):
         return limit if small else gamma_form(p)
     return np.where(small, limit, gamma_form(np.where(small, 1.0, p)))
@@ -181,9 +186,10 @@ def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     is lost when ``p`` or ``t`` is small.  The form holds for every p > -1
     (Gradshteyn and Ryzhik, 3.944; on (-1, 0) Gamma(p) and the brace are both
     negative).  Below p = -1/2 the brace is evaluated about the pole of Gamma
-    at -1, where it vanishes.  Where ``|p|`` is below SMALL_EXPONENT_LIMIT
+    at -1, where it vanishes.  For -1e-12 < p < SMALL_EXPONENT_LIMIT
     (including ``p = 0``) the analytic limit ``(c/2) * log(1 + x^2)`` is
-    returned.
+    returned; it is off by ~p log(x)/2 relative, so just below 1e-7 it
+    reaches the 1e-6 quadrature tolerance only past x ~ 1e8.
     """
     return _closed_kernel(args.c, args.p, args.omega_c, _time_terms(args.omega_c, args.t))
 
@@ -206,6 +212,9 @@ def _closed_kernel(c, p, omega_c, terms, sine=False):
         moment = gamma_moment(c, p, omega_c)
         brace = -np.expm1(-b) + damp * 2.0 * np.sin(0.5 * p * atan) ** 2
         if all_true(p >= 0.0):
+            # the expression below gives the same bits here, but its pole brace
+            # doubles the cost of a call (one time or 400) and slows a
+            # closed-form series with its extremum refine by ~30%
             kernel = moment * brace
         else:
             # below p = -1/2, with d = p + 1, cos(p*atan(x)) / (1+x^2)**(p/2) is

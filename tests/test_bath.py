@@ -198,6 +198,15 @@ class TestProfileAt:
                 )
                 assert np.all(closed.r > 0.0) and np.all(closed.s - closed.r <= 1e-12)
 
+    def test_kappa_just_below_zero_matches_quadrature_to_long_times(self):
+        # kappa = (mu + nu)/2 = -9.9999e-8: the p -> 0 limit would miss the
+        # tolerance in s and phi past omega_c t ~ 1e5
+        m = ModelSpec(0.0, BathSpec(0.1, -0.3, 2.0), DisplacementSpec(0.1, 0.3 - 1.99998e-7))
+        assert -1e-7 < 0.5 * (m.bath.mu + m.displacement.nu) < -9.999e-8
+        t = np.geomspace(1e-3, 1e8, 200)
+        closed, quadr = profile_at(m, t), profile_at(m, t, backend="quadrature")
+        self.assert_backends_agree((closed.r, closed.s, closed.phi), (quadr.r, quadr.s, quadr.phi))
+
     @pytest.mark.parametrize("mu,nu", [(1e300, 0.05), (41.0, 0.05), (0.5, 1e300), (0.5, 41.0)])
     def test_quadrature_refuses_exponents_past_its_bound(self, mu, nu):
         # mu = 1e300 overflowed delta**q in the head with a raw RuntimeWarning;

@@ -183,8 +183,8 @@ class TestDecayKernel:
             value = decay_kernel(KernelArgs(c, p, wc, 1e6 / wc))
             assert value == pytest.approx(limit, rel=1e-4)
 
-    # p in (-1, 0): -2e-7 takes the Gamma form just past the small-exponent
-    # seam, -5e-8 the limit; -0.5 takes the limit if the seam tests p, not |p|
+    # p in (-1, 0), all through the Gamma form: -2e-7 and -5e-8 lie on either
+    # side of -SMALL_EXPONENT_LIMIT; -0.5 takes the limit if the seam tests p
     SUB_OHMIC = (-0.999, -0.9, -0.5, -0.1, -1e-3, -1e-5, -2e-7, -5e-8)
 
     @pytest.mark.parametrize("p", SUB_OHMIC)
@@ -207,6 +207,21 @@ class TestDecayKernel:
             _, sine = numerics._closed_kernel(0.7, p, wc, numerics._time_terms(wc, t), sine=True)
             oracle = oracles.quad_sine(0.7, p, wc, t)
             assert abs(sine - oracle) <= max(1e-8, 1e-6 * abs(oracle))
+
+    @pytest.mark.parametrize("p", [-9.9999e-8, -5e-8, -1e-11])
+    def test_negative_seam_holds_to_long_times(self, p):
+        # the p -> 0 limits are off by ~|p| log(x) relative: at |p| just below
+        # 1e-7 the sine moment's misses the tolerance 1.9-fold at x = 2e8
+        t = np.geomspace(1e-3, 1e8, 200)
+        args = KernelArgs(0.7, p, 2.0, t)
+        closed, sine = numerics._closed_kernel(0.7, p, 2.0, numerics._time_terms(2.0, t), sine=True)
+        for got, want in ((closed, kernel_by_quadrature(args)), (sine, sine_moment(0.7, p, 2.0, t))):
+            assert np.all(np.abs(got - want) <= np.maximum(1e-8, 1e-6 * np.abs(want)))
+
+    @pytest.mark.parametrize("p", [-0.0, -1e-13])
+    def test_negative_exponents_next_to_zero_take_the_limit(self, p):
+        t = np.geomspace(1e-3, 1e8, 20)
+        assert np.array_equal(decay_kernel(KernelArgs(1.0, p, 1.0, t)), 0.5 * np.log1p(t * t))
 
     @pytest.mark.parametrize("d", [1e-6, 1e-10, 1e-14, 2.0**-53])
     def test_exponents_next_to_minus_one(self, d):

@@ -58,8 +58,8 @@ _limit_args = itemgetter(*_RATIO_ARGS[:5])
 
 _TIE_TOL = 1e-9
 _TREE_LEVELS = 7  # find_lambda_c: bisection levels per evaluator call
-# find_extremum: times per zoom round (each round narrows the bracket 16x)
-_ZOOM_POINTS = 33
+# find_extremum: times per zoom round (each round narrows the bracket 64x)
+_ZOOM_POINTS = 129
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,12 @@ class TimeGrid:
             raise DomainError("log grids require t_min > 0")
 
     def times(self) -> np.ndarray:
+        """The grid's times; a log grid has np.geomspace's bits, at half its cost."""
         if self.kind == "linear":
             return np.linspace(self.t_min, self.t_max, self.points)
-        return np.geomspace(self.t_min, self.t_max, self.points)
+        times = np.logspace(*np.log10([self.t_min, self.t_max]), self.points)
+        times[[0, -1]] = self.t_min, self.t_max
+        return times
 
 
 def default_grid(omega_c: float = 1.0, points: int = 400) -> TimeGrid:

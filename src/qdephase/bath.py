@@ -179,10 +179,7 @@ def profile_at(
 
     ``t`` is one time or an array of times; the profile's fields have the
     same shape.  Both backends serve every mu > -1 and agree to quadrature
-    tolerance, except where mu or kappa = (mu + nu)/2 lies in [0, 1e-7): the
-    closed form's p -> 0 limit is then off by ~p log(omega_c t) relative,
-    1.9 tolerances at omega_c t = 2e8.  The gamma-free quadrature is the
-    oracle of the closed form.
+    tolerance.  The gamma-free quadrature is the oracle of the closed form.
     Both evaluate a whole time array in one numpy pass.
     """
     b, d = m.bath, m.displacement

@@ -208,17 +208,18 @@ class TestDecayKernel:
             oracle = oracles.quad_sine(0.7, p, wc, t)
             assert abs(sine - oracle) <= max(1e-8, 1e-6 * abs(oracle))
 
-    @pytest.mark.parametrize("p", [-9.9999e-8, -5e-8, -1e-11])
+    @pytest.mark.parametrize("p", [-9.9999e-8, -5e-8, -1e-11, 9.9999e-8, 5e-8, 1e-11])
     def test_negative_seam_holds_to_long_times(self, p):
         # the p -> 0 limits are off by ~|p| log(x) relative: at |p| just below
-        # 1e-7 the sine moment's misses the tolerance 1.9-fold at x = 2e8
+        # 1e-7 the sine moment's would miss the tolerance 1.9-fold at x = 2e8,
+        # so on either side of zero only |p| < 1e-12 takes them
         t = np.geomspace(1e-3, 1e8, 200)
         args = KernelArgs(0.7, p, 2.0, t)
         closed, sine = numerics._closed_kernel(0.7, p, 2.0, numerics._time_terms(2.0, t), sine=True)
         for got, want in ((closed, kernel_by_quadrature(args)), (sine, sine_moment(0.7, p, 2.0, t))):
             assert np.all(np.abs(got - want) <= np.maximum(1e-8, 1e-6 * np.abs(want)))
 
-    @pytest.mark.parametrize("p", [-0.0, -1e-13])
+    @pytest.mark.parametrize("p", [-0.0, -1e-13, 1e-13])
     def test_negative_exponents_next_to_zero_take_the_limit(self, p):
         t = np.geomspace(1e-3, 1e8, 20)
         assert np.array_equal(decay_kernel(KernelArgs(1.0, p, 1.0, t)), 0.5 * np.log1p(t * t))
@@ -553,9 +554,10 @@ class TestPairedFirstPass:
 
 class TestClosedFormBits:
     """Closed-form r, s, phi and decay_kernel for mu >= 0, as float.hex,
-    recorded before the closed form served mu in (-1, 0): on both sides of
-    the small-exponent seam (5e-8 takes the limit, 1e-7 the Gamma form) and
-    away from it."""
+    recorded before the closed form served mu in (-1, 0): at mu = 0, which
+    takes the p -> 0 limit, just above it and away from it.  The 5e-8 r and
+    kernel rows were re-recorded when the small-exponent seam moved from 1e-7
+    to 1e-12, so they come from the Gamma form."""
 
     T = np.array([0.0, 1e-3, 0.7, 30.0, 1e4])
 
@@ -572,14 +574,14 @@ class TestClosedFormBits:
              "0x1.19630388b7ca1p+0", "0x1.6bc079c6a290ep+1"],
         ),
         5e-08: (
-            ["0x0.0p+0", "0x1.2256ec58e509cp-24", "0x1.8b5d1d6b47292p-6",
-             "0x1.2c25591a5da45p-2", "0x1.840081e4f1abap-1"],
+            ["0x0.0p+0", "0x1.2256ecffc3f8cp-24", "0x1.8b5d1dfc82c37p-6",
+             "0x1.2c25574fe0f20p-2", "0x1.84007ba34406dp-1"],
             ["-0x1.f88b91cdf4346p-5", "-0x1.f88b707d24538p-5", "-0x1.4c1c938cc498ap-5",
              "0x1.ab4895f7b2ec1p-4", "0x1.9ae7c1f5378e4p-3"],
             ["0x0.0p+0", "0x1.4db0d1bf5473ap-15", "0x1.5b35b6286e9c5p-6",
              "0x1.6e6098e4d1eebp-6", "0x1.d1f1c6d11d40dp-8"],
-            ["0x0.0p+0", "0x1.10317d9356b92p-22", "0x1.72a74b9492b69p-4",
-             "0x1.19630388b7ca1p+0", "0x1.6bc079c6a290ep+1"],
+            ["0x0.0p+0", "0x1.10317e2fc7b94p-22", "0x1.72a74c1cba974p-4",
+             "0x1.196301dae2e2ep+0", "0x1.6bc073e90fc67p+1"],
         ),
         1e-07: (
             ["0x0.0p+0", "0x1.2256eda6a2e8ap-24", "0x1.8b5d1e8dbe5e6p-6",

@@ -337,9 +337,9 @@ def region_map(
     ``plane`` names the (x, y) parameters from PLANE_PARAMETERS; grid values
     override the template model / correlation weights cell by cell.  With
     ``refine_boundary`` the ratio = 1 crossing is located along every grid
-    edge whose endpoints carry opposite definite labels, by the Illinois
-    method (a modified regula falsi) on log ratio, to a resolution of
-    ``boundary_resolution`` (finite, >= 0) times the axis span.
+    edge whose endpoints carry opposite definite labels, by a safeguarded
+    secant on log ratio that evaluates two points per edge and round, to a
+    resolution of ``boundary_resolution`` (finite, >= 0) times the axis span.
     """
     x_name, y_name = plane
     for name in (x_name, y_name):
@@ -392,25 +392,35 @@ def region_map(
         x_res = boundary_resolution * abs(xs[-1] - xs[0]) if xs.size > 1 else 0.0
         y_res = boundary_resolution * abs(ys[-1] - ys[0]) if ys.size > 1 else 0.0
         res = np.where(along_x, x_res, y_res)
-        held = np.zeros(lo.size)  # the end kept last round: 1 hi, -1 lo, 0 none yet
+
+        def estimate(p, q, r_p, r_q, a, b):
+            """The secant root of g = log ratio through p and q (symmetric in the two),
+            or the midpoint of [a, b] where it is not finite or not strictly inside."""
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g_p, g_q = np.log(r_p), np.log(r_q)
+                m = (p * g_q - q * g_p) / (g_q - g_p)
+            return np.where((np.minimum(a, b) < m) & (m < np.maximum(a, b)), m, 0.5 * (a + b))
+
+        m = estimate(lo, hi, r_lo, r_hi, lo, hi)
         while True:
             mid = 0.5 * (lo + hi)
             k = np.flatnonzero((np.abs(hi - lo) > res) & (mid != lo) & (mid != hi))
             if k.size == 0:
                 break
-            # Illinois on g = log ratio (an end kept twice running has its g halved); the secant
-            # point moves 0.49 res toward the end kept last round, to close the bracket next round
-            a, b, f, h = lo[k], hi[k], fixed[k], held[k]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ga, gb = np.log(r_lo[k]), np.log(r_hi[k])
-                m = (a * gb - b * ga) / (gb - ga) + 0.49 * res[k] * h * np.sign(b - a)
-            m = np.where((np.minimum(a, b) < m) & (m < np.maximum(a, b)), m, mid[k])
-            r_mid = ratios(np.where(along_x[k], m, f), np.where(along_x[k], f, m))
-            to_lo = (r_mid > 1.0) == lo_above[k]
-            r_lo[k] = np.where(to_lo, r_mid, np.where(h < 0, np.sqrt(r_lo[k]), r_lo[k]))
-            r_hi[k] = np.where(to_lo, np.where(h > 0, np.sqrt(r_hi[k]), r_hi[k]), r_mid)
-            lo[k], hi[k], held[k] = np.where(to_lo, m, a), np.where(to_lo, b, m), 2 * to_lo - 1
-            lo[k[np.isnan(r_mid)]] = np.nan  # an undefined point drops the edge
+            # p-, p+ lie 0.49 max(res, 1e-3 |b - a|) either side of the estimate, p- toward lo,
+            # so an estimate within 0.49 res of the crossing closes the bracket this round
+            a, b, f = lo[k], hi[k], fixed[k]
+            h = 0.49 * np.maximum(res[k], 1e-3 * np.abs(b - a)) * np.sign(b - a)
+            p = np.clip(m[k] + [[-1.0], [1.0]] * h, np.minimum(a, b), np.maximum(a, b))
+            r = ratios(np.where(along_x[k], p, f), np.where(along_x[k], f, p))
+            # the new bracket is [p-, p+] if it holds a sign change, else [a, p-] or [p+, b];
+            # preferring the middle keeps the choice symmetric where the sign flips more than once
+            same = (r > 1.0) == lo_above[k]
+            j, ends, n = same.sum(axis=0), np.stack([a, p[0], p[1], b]), np.arange(k.size)
+            lo[k], hi[k] = ends[j, n], ends[j + 1, n]
+            lo_above[k] ^= same[1] & ~same[0]  # that middle's lo end lies on the other side
+            m[k] = estimate(p[0], p[1], r[0], r[1], lo[k], hi[k])
+            lo[k[np.isnan(r).any(axis=0)]] = np.nan  # an undefined point drops the edge
         kept = ~np.isnan(lo)
         v, f, on_x = 0.5 * (lo + hi)[kept], fixed[kept], along_x[kept]
         boundary = list(zip(np.where(on_x, v, f).tolist(), np.where(on_x, f, v).tolist()))

@@ -562,7 +562,7 @@ class TestRegionMap:
         assert len(result.boundary_points) == 1
         _, lam = result.boundary_points[0]
         assert lam == pytest.approx(oracles.SCENARIO_LAMBDA_C, abs=1e-3)
-        assert len(ratio_budget) < 200
+        assert len(ratio_budget) <= 24
 
     def test_unknown_plane_parameter(self, benchmark_model):
         with pytest.raises(DomainError):
@@ -740,7 +740,47 @@ class TestRegionMapArrayPath:
         self.assert_cells_equal_scalar_gain_ratio(result, benchmark_model, plane, xs, ys)
         _assert_boundary_near(result, benchmark_model, plane, xs, ys, 1e-4)
 
-    def test_boundary_at_zero_resolution_equals_scalar_bisection(self, benchmark_model):
+    @pytest.mark.parametrize("points", [12, 30])
+    @pytest.mark.parametrize("plane", ORDERED_PLANES, ids="-".join)
+    def test_refinement_takes_no_more_rounds_than_bisection(
+        self, benchmark_model, plane, points, ratio_budget
+    ):
+        # one evaluator call for the grid, one per round; bisection halves an
+        # edge of span / (points - 1) down to 1e-4 span in ceil(log2(...)) rounds
+        xs = np.linspace(*SPANS[plane[0]], points)
+        ys = np.linspace(*SPANS[plane[1]], points)
+        result = region_map(
+            benchmark_model, 0.25, 0.0, plane=plane, x_values=xs, y_values=ys,
+            refine_boundary=True,
+        )
+        assert result.boundary_points
+        assert len(ratio_budget) - 1 <= math.ceil(math.log2(1.0 / ((points - 1) * 1e-4)))
+
+    @pytest.mark.parametrize("resolution", [1e-4, 0.0])
+    @pytest.mark.parametrize("points", [12, 30])
+    @pytest.mark.parametrize("plane", ORDERED_PLANES, ids="-".join)
+    def test_reversed_axes_give_the_same_boundary(
+        self, benchmark_model, plane, points, resolution
+    ):
+        # every step of the refinement is symmetric in the two ends of an
+        # edge, also at resolution 0, where the sign of ratio - 1 flips back
+        # and forth near the crossing
+        xs = np.linspace(*SPANS[plane[0]], points)
+        ys = np.linspace(*SPANS[plane[1]], points)
+
+        def boundary(xv, yv):
+            return region_map(
+                benchmark_model, 0.25, 0.0, plane=plane, x_values=xv, y_values=yv,
+                refine_boundary=True, boundary_resolution=resolution,
+            ).boundary_points
+
+        ascending = boundary(xs, ys)
+        assert ascending
+        assert set(boundary(xs[::-1], ys[::-1])) == set(ascending)
+
+    def test_boundary_at_zero_resolution_equals_scalar_bisection(
+        self, benchmark_model, ratio_budget
+    ):
         plane = ("lambda1", "lambda2")
         xs = np.linspace(0.02, 0.98, 5).tolist()
         ys = np.linspace(0.0, 0.98, 5).tolist()
@@ -748,6 +788,7 @@ class TestRegionMapArrayPath:
             benchmark_model, 0.25, 0.0, plane=plane, x_values=xs, y_values=ys,
             refine_boundary=True, boundary_resolution=0.0,
         )
+        assert len(ratio_budget) <= 36
         _assert_boundary_near(result, benchmark_model, plane, xs, ys, 0.0)
 
     def test_undefined_point_drops_the_edge(self, benchmark_model, monkeypatch):
@@ -1109,6 +1150,41 @@ class TestLibraryProperty:
         with contextlib.suppress(QDephaseError):
             lam_c = find_lambda_c(model, l2)
             assert 0.01 <= lam_c <= 0.99
+
+    def test_refined_region_maps_over_wide_planes(self):
+        # a fixed sample of refined maps: each parameter over a wide domain
+        # (a few values outside it), axes in either order and direction,
+        # 2-30 points, three resolutions
+        rng = np.random.default_rng(18)
+        draw = {
+            "alpha": lambda: 10.0 ** rng.uniform(-8.0, 3.0),
+            "gamma": lambda: 10.0 ** rng.uniform(-16.0, 1.0) * (rng.random() > 0.05),
+            "mu": lambda: rng.uniform(-0.2, 4.0),
+            "nu": lambda: 10.0 ** rng.uniform(-4.0, 1.5),
+            "lambda1": lambda: rng.uniform(-0.02, 1.02),
+            "lambda2": lambda: rng.uniform(-0.02, 1.02),
+        }
+        crossed = 0
+        for _ in range(1000):
+            v = {name: f() for name, f in draw.items()}
+            plane = ORDERED_PLANES[rng.integers(len(ORDERED_PLANES))]
+            xs, ys = (np.linspace(draw[n](), draw[n](), rng.integers(2, 31)) for n in plane)
+            try:
+                model = ModelSpec(
+                    epsilon=1.0,
+                    bath=BathSpec(v["alpha"], v["mu"], 10.0 ** rng.uniform(-2.0, 2.0)),
+                    displacement=DisplacementSpec(v["gamma"], v["nu"]),
+                )
+                result = region_map(
+                    model, v["lambda1"], v["lambda2"], plane=plane, x_values=xs, y_values=ys,
+                    refine_boundary=True, boundary_resolution=rng.choice([1e-4, 1e-2, 0.0]),
+                )
+            except QDephaseError:
+                continue
+            crossed += bool(result.boundary_points)
+            for bx, by in result.boundary_points:
+                assert xs.min() <= bx <= xs.max() and ys.min() <= by <= ys.max()
+        assert crossed >= 100
 
 
 # Edge values of a time: both zeros, subnormals, the largest time the closed

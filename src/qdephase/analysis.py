@@ -29,9 +29,11 @@ from .bath import (
 from .dynamics import (
     InitialStateSpec,
     QubitAmplitudes,
+    _check_unit,
     _checked_bscale,
     _exponentials,
     _mix,
+    _pair_weights,
     normalization_c,
     pair_weights,
 )
@@ -224,18 +226,22 @@ def _gain_ratios(cell: dict, limits: tuple | None = None) -> np.ndarray:
     _RATIO_ARGS (``gamma`` is gamma_coef; ``limits`` their limit_exponents,
     if known): NaN where it is undefined, inf where only D(0) vanishes.
 
+    Unchecked arithmetic: the public entry points check the weights where
+    they enter, once per call or search, and the overlap exp(s0), s0 <= 0,
+    lies in [0, 1] by construction.  limit_exponents keeps its own checks.
+
     A map cell and gain_ratio on that cell must agree to the bit (the
     cancellation in D(0) magnifies any ulp), so every operation here gives
     an element of an array what it gives a scalar.
     """
     s0, r_inf, s_inf = limits or limit_exponents(*_limit_args(cell))
     overlap = np.exp(s0)
-    w = pair_weights(cell["lambda1"], cell["lambda2"], overlap)
-    d0 = np.abs(w.a + w.b * overlap)
-    d_inf = np.abs(w.a * np.exp(-r_inf) + w.b * np.exp(s_inf - r_inf))
+    a, b = _pair_weights(cell["lambda1"], cell["lambda2"], overlap)
+    d0 = np.abs(a + b * overlap)
+    d_inf = np.abs(a * np.exp(-r_inf) + b * np.exp(s_inf - r_inf))
     # both distances carry the same roundoff floor; below it they are zeros
     # (lambda1 = lambda2 makes a = b = 0 exactly)
-    tiny = 1e-14 * (np.abs(w.a) + np.abs(w.b))
+    tiny = 1e-14 * (np.abs(a) + np.abs(b))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d0 > tiny, d_inf / d0, np.where(d_inf > tiny, np.inf, np.nan))
     return np.where(overlap < 1.0, ratio, np.nan)
@@ -258,8 +264,17 @@ def gain_ratio(model: ModelSpec, lambda1: float, lambda2: float) -> float | None
     above 1 signal contractivity breakdown in the long-time limit;
     requires mu > 0 so the limit exists.
     """
-    ratio = float(_gain_ratios(_ratio_args(model, lambda1, lambda2)))
+    cell = _ratio_args(model, lambda1, lambda2)
+    limits = limit_exponents(*_limit_args(cell))
+    _check_weights(cell, ("lambda1", "lambda2"))
+    ratio = float(_gain_ratios(cell, limits))
     return None if math.isnan(ratio) else ratio
+
+
+def _check_weights(cell: dict, names) -> None:
+    """Check the correlation weights ``names`` of a _gain_ratios argument, in order."""
+    for name in names:
+        _check_unit("correlation weight", cell[name])
 
 
 def find_lambda_c(
@@ -291,6 +306,7 @@ def find_lambda_c(
     # the long-time exponents do not depend on the weights: one per search
     cell = _ratio_args(model, fixed, fixed)
     limits = limit_exponents(*_limit_args(cell))
+    _check_weights(cell, (vary,))  # fixed; the bracket is checked above
 
     def tree(lo: float, hi: float) -> tuple[list[float], list[float]]:
         """lo, hi and the next _TREE_LEVELS levels of midpoints, in order, and their ratios."""
@@ -365,15 +381,20 @@ def region_map(
             BathSpec(cell["alpha"], cell["mu"], cell["omega_c"])
             DisplacementSpec(cell["gamma"], cell["nu"])
             if name in ("lambda1", "lambda2"):
-                normalization_c(v, 1.0)
+                _check_unit("correlation weight", v)
 
     def ratios(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         return _gain_ratios({**args, x_name: xv, y_name: yv})
 
-    grid = ratios(xs[np.newaxis, :], ys[:, np.newaxis])
+    cell = {**args, x_name: xs[np.newaxis, :], y_name: ys[:, np.newaxis]}
+    limits = limit_exponents(*_limit_args(cell))
+    # the evaluator checks nothing: the template weights that no axis replaces enter here
+    _check_weights(args, [name for name in ("lambda1", "lambda2") if name not in plane])
+    grid = _gain_ratios(cell, limits)
     plus, minus = grid > 1.0 + _TIE_TOL, grid < 1.0 - _TIE_TOL
     labels = np.where(plus, "+", np.where(minus, "-", "0")).tolist()
-    gain = np.where(np.isfinite(grid), grid, None).tolist()
+    finite = np.isfinite(grid)
+    gain = grid.tolist() if finite.all() else np.where(finite, grid, None).tolist()
 
     boundary: list[tuple[float, float]] = []
     if refine_boundary:
@@ -411,12 +432,14 @@ def region_map(
             # so an estimate within 0.49 res of the crossing closes the bracket this round
             a, b, f = lo[k], hi[k], fixed[k]
             h = 0.49 * np.maximum(res[k], 1e-3 * np.abs(b - a)) * np.sign(b - a)
-            p = np.clip(m[k] + [[-1.0], [1.0]] * h, np.minimum(a, b), np.maximum(a, b))
+            # np.clip's bits (signed zeros included), without its Python-level dispatch
+            p = np.minimum(
+                np.maximum(m[k] + [[-1.0], [1.0]] * h, np.minimum(a, b)), np.maximum(a, b))
             r = ratios(np.where(along_x[k], p, f), np.where(along_x[k], f, p))
             # the new bracket is [p-, p+] if it holds a sign change, else [a, p-] or [p+, b];
             # preferring the middle keeps the choice symmetric where the sign flips more than once
             same = (r > 1.0) == lo_above[k]
-            j, ends, n = same.sum(axis=0), np.stack([a, p[0], p[1], b]), np.arange(k.size)
+            j, ends, n = same.sum(axis=0), np.array([a, p[0], p[1], b]), np.arange(k.size)
             lo[k], hi[k] = ends[j, n], ends[j + 1, n]
             lo_above[k] ^= same[1] & ~same[0]  # that middle's lo end lies on the other side
             m[k] = estimate(p[0], p[1], r[0], r[1], lo[k], hi[k])

@@ -180,6 +180,11 @@ def normalization_c(lam, overlap):
     """
     _check_unit("correlation weight", lam)
     _check_unit("overlap", overlap)
+    return _normalization(lam, overlap)
+
+
+def _normalization(lam, overlap):
+    """normalization_c on inputs known to lie in [0, 1], unchecked."""
     # x * x, not x ** 2: numpy squares arrays but calls pow on scalars
     return np.sqrt((1.0 - lam) * (1.0 - lam) + lam * lam + 2.0 * lam * (1.0 - lam) * overlap)
 
@@ -293,12 +298,17 @@ def distance_same_environment(
 
 def pair_weights(lambda1, lambda2, overlap) -> PairWeights:
     """Weights (a, b) for the shared-amplitude distance, elementwise over arrays."""
-    c1 = normalization_c(lambda1, overlap)
-    c2 = normalization_c(lambda2, overlap)
-    return PairWeights(
-        a=(1.0 - lambda1) / c1 - (1.0 - lambda2) / c2,
-        b=lambda1 / c1 - lambda2 / c2,
-    )
+    _check_unit("correlation weight", lambda1)
+    _check_unit("overlap", overlap)
+    _check_unit("correlation weight", lambda2)
+    return PairWeights(*_pair_weights(lambda1, lambda2, overlap))
+
+
+def _pair_weights(lambda1, lambda2, overlap) -> tuple:
+    """pair_weights' ``(a, b)`` on inputs known to lie in [0, 1], unchecked."""
+    c1 = _normalization(lambda1, overlap)
+    c2 = _normalization(lambda2, overlap)
+    return (1.0 - lambda1) / c1 - (1.0 - lambda2) / c2, lambda1 / c1 - lambda2 / c2
 
 
 def _checked_bscale(bscale):

@@ -132,6 +132,9 @@ def _gamma_and_power(p: float, omega_c: float) -> tuple[float, float]:
 
 
 _GAMMA_AND_POWER = np.frompyfunc(_gamma_and_power, 2, 2)
+# the builtins alone, without a Python frame per element; they raise where
+# _gamma_and_power gives inf
+_GAMMA, _POWER = np.frompyfunc(math.gamma, 1, 1), np.frompyfunc(math.pow, 2, 1)
 
 
 def gamma_moment(c, p, omega_c):
@@ -141,8 +144,10 @@ def gamma_moment(c, p, omega_c):
 
     Elementwise over broadcastable arrays, with the arithmetic of a call on
     floats (numpy has no gamma function), once per (p, omega_c) element, not
-    per c.  A zero prefactor gives 0 whatever the exponent.  Raises
-    DomainError where the result overflows a double or p is a pole of Gamma.
+    per c: one float call where p and omega_c are 0-d, else math.gamma and
+    math.pow elementwise.  A zero prefactor gives 0 whatever the exponent.
+    Raises DomainError where the result overflows a double or p is a pole of
+    Gamma.
     """
     if isinstance(c, float) and isinstance(p, float) and isinstance(omega_c, float):
         g, w = _gamma_and_power(p, omega_c)
@@ -151,7 +156,14 @@ def gamma_moment(c, p, omega_c):
             return value
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            g, w = (np.asarray(x, dtype=float) for x in _GAMMA_AND_POWER(p, omega_c))
+            if np.ndim(p) == 0 and np.ndim(omega_c) == 0:
+                g, w = _gamma_and_power(float(p), float(omega_c))
+            else:
+                try:
+                    g, w = _GAMMA(p), _POWER(omega_c, p)
+                except (OverflowError, ValueError):  # a pole or an overflow: inf there
+                    g, w = _GAMMA_AND_POWER(p, omega_c)
+                g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
             # (c * g) * w: the multiplication order of the float call
             value = np.where(c == 0.0, 0.0, (c * g) * w)
         bad = ~np.isfinite(value)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qdephase import analysis
+from qdephase import analysis, dynamics
 from qdephase.analysis import PLANE_PARAMETERS
 from qdephase.cli import main
 from qdephase import (
@@ -59,7 +59,9 @@ def ratio_budget(monkeypatch):
     gain_ratio makes one call per ratio; find_lambda_c one per seven
     bisection levels, plus one per midpoint it steps past; region_map one
     for the grid and one per refinement round.  A search that stops making
-    progress then fails the test instead of hanging it.
+    progress then fails the test instead of hanging it.  A call checks no
+    weight (the entry points do, once; see unit_checks), so the records
+    count evaluations alone.
     """
     calls = []
     real = analysis._gain_ratios
@@ -71,6 +73,23 @@ def ratio_budget(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(analysis, "_gain_ratios", counted)
+    return calls
+
+
+@pytest.fixture
+def unit_checks(monkeypatch):
+    """Record every [0, 1] check of a weight or an overlap, by the name of
+    the checked quantity: the checks of dynamics and those analysis makes
+    where weights enter."""
+    calls = []
+    real = dynamics._check_unit
+
+    def counted(name, x):
+        calls.append(name)
+        return real(name, x)
+
+    monkeypatch.setattr(dynamics, "_check_unit", counted)
+    monkeypatch.setattr(analysis, "_check_unit", counted, raising=False)
     return calls
 
 
@@ -329,6 +348,169 @@ def _weight_ratio(model, fixed, vary):
     if vary == "lambda1":
         return lambda lam: gain_ratio(model, lam, fixed)
     return lambda lam: gain_ratio(model, fixed, lam)
+
+
+_WEIGHT_ERROR = "correlation weight must lie in [0, 1], got {}"
+
+
+def _model_fault(model, fault):
+    """The model with a fault that the long-time limit refuses before any weight."""
+    if fault == "mu":
+        return replace(model, bath=replace(model.bath, mu=0.0))
+    # alpha * gamma_coef = 1e600 overflows a double inside the t -> inf limit
+    return ModelSpec(
+        epsilon=1.0,
+        bath=replace(model.bath, alpha=1e300),
+        displacement=replace(model.displacement, gamma_coef=1e300),
+    )
+
+# two values per plane axis, inside the domain of each parameter
+_AXES = {
+    "alpha": [1e-3, 4e-3],
+    "gamma": [0.01, 0.1],
+    "mu": [0.01, 0.5],
+    "nu": [0.05, 0.5],
+    "lambda1": [0.1, 0.9],
+    "lambda2": [0.0, 0.5],
+}
+
+
+class TestWeightEntryChecks:
+    """The ratio evaluator is unchecked: gain_ratio, find_lambda_c and
+    region_map check each weight where it enters, with the error, message
+    and precedence that the evaluator's checks gave."""
+
+    @pytest.mark.parametrize(
+        "lambda1,lambda2,bad",
+        [(1.5, 0.0, 1.5), (0.25, -0.5, -0.5), (math.nan, 0.0, math.nan),
+         (0.25, math.nan, math.nan), (2, -1, 2.0), (1.5, -0.5, 1.5)],
+    )
+    def test_gain_ratio(self, benchmark_model, lambda1, lambda2, bad):
+        with pytest.raises(DomainError) as raised:
+            gain_ratio(benchmark_model, lambda1, lambda2)
+        assert str(raised.value) == _WEIGHT_ERROR.format(bad)
+
+    @pytest.mark.parametrize(
+        "fixed,bad", [(1.5, 1.5), (-0.25, -0.25), (math.nan, math.nan), (2, 2.0)]
+    )
+    @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
+    def test_find_lambda_c_fixed(self, benchmark_model, vary, fixed, bad):
+        with pytest.raises(DomainError) as raised:
+            find_lambda_c(benchmark_model, fixed, vary=vary)
+        assert str(raised.value) == _WEIGHT_ERROR.format(bad)
+
+    @pytest.mark.parametrize(
+        "lambda1,lambda2,plane,bad",
+        [
+            (1.5, 0.0, ("alpha", "mu"), 1.5),
+            (0.25, -0.5, ("gamma", "nu"), -0.5),
+            (1.5, -0.5, ("nu", "alpha"), 1.5),
+            (0.25, math.nan, ("alpha", "lambda1"), math.nan),
+            (math.nan, 0.0, ("lambda2", "mu"), math.nan),
+        ],
+    )
+    def test_region_map_template_weight(self, benchmark_model, lambda1, lambda2, plane, bad):
+        with pytest.raises(DomainError) as raised:
+            region_map(
+                benchmark_model, lambda1, lambda2, plane=plane,
+                x_values=_AXES[plane[0]], y_values=_AXES[plane[1]],
+            )
+        assert str(raised.value) == _WEIGHT_ERROR.format(bad)
+
+    @pytest.mark.parametrize(
+        "lambda1,lambda2,plane",
+        [(1.5, 0.0, ("lambda1", "alpha")), (0.25, math.nan, ("mu", "lambda2")),
+         (-1.0, 2.0, ("lambda2", "lambda1"))],
+    )
+    def test_region_map_axis_weight_is_not_read(self, benchmark_model, lambda1, lambda2, plane):
+        # the axis values replace the template weight in every cell
+        kwargs = dict(
+            plane=plane, x_values=_AXES[plane[0]], y_values=_AXES[plane[1]],
+            refine_boundary=True,
+        )
+        got = region_map(benchmark_model, lambda1, lambda2, **kwargs)
+        want = region_map(
+            benchmark_model,
+            0.25 if "lambda1" in plane else lambda1,
+            0.0 if "lambda2" in plane else lambda2,
+            **kwargs,
+        )
+        assert (got.labels, got.gain, got.boundary_points) == (
+            want.labels, want.gain, want.boundary_points
+        )
+
+    @pytest.mark.parametrize("fault,match", [("mu", "diverges"), ("overflow", "overflows")])
+    def test_a_model_fault_comes_first(self, benchmark_model, fault, match):
+        model = _model_fault(benchmark_model, fault)
+        with pytest.raises(DomainError, match=match):
+            gain_ratio(model, 1.5, 0.0)
+        with pytest.raises(DomainError, match=match):
+            gain_ratio(model, 0.25, math.nan)
+        for vary in ("lambda1", "lambda2"):
+            with pytest.raises(DomainError, match=match):
+                find_lambda_c(model, 1.5, vary=vary)
+        with pytest.raises(DomainError, match=match):
+            region_map(
+                model, 1.5, -0.5, plane=("nu", "lambda2"),
+                x_values=_AXES["nu"], y_values=_AXES["lambda2"],
+            )
+
+    def test_a_plane_fault_comes_first(self, benchmark_model):
+        def plane_error(plane, x_values):
+            with pytest.raises(DomainError) as raised:
+                region_map(
+                    benchmark_model, 1.5, math.nan, plane=plane,
+                    x_values=x_values, y_values=_AXES[plane[1]],
+                )
+            return str(raised.value)
+
+        assert "diverges" in plane_error(("mu", "alpha"), [0.0, 0.5])
+        assert "overflows" in plane_error(("mu", "alpha"), [0.5, 200.0])
+        assert plane_error(("alpha", "nu"), [-1.0, 0.01]) == (
+            "coupling alpha must be positive, got -1.0"
+        )
+        assert plane_error(("lambda2", "alpha"), [0.5, 1.2]) == _WEIGHT_ERROR.format(1.2)
+
+    def test_search_arguments_come_first(self, benchmark_model):
+        with pytest.raises(DomainError, match="bracket"):
+            find_lambda_c(benchmark_model, 1.5, bracket=(0.9, 0.1))
+        with pytest.raises(DomainError, match="tolerance"):
+            find_lambda_c(benchmark_model, 1.5, tol=0.0)
+        with pytest.raises(DomainError, match="vary"):
+            find_lambda_c(benchmark_model, 1.5, vary="alpha")
+        with pytest.raises(DomainError, match="plane parameters"):
+            region_map(benchmark_model, 1.5, 0.0, plane=("alpha", "alpha"),
+                       x_values=[0.001], y_values=[0.001])
+
+    def test_checks_do_not_grow_with_refinement_rounds(
+        self, benchmark_model, ratio_budget, unit_checks
+    ):
+        # resolution 0.02 closes every edge of this map in one round, 1e-4 takes several
+        counts = []
+        for resolution in (0.02, 1e-4):
+            calls, checks = len(ratio_budget), len(unit_checks)
+            region_map(
+                benchmark_model, 0.25, 0.0, plane=("alpha", "lambda1"),
+                x_values=np.linspace(1e-5, 0.02, 30), y_values=np.linspace(0.02, 0.98, 30),
+                refine_boundary=True, boundary_resolution=resolution,
+            )
+            counts.append((len(ratio_budget) - calls, len(unit_checks) - checks))
+        (one_round, checks_one), (rounds, checks_many) = counts
+        assert one_round == 2 and rounds > 4
+        assert checks_one == checks_many
+
+    @pytest.mark.parametrize("vary,fixed", [("lambda1", 0.0), ("lambda2", 0.25)])
+    def test_checks_do_not_grow_with_tree_regrowths(
+        self, benchmark_model, ratio_budget, unit_checks, vary, fixed
+    ):
+        # tol 0.01 ends inside the first tree, 1e-4 grows a second one
+        counts = []
+        for tol in (0.01, 1e-4):
+            calls, checks = len(ratio_budget), len(unit_checks)
+            find_lambda_c(benchmark_model, fixed, tol=tol, vary=vary)
+            counts.append((len(ratio_budget) - calls, len(unit_checks) - checks))
+        assert [calls for calls, _ in counts] == [1, 2]
+        assert counts[0][1] == counts[1][1]
 
 
 class TestFindLambdaC:

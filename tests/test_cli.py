@@ -449,6 +449,27 @@ class TestCritical:
         assert 0.01 < expected < 0.99
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--plane", "alpha,lambda2", "--x-range", "1e-4:0.01:6",
+         "--y-range", "0:0.9:7", "--refine-boundary"],
+        ["critical", "--vary", "lambda2", "--bracket", "0.01:0.99"],
+    ],
+)
+def test_region_and_critical_default_lambda1_to_a_quarter(tmp_path, capsys, argv):
+    # evolve refuses a config without lambda1; these two read it as 0.25
+    outputs = []
+    for config in (BENCHMARK_CONFIG, BENCHMARK_CONFIG.replace("lambda1 = 0.25\n", "")):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(config, encoding="utf-8")
+        assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert payload["boundary"] if argv[0] == "region" else payload["status"] == "ok"
+
+
 class TestValidate:
     def test_small_run_passes(self, capsys):
         code = main(["validate", "--samples", "8", "--tol", "1e-6", "--seed", "42"])

@@ -103,6 +103,13 @@ class TestGammaMoment:
             (C[:, np.newaxis], P[np.newaxis, :], W[:, np.newaxis]),
             (0.25, P[:, np.newaxis], W[np.newaxis, :]),
             (np.float64(0.25), P, 2.0),
+            # 0-d exponents against an array c: one float call for the whole array
+            (C, np.float64(0.37), np.float64(1.5)),
+            (C[:, np.newaxis], np.asarray(2.5), np.asarray(3.0)),
+            (np.asarray(0.75), np.asarray(0.05), 0.5),
+            # a zero c at p in (-1, 0), where Gamma(p) < 0, gives +0.0, not -0.0
+            (np.array([0.0, 0.5, 0.0, 2.0]), -0.5, 2.0),
+            (np.array([[0.0], [1.5]]), np.array([-0.5, -0.99, 0.3]), np.array([1.0, 4.0, 0.2])),
         ],
     )
     def test_array_equals_float_path_bitwise(self, c, p, omega_c):
@@ -126,6 +133,15 @@ class TestGammaMoment:
              "1.0 * gamma(3.0) * 1e+300**3.0 overflows a double"),
             (np.array([1e300, 0.5]), 171.5, 1.0,
              "1e+300 * gamma(171.5) * 1.0**171.5 overflows a double"),
+            # the builtins raise at a pole or an overflow inside an array of exponents
+            (np.ones(3), np.array([0.5, -1.0, 0.0]), 1.0,
+             "1.0 * gamma(-1.0) * 1.0**-1.0 overflows a double"),
+            (np.ones(3), np.array([2.0, 40.0, 0.0]), 1e10,
+             "1.0 * gamma(40.0) * 10000000000.0**40.0 overflows a double"),
+            (np.array([[0.0], [3.0]]), np.float64(180.0), np.array([1.0, 0.5]),
+             "3.0 * gamma(180.0) * 1.0**180.0 overflows a double"),
+            (np.array([0.0, 2.0]), np.asarray(-2.0), 1.0,
+             "2.0 * gamma(-2.0) * 1.0**-2.0 overflows a double"),
         ],
     )
     def test_overflow_names_the_first_element(self, c, p, omega_c, message):

@@ -262,7 +262,8 @@ def gain_ratio(model: ModelSpec, lambda1: float, lambda2: float) -> float | None
     trivial displacement with overlap 1 making every A_lambda equal) and
     +inf on the curve where only the initial distance is zero.  Values
     above 1 signal contractivity breakdown in the long-time limit;
-    requires mu > 0 so the limit exists.
+    requires mu > 0 so the limit exists.  Symmetric in the two weights, to
+    the bit: swapping them negates both pair weights exactly.
     """
     cell = _ratio_args(model, lambda1, lambda2)
     limits = limit_exponents(*_limit_args(cell))
@@ -282,31 +283,43 @@ def find_lambda_c(
     fixed: float = 0.0,
     bracket: tuple[float, float] = (0.01, 0.99),
     tol: float = 1e-4,
-    *,
-    vary: Literal["lambda1", "lambda2"] = "lambda1",
 ) -> float:
     """Critical correlation where the long-time gain turns into loss.
 
-    Bisects gain_ratio - 1 over ``bracket`` in the weight named by ``vary``
-    while the other weight stays at ``fixed``; requires ratio(lo) > 1 >
+    Bisects gain_ratio - 1 over ``bracket`` in one weight while the other
+    stays at ``fixed``.  The ratio is symmetric in the two weights, to the
+    bit, so the result is the threshold in lambda1 at lambda2 = ``fixed``
+    and in lambda2 at lambda1 = ``fixed``.  Requires ratio(lo) > 1 >
     ratio(hi), otherwise NoBracketError (the gain region may be empty, or
     the ratio is undefined at a bracket end).  A midpoint where the ratio
     is undefined (it equals ``fixed``) is stepped past by one ulp.  The
     bisection stops at ``tol`` or when the bracket can no longer be split.
     Each evaluator call covers _TREE_LEVELS levels, with the scalar loop's bits.
     """
+    lambda_c, r_lo, r_hi = _critical(model, fixed, bracket, tol)
+    if lambda_c is None:
+        raise NoBracketError(
+            f"no sign change across bracket [{bracket[0]}, {bracket[1]}]: "
+            f"ratio(lo)={r_lo}, ratio(hi)={r_hi}; the gain region may be empty"
+        )
+    return lambda_c
+
+
+def _critical(
+    model: ModelSpec, fixed: float, bracket: tuple[float, float], tol: float
+) -> tuple[float | None, float | None, float | None]:
+    """find_lambda_c's search: (lambda_c, or None without a sign change, and
+    the ratios at the bracket ends, None where undefined)."""
     lo, hi = bracket
     if not (0.0 <= lo < hi <= 1.0):
         raise DomainError(f"bracket must satisfy 0 <= lo < hi <= 1, got {bracket}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-    if vary not in ("lambda1", "lambda2"):
-        raise DomainError(f"vary must be 'lambda1' or 'lambda2', got {vary!r}")
 
     # the long-time exponents do not depend on the weights: one per search
     cell = _ratio_args(model, fixed, fixed)
     limits = limit_exponents(*_limit_args(cell))
-    _check_weights(cell, (vary,))  # fixed; the bracket is checked above
+    _check_weights(cell, ("lambda2",))  # fixed; the bracket is checked above
 
     def tree(lo: float, hi: float) -> tuple[list[float], list[float]]:
         """lo, hi and the next _TREE_LEVELS levels of midpoints, in order, and their ratios."""
@@ -315,15 +328,12 @@ def find_lambda_c(
         for n in reversed(range(_TREE_LEVELS)):
             ends = points[:: 2 << n]
             points[1 << n :: 2 << n] = 0.5 * (ends[:-1] + ends[1:])
-        return points.tolist(), _gain_ratios({**cell, vary: points}, limits).tolist()
+        return points.tolist(), _gain_ratios({**cell, "lambda1": points}, limits).tolist()
 
     (points, values), i, j = tree(lo, hi), 0, 2**_TREE_LEVELS
     r_lo, r_hi = (None if math.isnan(v) else v for v in (values[i], values[j]))
     if r_lo is None or r_hi is None or not (r_lo > 1.0 > r_hi):
-        raise NoBracketError(
-            f"no sign change across bracket [{lo}, {hi}]: "
-            f"ratio(lo)={r_lo}, ratio(hi)={r_hi}; the gain region may be empty"
-        )
+        return None, r_lo, r_hi
     while 0.5 * (hi - lo) > tol:
         if j - i < 2:
             (points, values), i, j = tree(lo, hi), 0, 2**_TREE_LEVELS
@@ -331,11 +341,11 @@ def find_lambda_c(
         mid, r_mid = points[k], values[k]
         if math.isnan(r_mid):  # step past it; the tree then re-grows
             mid = math.nextafter(mid, hi)
-            r_mid, i, j = float(_gain_ratios({**cell, vary: np.float64(mid)}, limits)), k, k
+            r_mid, i, j = float(_gain_ratios({**cell, "lambda1": np.float64(mid)}, limits)), k, k
         if mid in (lo, hi):
             break
         lo, hi, i, j = (mid, hi, k, j) if r_mid > 1.0 else (lo, mid, i, k)
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), r_lo, r_hi
 
 
 def region_map(
@@ -373,7 +383,8 @@ def region_map(
         raise DomainError("plane axes must contain at least one value each")
 
     # every domain is an interval: checking each axis at its ends (min and max
-    # propagate nan) also covers the cells and the bisection midpoints
+    # propagate nan) also covers the cells and the refinement points, which
+    # are clipped into their edge
     args = _ratio_args(model, lambda1, lambda2)
     for name, values in ((x_name, xs), (y_name, ys)):
         for v in (values.min(), values.max()):

@@ -17,16 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    TimeGrid,
-    distance_series,
-    find_lambda_c,
-    gain_ratio,
-    region_map,
-)
+from .analysis import TimeGrid, _critical, distance_series, region_map
 from .bath import BathSpec, DisplacementSpec, ModelSpec
 from .dynamics import QubitAmplitudes
-from .errors import DomainError, NoBracketError, PhysicalityError, QDephaseError
+from .errors import DomainError, PhysicalityError, QDephaseError
 from .numerics import QuadratureSettings
 from .validation import run_all
 
@@ -226,22 +220,10 @@ def cmd_critical(args: argparse.Namespace) -> int:
     except ValueError:
         raise ConfigError(f"--bracket must be numeric lo:hi, got {args.bracket!r}")
 
-    model = scenario["model"]
-    if args.vary == "lambda1":
-        fixed = scenario["lambda2"]
-        ratio_of = lambda lam: gain_ratio(model, lam, fixed)
-    else:
-        fixed = scenario.get("lambda1", 0.25)
-        ratio_of = lambda lam: gain_ratio(model, fixed, lam)
-
-    def json_ratio(value: float | None) -> float | None:
-        return value if value is not None and math.isfinite(value) else None
-
-    ratio_lo, ratio_hi = json_ratio(ratio_of(lo)), json_ratio(ratio_of(hi))
-    try:
-        lambda_c = find_lambda_c(model, fixed, bracket=(lo, hi), tol=args.tol, vary=args.vary)
-    except NoBracketError:
-        lambda_c = None
+    # the ratio is symmetric in the weights: --vary names the one searched
+    fixed = scenario["lambda2"] if args.vary == "lambda1" else scenario.get("lambda1", 0.25)
+    lambda_c, *ratios = _critical(scenario["model"], fixed, (lo, hi), args.tol)
+    ratio_lo, ratio_hi = (r if r is not None and math.isfinite(r) else None for r in ratios)
     payload = {
         "lambda_c": lambda_c,
         "ratio_lo": ratio_lo,
@@ -336,9 +318,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, PhysicalityError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except NoBracketError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_BRACKET
     except QDephaseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL

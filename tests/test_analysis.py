@@ -350,6 +350,43 @@ def _weight_ratio(model, fixed, vary):
     return lambda lam: gain_ratio(model, fixed, lam)
 
 
+def _bits(ratio):
+    """A gain ratio as a bit-exact key: None, or its float.hex (inf included)."""
+    return None if ratio is None else ratio.hex()
+
+
+class TestWeightSymmetry:
+    """Swapping the two weights negates both pair weights exactly (x - y is
+    -(y - x) in IEEE arithmetic), so the ratio and everything built on it is
+    symmetric in lambda1 and lambda2, to the bit."""
+
+    def test_gain_ratio(self, benchmark_model):
+        # gamma = 1e-15 drops D(0) under its roundoff floor: an infinite ratio
+        faint = replace(
+            benchmark_model, displacement=replace(benchmark_model.displacement, gamma_coef=1e-15)
+        )
+        seen = set()
+        for model, fixed in [*TEMPLATE_MODELS, (faint, 0.25)]:
+            weights = (0.0, 1.0, fixed, 0.01, 0.3, 0.5, 0.99)
+            for x, y in itertools.combinations_with_replacement(weights, 2):
+                forward = _bits(gain_ratio(model, x, y))
+                assert forward == _bits(gain_ratio(model, y, x)), (model, x, y)
+                seen.add(forward if forward in (None, "inf") else "finite")
+        assert seen == {None, "inf", "finite"}
+
+    @pytest.mark.parametrize("index", range(0, 210, 21))
+    def test_region_map(self, index):
+        model, fixed = TEMPLATE_MODELS[index]
+        # both axes hold 0.0: the cell lambda1 = lambda2 = 0 is undefined
+        xs, ys = np.linspace(0.0, 0.9, 11), np.linspace(0.0, 0.99, 12)
+        kwargs = dict(x_values=xs, y_values=ys, refine_boundary=True)
+        forward = region_map(model, fixed, 0.0, plane=("lambda1", "lambda2"), **kwargs)
+        swapped = region_map(model, 0.0, fixed, plane=("lambda2", "lambda1"), **kwargs)
+        assert forward.labels == swapped.labels
+        assert forward.gain == swapped.gain
+        assert forward.boundary_points and forward.boundary_points == swapped.boundary_points
+
+
 _WEIGHT_ERROR = "correlation weight must lie in [0, 1], got {}"
 
 
@@ -396,8 +433,12 @@ class TestWeightEntryChecks:
     @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
     def test_find_lambda_c_fixed(self, benchmark_model, vary, fixed, bad):
         with pytest.raises(DomainError) as raised:
-            find_lambda_c(benchmark_model, fixed, vary=vary)
+            find_lambda_c(benchmark_model, fixed)
         assert str(raised.value) == _WEIGHT_ERROR.format(bad)
+        # the scalar ratio refuses the fixed weight alike in either position
+        with pytest.raises(DomainError) as scalar:
+            _weight_ratio(benchmark_model, fixed, vary)(0.5)
+        assert str(scalar.value) == str(raised.value)
 
     @pytest.mark.parametrize(
         "lambda1,lambda2,plane,bad",
@@ -446,9 +487,8 @@ class TestWeightEntryChecks:
             gain_ratio(model, 1.5, 0.0)
         with pytest.raises(DomainError, match=match):
             gain_ratio(model, 0.25, math.nan)
-        for vary in ("lambda1", "lambda2"):
-            with pytest.raises(DomainError, match=match):
-                find_lambda_c(model, 1.5, vary=vary)
+        with pytest.raises(DomainError, match=match):
+            find_lambda_c(model, 1.5)
         with pytest.raises(DomainError, match=match):
             region_map(
                 model, 1.5, -0.5, plane=("nu", "lambda2"),
@@ -476,8 +516,6 @@ class TestWeightEntryChecks:
             find_lambda_c(benchmark_model, 1.5, bracket=(0.9, 0.1))
         with pytest.raises(DomainError, match="tolerance"):
             find_lambda_c(benchmark_model, 1.5, tol=0.0)
-        with pytest.raises(DomainError, match="vary"):
-            find_lambda_c(benchmark_model, 1.5, vary="alpha")
         with pytest.raises(DomainError, match="plane parameters"):
             region_map(benchmark_model, 1.5, 0.0, plane=("alpha", "alpha"),
                        x_values=[0.001], y_values=[0.001])
@@ -507,7 +545,7 @@ class TestWeightEntryChecks:
         counts = []
         for tol in (0.01, 1e-4):
             calls, checks = len(ratio_budget), len(unit_checks)
-            find_lambda_c(benchmark_model, fixed, tol=tol, vary=vary)
+            find_lambda_c(benchmark_model, fixed, tol=tol)
             counts.append((len(ratio_budget) - calls, len(unit_checks) - checks))
         assert [calls for calls, _ in counts] == [1, 2]
         assert counts[0][1] == counts[1][1]
@@ -548,8 +586,8 @@ class TestFindLambdaC:
     def test_tiny_tolerance_terminates(self, benchmark_model, ratio_budget, vary, fixed):
         # below float spacing the midpoint equals an endpoint; the bisection
         # must stop there rather than loop forever
-        lam_c = find_lambda_c(benchmark_model, fixed, tol=1e-300, vary=vary)
-        coarse = find_lambda_c(benchmark_model, fixed, tol=1e-6, vary=vary)
+        lam_c = find_lambda_c(benchmark_model, fixed, tol=1e-300)
+        coarse = find_lambda_c(benchmark_model, fixed, tol=1e-6)
         assert lam_c == pytest.approx(coarse, abs=1e-6)
         assert len(ratio_budget) < 200
 
@@ -564,7 +602,7 @@ class TestFindLambdaC:
         )
         assert 0.5 * (0.01 + 0.99) == 0.5
         tol = 1e-4
-        lam_c = find_lambda_c(model, 0.5, bracket=(0.01, 0.99), tol=tol, vary=vary)
+        lam_c = find_lambda_c(model, 0.5, bracket=(0.01, 0.99), tol=tol)
         assert lam_c == oracles.bisect_lambda_c(_weight_ratio(model, 0.5, vary), tol=tol)
         # the ratio is symmetric in the two weights
         below = gain_ratio(model, 0.5, lam_c - 2 * tol)
@@ -580,15 +618,15 @@ class TestFindLambdaC:
             want = oracles.bisect_lambda_c(_weight_ratio(model, fixed, vary), tol=tol)
             if want is None:
                 with pytest.raises(NoBracketError):
-                    find_lambda_c(model, fixed, tol=tol, vary=vary)
+                    find_lambda_c(model, fixed, tol=tol)
             else:
-                assert find_lambda_c(model, fixed, tol=tol, vary=vary) == want, (model, fixed)
+                assert find_lambda_c(model, fixed, tol=tol) == want, (model, fixed)
 
     @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
     def test_integer_bracket_ends(self, benchmark_model, vary):
         # the midpoints of (0, 1) are floats, whatever the type of the ends
-        lam_c = find_lambda_c(benchmark_model, 0.25, bracket=(0, 1), vary=vary)
-        assert lam_c == find_lambda_c(benchmark_model, 0.25, bracket=(0.0, 1.0), vary=vary)
+        lam_c = find_lambda_c(benchmark_model, 0.25, bracket=(0, 1))
+        assert lam_c == find_lambda_c(benchmark_model, 0.25, bracket=(0.0, 1.0))
         want = oracles.bisect_lambda_c(_weight_ratio(benchmark_model, 0.25, vary), bracket=(0, 1))
         assert lam_c == want
 
@@ -596,16 +634,12 @@ class TestFindLambdaC:
     def test_a_few_evaluator_calls(self, benchmark_model, ratio_budget, vary, fixed):
         # 13 bisection levels at tol 1e-4: the bracket ends and the first
         # seven levels in one call, the next seven in another
-        find_lambda_c(benchmark_model, fixed, tol=1e-4, vary=vary)
+        find_lambda_c(benchmark_model, fixed, tol=1e-4)
         assert len(ratio_budget) <= 4
 
     def test_undefined_ratio_at_bracket_end_is_no_bracket(self, benchmark_model):
         with pytest.raises(NoBracketError):
             find_lambda_c(benchmark_model, 0.01, bracket=(0.01, 0.99))
-
-    def test_unknown_vary_rejected(self, benchmark_model):
-        with pytest.raises(DomainError):
-            find_lambda_c(benchmark_model, 0.0, vary="alpha")
 
     @pytest.mark.parametrize("vary,fixed,tol", [("lambda1", 0.0, 1e-4), ("lambda2", 0.25, 1e-300)])
     def test_limit_exponents_once_per_search(self, benchmark_model, monkeypatch, vary, fixed, tol):
@@ -618,7 +652,7 @@ class TestFindLambdaC:
             return real(*args)
 
         monkeypatch.setattr(analysis, "limit_exponents", counted)
-        find_lambda_c(benchmark_model, fixed, tol=tol, vary=vary)
+        find_lambda_c(benchmark_model, fixed, tol=tol)
         assert len(calls) == 1
 
 
@@ -752,6 +786,12 @@ class TestRegionMap:
                 benchmark_model, 0.25, 0.0,
                 plane=("alpha", "beta"), x_values=[0.1], y_values=[0.1],
             )
+
+    @pytest.mark.parametrize("empty", ["x_values", "y_values"])
+    def test_empty_axis_rejected(self, benchmark_model, empty):
+        axes = {"x_values": [0.001], "y_values": [0.2], empty: []}
+        with pytest.raises(DomainError, match="at least one value each"):
+            region_map(benchmark_model, 0.25, 0.0, plane=("alpha", "lambda1"), **axes)
 
 
 # Axis values of each plane parameter for the cell-by-cell comparison:
@@ -1187,6 +1227,21 @@ class TestFindExtremum:
         i = 1 + int(np.argmin(sign * d[1:-1]))
         assert series.times[i - 1] <= result.t <= series.times[i + 1]
         assert sign * result.value <= sign * d[i] + 1e-12 * abs(d[i])
+
+    @pytest.mark.parametrize(
+        "distance,kind",
+        [([1.0, 0.2, 1.0, 1.5, 1.0], "minimum"), ([1.0, 0.8, 1.0, 1.5, 1.0], "maximum"),
+         ([1.0, 0.5, 1.0, 1.5, 1.0], "minimum")],
+        ids=["deeper-minimum", "higher-maximum", "equal-excursions"],
+    )
+    def test_larger_excursion_wins(self, benchmark_model, distance, kind):
+        # an interior minimum and an interior maximum: the one further past
+        # the series' ends wins, and equal excursions give the minimum
+        series = distance_series(benchmark_model, 0.25, 0.0, grid=TimeGrid("linear", 1.0, 5.0, 5))
+        result = find_extremum(replace(series, distance=np.array(distance)))
+        assert result.kind == kind
+        i = 1 if kind == "minimum" else 3
+        assert series.times[i - 1] <= result.t <= series.times[i + 1]
 
     def test_short_series_rejected(self, benchmark_model):
         series = distance_series(

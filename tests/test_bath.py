@@ -66,6 +66,11 @@ class TestSpecs:
         with pytest.raises(DomainError):
             DisplacementSpec(gamma_coef=0.1, nu=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_model_spec_rejects_non_finite_epsilon(self, benchmark_model, epsilon):
+        with pytest.raises(DomainError, match="epsilon must be finite"):
+            ModelSpec(epsilon, benchmark_model.bath, benchmark_model.displacement)
+
     def test_kappa(self, benchmark_model):
         assert benchmark_model.kappa == pytest.approx(0.03, abs=1e-15)
 
@@ -73,6 +78,11 @@ class TestSpecs:
 class TestOverlap:
     def test_no_displacement(self):
         assert ground_coherent_overlap(DisplacementSpec(0.0, 0.3), 1.0) == 1.0
+
+    @pytest.mark.parametrize("omega_c", [0.0, -1.0, math.nan])
+    def test_rejects_bad_cutoff(self, omega_c):
+        with pytest.raises(DomainError, match="omega_c must be positive"):
+            ground_coherent_overlap(DisplacementSpec(0.05, 0.05), omega_c)
 
     def test_reference_value(self):
         d = DisplacementSpec(gamma_coef=0.05, nu=0.05)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qdephase import BathSpec, DisplacementSpec, ModelSpec, find_lambda_c
+from qdephase import BathSpec, DisplacementSpec, ModelSpec, analysis, find_lambda_c, gain_ratio
 from qdephase.cli import (
     _BOOL_KEYS,
     _FLOAT_KEYS,
@@ -426,6 +426,47 @@ class TestCritical:
     def test_inverted_bracket(self, config_path, capsys):
         assert main(["critical", "--config", config_path, "--bracket", "0.9:0.1"]) == 2
 
+    @pytest.mark.parametrize("bracket", ["--bracket=-0.5:0.5", "--bracket=0.5:1.5"])
+    def test_out_of_range_bracket_gets_the_library_message(self, config_path, capsys, bracket):
+        assert main(["critical", "--config", config_path, bracket]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
+        assert "bracket must satisfy 0 <= lo < hi <= 1" in captured.err
+
+    @pytest.mark.parametrize("bracket", ["0.1", "a:b"])
+    def test_malformed_bracket(self, config_path, capsys, bracket):
+        assert main(["critical", "--config", config_path, "--bracket", bracket]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "--bracket must be" in err and repr(bracket) in err
+
+    def test_unknown_vary_rejected(self, config_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["critical", "--config", config_path, "--vary", "alpha"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
+    def test_one_search_prints_its_own_ratios(self, config_path, capsys, monkeypatch, vary):
+        # the bracket-end ratios are the search's first evaluator call; the
+        # second covers the next seven bisection levels
+        calls = []
+        real = analysis._gain_ratios
+        monkeypatch.setattr(analysis, "_gain_ratios", lambda *a: calls.append(a) or real(*a))
+        argv = ["critical", "--config", config_path, "--vary", vary, "--tol", "1e-4"]
+        assert main(argv) == 0
+        assert len(calls) == 2
+        payload = json.loads(capsys.readouterr().out)
+        model = ModelSpec(
+            epsilon=1.0,
+            bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
+            displacement=DisplacementSpec(gamma_coef=0.05, nu=0.05),
+        )
+        fixed = 0.0 if vary == "lambda1" else 0.25
+        # one end each way round: the ratio is symmetric in the weights
+        assert payload["ratio_lo"] == gain_ratio(model, 0.01, fixed)
+        assert payload["ratio_hi"] == gain_ratio(model, fixed, 0.99)
+
     def test_vary_lambda2(self, tmp_path, capsys):
         # gain region along lambda2 at fixed lambda1 = 0.25
         path = tmp_path / "l2.cfg"
@@ -444,8 +485,11 @@ class TestCritical:
             bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
             displacement=DisplacementSpec(gamma_coef=0.05, nu=0.05),
         )
-        expected = find_lambda_c(model, 0.25, bracket=(0.01, 0.99), tol=1e-3, vary="lambda2")
+        # the search is symmetric in the weights: the same call as --vary lambda1
+        expected = find_lambda_c(model, 0.25, bracket=(0.01, 0.99), tol=1e-3)
         assert payload["lambda_c"] == expected
+        ratio = lambda lam: gain_ratio(model, 0.25, lam)
+        assert expected == oracles.bisect_lambda_c(ratio, bracket=(0.01, 0.99), tol=1e-3)
         assert 0.01 < expected < 0.99
 
 
@@ -522,6 +566,32 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "config,argv,message",
+        [
+            ("alpha 0.1\n", ["evolve"], "expected key=value, got 'alpha 0.1'"),
+            ("points = 3.5\n", ["evolve"], "points needs an integer, got '3.5'"),
+            ("", ["region", "--plane", "alpha,lambda1", "--x-range", "1:2", "--y-range", "0:1:2"],
+             "range must be lo:hi:n, got '1:2'"),
+            ("", ["region", "--plane", "alpha,lambda1", "--x-range", "a:b:3", "--y-range", "0:1:2"],
+             "range must be lo:hi:n with numeric fields, got 'a:b:3'"),
+            ("", ["region", "--plane", "alpha,lambda1", "--x-range", "0:1:0", "--y-range", "0:1:2"],
+             "range needs at least one point, got '0:1:0'"),
+            ("", ["region", "--plane", "alpha", "--x-range", "0:1:2", "--y-range", "0:1:2"],
+             "--plane must be X,Y, got 'alpha'"),
+        ],
+        ids=["no-equals", "fractional-points", "two-field-range", "non-numeric-range",
+             "zero-point-range", "one-plane-name"],
+    )
+    def test_parse_errors(self, tmp_path, capsys, config, argv, message):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(BENCHMARK_CONFIG + config, encoding="utf-8")
+        assert main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
+        assert message in captured.err
 
 
 def _float_values():

@@ -109,6 +109,12 @@ class TestQubitDensityMatrix:
         with pytest.raises(DomainError):
             QubitDensityMatrix([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
+    def test_repr_rebuilds_the_matrix(self):
+        rho = QubitDensityMatrix([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
+        rebuilt = eval(repr(rho), {"QubitDensityMatrix": QubitDensityMatrix})
+        assert repr(rho).startswith("QubitDensityMatrix([[")
+        assert np.array_equal(rebuilt.entries, rho.entries)
+
     def test_entries_read_only(self):
         rho = QubitDensityMatrix([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
@@ -265,6 +271,10 @@ class TestTraceDistance:
         assert trace_distance(
             np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         ) == pytest.approx(1.0, rel=1e-14)
+
+    def test_rejects_arrays_that_are_not_two_by_two(self):
+        with pytest.raises(DomainError, match="must be 2x2"):
+            trace_distance(np.eye(3), np.eye(3))
 
     def test_rejects_non_hermitian_arrays(self):
         with pytest.raises(DomainError):

@@ -22,9 +22,9 @@ from .bath import (
     BathSpec,
     DisplacementSpec,
     ModelSpec,
+    _ProfilePlan,
     ground_coherent_overlap,
     limit_exponents,
-    profile_at,
 )
 from .dynamics import (
     InitialStateSpec,
@@ -33,9 +33,8 @@ from .dynamics import (
     _checked_bscale,
     _exponentials,
     _mix,
+    _normalization,
     _pair_weights,
-    normalization_c,
-    pair_weights,
 )
 from .errors import DomainError, NoBracketError
 from .numerics import QuadratureSettings
@@ -177,7 +176,7 @@ def distance_series(
     evaluate = _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normalized)
     time_grid = grid if grid is not None else default_grid(model.bath.omega_c)
     times = time_grid.times()
-    profile, dist, abs_a1, abs_a2 = evaluate(times, moduli=True)
+    (r, s, phi), dist, abs_a1, abs_a2 = evaluate(times, moduli=True)
     return DistanceSeries(
         model=model,
         lambda1=lambda1,
@@ -191,26 +190,31 @@ def distance_series(
         distance=dist,
         abs_a1=abs_a1,
         abs_a2=abs_a2,
-        r=profile.r,
-        s=profile.s,
-        phi=profile.phi,
+        r=r,
+        s=s,
+        phi=phi,
     )
 
 
 def _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normalized):
-    """The scenario's checks, overlap, pair weights and C_lambda, once; then
-    ``evaluate(times)`` gives D, or with ``moduli`` (profile, D, |A1|, |A2|), as
-    distance_same_amplitudes and unphased_coherence_factor on one profile would."""
+    """The scenario's checks, profile plan, overlap, pair weights and C_lambda,
+    once; then ``evaluate(times)`` gives D, or with ``moduli`` ((r, s, phi), D,
+    |A1|, |A2|), as distance_same_amplitudes and unphased_coherence_factor on
+    profile_at's profile would.  The overlap is exp(s0) of a closed-form plan
+    (ground_coherent_overlap's bits); a quadrature plan holds no Gamma moment."""
     InitialStateSpec(amps, lambda1), InitialStateSpec(amps, lambda2)
-    overlap = ground_coherent_overlap(model.displacement, model.bath.omega_c)
-    w = pair_weights(lambda1, lambda2, overlap)
-    c1, c2 = normalization_c(lambda1, overlap), normalization_c(lambda2, overlap)
+    b, d = model.bath, model.displacement
+    plan = _ProfilePlan(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu, backend, settings)
+    overlap = ground_coherent_overlap(d, b.omega_c) if plan.s0 is None else float(np.exp(plan.s0))
+    # the weights are checked above, and an overlap exp(s0), s0 <= 0, lies in [0, 1]
+    weights = _pair_weights(lambda1, lambda2, overlap)
+    c1, c2 = _normalization(lambda1, overlap), _normalization(lambda2, overlap)
     bscale = _checked_bscale(amps.coherence_scale)
 
     def evaluate(times: np.ndarray, moduli: bool = False):
-        profile = profile_at(model, times, backend=backend, settings=settings)
-        exponentials = _exponentials(profile)
-        dist = bscale * np.abs(_mix(w.a, w.b, exponentials))
+        profile = plan(times)
+        exponentials = _exponentials(*profile)
+        dist = bscale * np.abs(_mix(*weights, exponentials))
         if normalized:
             dist = dist / bscale
         if not moduli:
@@ -474,7 +478,8 @@ def find_extremum(series: DistanceSeries) -> Extremum:
 
     Scans the grid for an interior point strictly below (above) both series
     endpoints that is also a local minimum (maximum), then zooms in on it:
-    each round evaluates the distance alone (one ``profile_at`` call) as
+    each round evaluates the distance alone (one evaluation of the series'
+    scenario's profile plan, set up once per call) as
     ``distance_series`` would, with the series' scenario, backend, settings
     and normalization, on a linear grid between the neighbours of the best
     point so far.  It stops once those lie within

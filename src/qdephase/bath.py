@@ -13,6 +13,13 @@ functions of time, built from the effective coupling weight
 Each has a closed form through the Euler gamma function for every mu > -1,
 and a gamma-free quadrature route that serves as its oracle; ``profile_at``
 exposes both as interchangeable backends, for one time or an array of times.
+
+Evaluation comes in two steps.  A plan (``_ProfilePlan``) holds what one
+scenario settles whatever the times: its checked arguments, s(0), and the
+closed form's Gamma moments and branch choices (small-exponent limit, pole
+brace) or the quadrature's checked table parts.  An evaluation takes times,
+checks them and runs one array pass.  ``profile_at`` is one plan evaluated
+once; a distance series and its extremum zoom rounds keep one plan.
 """
 
 from __future__ import annotations
@@ -27,10 +34,12 @@ from .errors import DomainError
 from .numerics import (
     _KERNEL,
     _SINE,
-    KernelArgs,
     QuadratureSettings,
+    _check_kernel_args,
+    _check_times,
     _closed_kernel,
     _de_integral,
+    _kernel_setup,
     _part,
     _time_terms,
     _total_part,
@@ -141,32 +150,64 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
     return float(np.exp(-gamma_moment(0.5 * d.gamma_coef, d.nu, omega_c)))
 
 
+class _ProfilePlan:
+    """r, s, phi of one scenario, or of broadcast arrays of scenarios.
+
+    The set-up takes the parameters of valid ModelSpecs (floats, or arrays
+    that broadcast, e.g. one value per sample), checks the s row's kernel
+    arguments (the r row's are a valid BathSpec's) and the quadrature parts'
+    exponents, and forms the closed form's s0 = s(0), the log overlap.
+    Calling the plan on times checks them as KernelArgs does and returns
+    ``(r, s, phi)``.  The closed form stacks the r kernel (alpha, mu) and the
+    s kernel (sqrt(alpha * gamma_coef), kappa) as the two rows of one
+    numerics._kernel_setup, made at the first evaluation (Gamma moments and
+    branch masks) and kept for every later one, and evaluates both rows in
+    one array pass, phi from the s row.  The quadrature evaluates one DE
+    table (see numerics) of the r kernel, the s kernel, the total moment of
+    s(0) and the phi sine moment, 3N + 1 rows for one model at N times > 0.
+    """
+
+    __slots__ = ("omega_c", "settings", "s0", "_rows", "_setups", "_parts")
+
+    def __init__(self, alpha, mu, omega_c, gamma_coef, nu, backend: Backend, settings=None):
+        if backend not in ("closed_form", "quadrature"):
+            raise DomainError(f"unknown backend {backend!r}")
+        c, kappa = np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu)
+        _check_kernel_args(c, kappa, omega_c)
+        self.omega_c, self.settings = omega_c, settings
+        self._parts = self._rows = self.s0 = None
+        if backend == "quadrature":
+            self._parts = (
+                _part(_KERNEL, alpha, mu, omega_c), _part(_KERNEL, c, kappa, omega_c),
+                _total_part(gamma_coef, nu, omega_c), _part(_SINE, c, kappa, omega_c),
+            )
+            return
+        if any(isinstance(x, np.ndarray) for x in (c, kappa, omega_c)):
+            # the two rows' arrays need one shape
+            alpha, c, mu, kappa, _ = np.broadcast_arrays(alpha, c, mu, kappa, omega_c)
+        self._rows, self._setups = [(alpha, mu), (c, kappa)], {}
+        self.s0 = -gamma_moment(0.5 * gamma_coef, nu, omega_c)
+
+    def __call__(self, t) -> tuple:
+        times = np.asarray(t, dtype=float)
+        _check_times(times, self.omega_c)
+        if self._parts is not None:
+            r, s_kernel, total, phi = _de_integral(
+                [part if part[-1] is not None else (*part[:-1], times) for part in self._parts],
+                self.settings,
+            )
+            return np.maximum(4.0 * r, 0.0), 2.0 * s_kernel - 0.5 * total, phi
+        setup = self._setups.get(times.ndim)
+        if setup is None:
+            setup = self._setups[times.ndim] = _kernel_setup(self._rows, self.omega_c, times.ndim)
+        kernel, phi = _closed_kernel(setup, _time_terms(self.omega_c, times), sine=1)
+        return 4.0 * kernel[0], 2.0 * kernel[1] + self.s0, phi
+
+
 def _profiles(alpha, mu, omega_c, gamma_coef, nu, t, backend: Backend, settings=None):
     """``(r, s, phi)`` elementwise over broadcastable times and parameters of
-    valid ModelSpecs: floats for one model, or arrays, e.g. one value per
-    (model, t) sample.
-
-    The quadrature backend evaluates one DE table (see numerics): the r
-    kernel, the s kernel, the total moment of s(0) and the phi sine moment
-    as its parts, each with one row per time (the total moment: per model),
-    so 3N + 1 rows for one model at N times > 0.  The rows run through one
-    level loop, in blocks of ``numerics._BLOCK``.
-    """
-    if backend not in ("closed_form", "quadrature"):
-        raise DomainError(f"unknown backend {backend!r}")
-    # the r row's parameters are a valid BathSpec's: only the s row and t need checks
-    s_args = KernelArgs(np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu), omega_c, t)
-    if backend == "quadrature":
-        r, s_kernel, total, phi = _de_integral(
-            [_part(_KERNEL, KernelArgs(alpha, mu, omega_c, t)), _part(_KERNEL, s_args),
-             _total_part(gamma_coef, nu, omega_c), _part(_SINE, s_args)],
-            settings,
-        )
-        return np.maximum(4.0 * r, 0.0), 2.0 * s_kernel - 0.5 * total, phi
-    terms = _time_terms(omega_c, t)
-    r = 4.0 * _closed_kernel(alpha, mu, omega_c, terms)
-    s_kernel, phi = _closed_kernel(s_args.c, s_args.p, omega_c, terms, sine=True)
-    return r, 2.0 * s_kernel - gamma_moment(0.5 * gamma_coef, nu, omega_c), phi
+    valid ModelSpecs, from one _ProfilePlan evaluated once."""
+    return _ProfilePlan(alpha, mu, omega_c, gamma_coef, nu, backend, settings)(t)
 
 
 def profile_at(
@@ -180,7 +221,9 @@ def profile_at(
     ``t`` is one time or an array of times; the profile's fields have the
     same shape.  Both backends serve every mu > -1 and agree to quadrature
     tolerance.  The gamma-free quadrature is the oracle of the closed form.
-    Both evaluate a whole time array in one numpy pass.
+    A call is one plan set up for the model (checks, Gamma moments, branch
+    choices) and one evaluation on the whole time array, in one numpy pass;
+    callers that evaluate a scenario at many time arrays keep the plan.
     """
     b, d = m.bath, m.displacement
     times = np.asarray(t, dtype=float)[()]

@@ -195,12 +195,13 @@ def unphased_coherence_factor(
     """A_lambda(t) without its free phase e^(-2 i eps t), the only factor that
     depends on epsilon: |A| equals the modulus of this."""
     lam = state.lam
-    return _mix(1.0 - lam, lam, _exponentials(profile)) / normalization_c(lam, overlap)
+    exponentials = _exponentials(profile.r, profile.s, profile.phi)
+    return _mix(1.0 - lam, lam, exponentials) / normalization_c(lam, overlap)
 
 
-def _exponentials(profile: DecoherenceProfile) -> tuple:
-    """``(e^(-r), e^(s-r), e^(-2 i phi))``: what every A_lambda takes from the profile."""
-    return np.exp(-profile.r), np.exp(profile.s - profile.r), np.exp(-2.0j * profile.phi)
+def _exponentials(r, s, phi) -> tuple:
+    """``(e^(-r), e^(s-r), e^(-2 i phi))``: what every A_lambda takes from a profile."""
+    return np.exp(-r), np.exp(s - r), np.exp(-2.0j * phi)
 
 
 def _mix(a, b, exponentials):
@@ -329,4 +330,5 @@ def distance_same_amplitudes(
     out entirely.  Array-valued for a profile on a time array or an array
     ``bscale``.
     """
-    return _checked_bscale(bscale) * np.abs(_mix(w.a, w.b, _exponentials(profile)))
+    exponentials = _exponentials(profile.r, profile.s, profile.phi)
+    return _checked_bscale(bscale) * np.abs(_mix(w.a, w.b, exponentials))

@@ -95,21 +95,30 @@ class KernelArgs:
     t: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not all_true(ok := (self.c >= 0.0) & (self.c < math.inf)):
-            raise DomainError(f"kernel prefactor c must be >= 0, got {_first_failing(self.c, ok)}")
-        if not all_true(ok := (self.p > -1.0) & (self.p < math.inf)):
-            raise DomainError(f"kernel exponent p must be > -1, got {_first_failing(self.p, ok)}")
-        if not all_true(ok := (self.omega_c > 0.0) & (self.omega_c < math.inf)):
-            raise DomainError(f"omega_c must be positive, got {_first_failing(self.omega_c, ok)}")
-        times = np.asarray(self.t, dtype=float)
-        # a quotient, not max(1, omega_c) * t, which can overflow
-        if not all_true(
-            (times >= 0.0) & (times <= MAX_SCALED_TIME / np.maximum(self.omega_c, 1.0))
-        ):
-            raise DomainError(
-                f"time must satisfy 0 <= max(1, omega_c) * t <= {MAX_SCALED_TIME:g}, got t in "
-                f"[{times.min()}, {times.max()}] at omega_c up to {np.max(self.omega_c)}"
-            )
+        _check_kernel_args(self.c, self.p, self.omega_c)
+        _check_times(np.asarray(self.t, dtype=float), self.omega_c)
+
+
+def _check_kernel_args(c, p, omega_c) -> None:
+    """KernelArgs' checks of everything but the times."""
+    if not all_true(ok := (c >= 0.0) & (c < math.inf)):
+        raise DomainError(f"kernel prefactor c must be >= 0, got {_first_failing(c, ok)}")
+    if not all_true(ok := (p > -1.0) & (p < math.inf)):
+        raise DomainError(f"kernel exponent p must be > -1, got {_first_failing(p, ok)}")
+    if not all_true(ok := (omega_c > 0.0) & (omega_c < math.inf)):
+        raise DomainError(f"omega_c must be positive, got {_first_failing(omega_c, ok)}")
+
+
+def _check_times(times: np.ndarray, omega_c) -> None:
+    """KernelArgs' check of the times."""
+    # a quotient, not max(1, omega_c) * t, which can overflow
+    bound = MAX_SCALED_TIME / (
+        np.maximum(omega_c, 1.0) if isinstance(omega_c, np.ndarray) else max(omega_c, 1.0))
+    if not all_true((times >= 0.0) & (times <= bound)):
+        raise DomainError(
+            f"time must satisfy 0 <= max(1, omega_c) * t <= {MAX_SCALED_TIME:g}, got t in "
+            f"[{times.min()}, {times.max()}] at omega_c up to {np.max(omega_c)}"
+        )
 
 
 def all_true(mask) -> bool:
@@ -173,18 +182,6 @@ def gamma_moment(c, p, omega_c):
     raise DomainError(f"{c} * gamma({p}) * {omega_c}**{p} overflows a double")
 
 
-def _small_exponent_limit(p, limit, gamma_form):
-    """``gamma_form(p)`` elementwise, ``limit`` where |p| < SMALL_EXPONENT_LIMIT
-    (both may be pairs; arrays then come back stacked).
-    ``gamma_form`` gets 1 in place of such an exponent, so Gamma is never
-    evaluated at its pole at 0.
-    """
-    small = abs(p) < SMALL_EXPONENT_LIMIT
-    if not isinstance(small, np.ndarray):
-        return limit if small else gamma_form(p)
-    return np.where(small, limit, gamma_form(np.where(small, 1.0, p)))
-
-
 def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     """Closed form of ``c * Int_0^inf w**(p-1) e**(-w/omega_c) (1-cos(w t)) dw``.
 
@@ -199,7 +196,9 @@ def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     returned; it is off by ~|p| log(x)/2 relative, below 1e-9 at every
     accepted time.
     """
-    return _closed_kernel(args.c, args.p, args.omega_c, _time_terms(args.omega_c, args.t))
+    times = np.asarray(args.t, dtype=float)
+    setup = _kernel_setup([(args.c, args.p)], args.omega_c, times.ndim)
+    return _closed_kernel(setup, _time_terms(args.omega_c, times))[0]
 
 
 def _time_terms(omega_c, t) -> tuple:
@@ -208,36 +207,75 @@ def _time_terms(omega_c, t) -> tuple:
     return 0.5 * np.log1p(x * x), np.arctan(x), x
 
 
-def _closed_kernel(c, p, omega_c, terms, sine=False):
-    """decay_kernel on precomputed ``_time_terms``; with ``sine`` the pair of it and
-    ``c * Int_0^inf w**(p-1) e**(-w/omega_c) sin(w t) dw``, the same moment times
-    ``sin(p*atan(x)) / (1+x^2)**(p/2)`` (shared Gamma and damping)."""
+def _kernel_setup(rows: list, omega_c, ndim: int = 0) -> tuple:
+    """All that _closed_kernel takes from kernel rows ``(c, p)`` that share
+    omega_c, whatever the times: ``(c, q, -q, q/2, moment, small, pole)``,
+    stacked on a leading axis of rows, with room after it for ``ndim``
+    broadcast axes (of the times).  A row's arguments are floats, or arrays
+    of one shape for all rows.
+
+    q is p, or 1 where |p| < SMALL_EXPONENT_LIMIT, so that Gamma is never
+    evaluated at its pole at 0; moment is c * Gamma(q) * omega_c**q, or 0
+    where p is small; small is where the p -> 0 limits hold, or None where
+    no exponent is small; pole is where q < -1/2 takes the pole brace, or
+    None where every q >= 0.
+    """
+    columns, any_small, negative = [], False, False
+    for c, p in rows:
+        small = abs(p) < SMALL_EXPONENT_LIMIT
+        if isinstance(small, np.ndarray):
+            q = np.where(small, 1.0, p)
+            moment = gamma_moment(np.where(small, 0.0, c), q, omega_c)
+            columns.append(np.broadcast_arrays(c, q, -q, 0.5 * q, moment, small))
+            any_small = any_small or bool(small.any())
+            negative = negative or not all_true(q >= 0.0)
+        elif small:  # a float row: no Gamma at all
+            columns.append((c, 1.0, -1.0, 0.5, 0.0, True))
+            any_small = True
+        else:  # gamma_moment's float path
+            columns.append((c, p, -p, 0.5 * p, gamma_moment(c, p, omega_c), False))
+            negative = negative or p < 0.0
+    # [field x row x ...], small as 0 or 1, with room for the times
+    stack = np.array(columns, dtype=float).swapaxes(0, 1)
+    shape = stack.shape[1:2] + (1,) * (ndim + 2 - stack.ndim) + stack.shape[2:]
+    c, q, minus_q, half_q, moment, small = stack.reshape((6,) + shape)
+    small = small != 0.0 if any_small else None
+    return c, q, minus_q, half_q, moment, small, q < -0.5 if negative else None
+
+
+def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
+    """decay_kernel, one row per row of a _kernel_setup, on _time_terms.
+
+    With ``sine``, a row, the pair of the kernels and that row's ``c *
+    Int_0^inf w**(p-1) e**(-w/omega_c) sin(w t) dw``: the same moment times
+    ``sin(p*atan(x)) / (1+x^2)**(p/2)`` (shared Gamma and damping).
+    """
+    c, q, minus_q, half_q, moment, small, pole = setup
     half_log, atan, x = terms
-
-    def gamma_form(p):
-        b = p * half_log
-        damp = np.exp(-b)
-        moment = gamma_moment(c, p, omega_c)
-        brace = -np.expm1(-b) + damp * 2.0 * np.sin(0.5 * p * atan) ** 2
-        if all_true(p >= 0.0):
-            # the expression below gives the same bits here, but its pole brace
-            # doubles the cost of a call (one time or 400) and slows a
-            # closed-form series with its extremum refine by ~30%
-            kernel = moment * brace
-        else:
-            # below p = -1/2, with d = p + 1, cos(p*atan(x)) / (1+x^2)**(p/2) is
-            # (cos(d*atan(x)) + x sin(d*atan(x))) / (1+x^2)**(d/2): a brace that keeps
-            # its digits as d -> 0, where the one above cancels to zero
-            d = p + 1.0
-            pole = -np.expm1(-d * half_log) + np.exp(-d * half_log) * (
-                2.0 * np.sin(0.5 * d * atan) ** 2 - x * np.sin(d * atan))
-            # + 0.0 turns the -0.0 of a zero brace times a negative Gamma(p) into 0.0
-            kernel = moment * np.where(p < -0.5, pole, brace)[()] + 0.0
-        # + 0.0 turns the -0.0 of a zero prefactor and a negative sine into 0.0
-        return (kernel, moment * np.sin(p * atan) * damp + 0.0) if sine else kernel
-
+    minus_b = minus_q * half_log
+    damp = np.exp(minus_b)
+    brace = damp * 2.0 * np.sin(half_q * atan) ** 2 - np.expm1(minus_b)
+    if pole is None:
+        # the expression below gives the same bits here, but its pole brace
+        # doubles the cost of an evaluation
+        kernel = moment * brace
+    else:
+        # below p = -1/2, with d = p + 1, cos(p*atan(x)) / (1+x^2)**(p/2) is
+        # (cos(d*atan(x)) + x sin(d*atan(x))) / (1+x^2)**(d/2): a brace that keeps
+        # its digits as d -> 0, where the one above cancels to zero
+        d = q + 1.0
+        pole_brace = -np.expm1(-d * half_log) + np.exp(-d * half_log) * (
+            2.0 * np.sin(0.5 * d * atan) ** 2 - x * np.sin(d * atan))
+        # + 0.0 turns the -0.0 of a zero brace times a negative Gamma(p) into 0.0
+        kernel = moment * np.where(pole, pole_brace, brace) + 0.0
     # p -> 0 limits: (c/2) log(1 + x^2), and c * atan(x) for Gamma(p) sin(p atan x)
-    return _small_exponent_limit(p, (c * half_log, c * atan) if sine else c * half_log, gamma_form)
+    if small is not None:
+        kernel = np.where(small, c * half_log, kernel)
+    if sine is None:
+        return kernel
+    # + 0.0 turns the -0.0 of a zero prefactor and a negative sine into 0.0
+    moment = moment[sine] * np.sin(q[sine] * atan) * damp[sine] + 0.0
+    return kernel, moment if small is None else np.where(small[sine], c[sine] * atan, moment)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +444,16 @@ _TOTAL = _Integral(
 )
 
 
-def _part(integral: _Integral, args: KernelArgs) -> tuple:
-    """A part of a DE table: ``integral`` over the broadcast ``args``, which is
-    0 at t = 0 or c = 0.  Exponents above MAX_EXPONENT are a DomainError."""
-    if not all_true(ok := args.p <= MAX_EXPONENT):
+def _part(integral: _Integral, c, p, omega_c, t=None) -> tuple:
+    """A part of a DE table, ``(integral, c, p, omega_c, t)``: ``integral`` over
+    the broadcast checked arguments, which is 0 at t = 0 or c = 0; a part
+    without its times takes them as ``(*part[:-1], t)``.  Exponents above
+    MAX_EXPONENT are a DomainError."""
+    if not all_true(ok := p <= MAX_EXPONENT):
         raise DomainError(
-            f"quadrature exponent p must be <= {MAX_EXPONENT:g}, got p={_first_failing(args.p, ok)}"
+            f"quadrature exponent p must be <= {MAX_EXPONENT:g}, got p={_first_failing(p, ok)}"
         )
-    return integral, args
+    return integral, c, p, omega_c, t
 
 
 def _exponents(integral: _Integral, p) -> tuple:
@@ -538,9 +578,8 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
     """
     s = settings if settings is not None else QuadratureSettings()
     outs, pieces = [], []
-    for integral, args in parts:
-        times = np.asarray(args.t, dtype=float)
-        params = (args.c, args.p, args.omega_c)
+    for integral, *params, times in parts:
+        times = np.asarray(times, dtype=float)
         if any(isinstance(x, np.ndarray) for x in params):
             times, *params = np.broadcast_arrays(times, *params)
         on = (times > 0.0) & (params[0] != 0.0)
@@ -604,8 +643,9 @@ def _total_part(c, p, omega_c) -> tuple:
     """The total moment as a table part (p > 0)."""
     if not all_true(ok := p > 0.0):
         raise DomainError(f"total moment diverges for p <= 0, got p={_first_failing(p, ok)}")
+    _check_kernel_args(c, p, omega_c)
     # the least t > 0, which no omega_c takes out of range
-    return _part(_TOTAL, KernelArgs(c, p, omega_c, math.ulp(0.0)))
+    return _part(_TOTAL, c, p, omega_c, math.ulp(0.0))
 
 
 def total_moment(c, p, omega_c, settings: QuadratureSettings | None = None):
@@ -624,7 +664,8 @@ def sine_moment(
     The head runs to the first zero of sin(w t), pi/t; the rest is one
     Ooura-Mori sine integral, accurate for arbitrarily large t.
     """
-    return _de_integral([_part(_SINE, KernelArgs(c, p, omega_c, t))], settings)[0]
+    KernelArgs(c, p, omega_c, t)
+    return _de_integral([_part(_SINE, c, p, omega_c, t)], settings)[0]
 
 
 def kernel_by_quadrature(
@@ -635,4 +676,4 @@ def kernel_by_quadrature(
     The independent oracle of ``decay_kernel``; elementwise over the
     broadcast arguments.
     """
-    return _de_integral([_part(_KERNEL, args)], settings)[0]
+    return _de_integral([_part(_KERNEL, args.c, args.p, args.omega_c, args.t)], settings)[0]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qdephase import analysis, dynamics
+from qdephase import analysis, bath, dynamics, numerics
 from qdephase.analysis import PLANE_PARAMETERS
 from qdephase.cli import main
 from qdephase import (
@@ -95,21 +95,19 @@ def unit_checks(monkeypatch):
 
 @contextlib.contextmanager
 def _series_calls(limit=200):
-    """Record the distance_series and profile_at calls made through the
-    analysis module, failing after ``limit`` of them, so a search that stops
-    making progress fails instead of hanging.
+    """Record the distance_series calls made through the analysis module and
+    every profile plan evaluation, failing after ``limit`` of them, so a
+    search that stops making progress fails instead of hanging.
 
-    Each record is (name, settings, nested): the quadrature settings the
-    call received, and whether it ran inside a distance_series call.
+    Each record is (name, settings, nested): 'distance_series' or 'plan',
+    the quadrature settings the call received (a plan evaluation: its
+    plan's), and whether it ran inside a distance_series call.
     """
     calls, depth = [], [0]
 
-    def counted(name, real):
-        signature = inspect.signature(real)
-
+    def counted(name, real, settings_of):
         def wrapper(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs).arguments
-            calls.append((name, bound.get("settings"), depth[0] > 0))
+            calls.append((name, settings_of(*args, **kwargs), depth[0] > 0))
             if len(calls) > limit:
                 raise AssertionError(f"more than {limit} series/profile evaluations")
             depth[0] += 1
@@ -120,9 +118,16 @@ def _series_calls(limit=200):
 
         return wrapper
 
+    series = analysis.distance_series
+    signature = inspect.signature(series)
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("distance_series", "profile_at"):
-            mp.setattr(analysis, name, counted(name, getattr(analysis, name)))
+        mp.setattr(analysis, "distance_series", counted(
+            "distance_series", series,
+            lambda *args, **kwargs: signature.bind(*args, **kwargs).arguments.get("settings"),
+        ))
+        mp.setattr(bath._ProfilePlan, "__call__", counted(
+            "plan", bath._ProfilePlan.__call__, lambda plan, t: plan.settings
+        ))
         yield calls
 
 
@@ -1183,7 +1188,7 @@ class TestFindExtremum:
         with _series_calls() as calls:
             result = find_extremum(series)
         names = [name for name, _, nested in calls if not nested]
-        assert set(names) == {"profile_at"}
+        assert set(names) == {"plan"}
         assert len(names) <= 4
         # the value is the series' own distance at t, not a re-evaluation
         again = distance_series(
@@ -1191,6 +1196,28 @@ class TestFindExtremum:
             grid=TimeGrid("linear", 0.5 * result.t, result.t, 2),
         )
         assert again.distance[-1] == result.value
+
+    @pytest.mark.parametrize("backend", ["closed_form", "quadrature"])
+    def test_one_plan_whatever_the_round_count(self, benchmark_model, monkeypatch, backend):
+        # the zoom rounds only evaluate: one plan, and for the closed form one
+        # set of Gamma moments (r and s kernels, s(0)), for 2 to 5 rounds
+        plans, moments = [], []
+        plan_init, moment = bath._ProfilePlan.__init__, numerics.gamma_moment
+        monkeypatch.setattr(
+            bath._ProfilePlan, "__init__", lambda *a: plans.append(a) or plan_init(*a))
+        for module in (bath, numerics):
+            monkeypatch.setattr(module, "gamma_moment", lambda *a: moments.append(a) or moment(*a))
+        rounds = set()
+        for grid in (TimeGrid("log", 1e-3, 1e4, 12), TimeGrid("log", 1.0, 1e4, 60),
+                     TimeGrid("linear", 600.0, 760.0, 300), TimeGrid("linear", 678.0, 680.0, 200)):
+            series = distance_series(benchmark_model, 0.25, 0.0, grid=grid, backend=backend)
+            plans.clear(), moments.clear()
+            with _series_calls() as calls:
+                assert find_extremum(series).kind == "minimum"
+            rounds.add(len(calls))
+            assert len(plans) == 1
+            assert len(moments) == (3 if backend == "closed_form" else 1)
+        assert len(rounds) > 1
 
     def test_refines_with_the_series_settings(self, benchmark_model):
         tolerances = QuadratureSettings(abs_tol=1e-9, rel_tol=1e-7)
@@ -1202,7 +1229,7 @@ class TestFindExtremum:
             result = find_extremum(series)
         assert result.kind == "minimum"
         assert calls and all(received is tolerances for _, received, _ in calls)
-        assert {name for name, _, nested in calls if not nested} == {"profile_at"}
+        assert {name for name, _, nested in calls if not nested} == {"plan"}
         assert series.settings is tolerances
         assert result.t == pytest.approx(oracles.SCENARIO_DIP_T, rel=1e-3)
 

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 import oracles
 from qdephase import (
     BathSpec,
+    QubitAmplitudes,
+    analysis,
+    decay_kernel,
     ConvergenceError,
     DisplacementSpec,
     DomainError,
@@ -110,6 +113,40 @@ class TestProfileAt:
         # x * x with x = omega_c * t overflows past ~1.34e154
         with pytest.raises(DomainError, match="t <= 1e\\+150"):
             profile_at(benchmark_model, t, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["closed_form", "quadrature"])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -5e-324, math.nextafter(2.5e148, math.inf)])
+    @pytest.mark.parametrize("array", [False, True])
+    def test_refused_times_keep_the_kernel_args_message(self, backend, bad, array):
+        # the plan checks times where KernelArgs did, with its words; 2.5e148
+        # is the bound 1e150 / omega_c itself
+        model = ModelSpec(1.0, BathSpec(0.01, 0.5, 40.0), DisplacementSpec(0.05, 0.4))
+        t = np.array([0.0, 2.0, bad, 2.5e148]) if array else bad
+        with pytest.raises(DomainError) as want:
+            KernelArgs(0.1, 0.5, 40.0, t)
+        evaluate = analysis._distance_evaluator(
+            model, 0.25, 0.0, QubitAmplitudes.balanced(), backend, None, False)
+        for call in (lambda: profile_at(model, t, backend=backend), lambda: evaluate(t)):
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad_row", [2, 3])
+    def test_mixed_validation_batch_keeps_the_kernel_args_message(self, bad_row):
+        # odd samples on the quadrature backend, as check_physicality draws them;
+        # the closed-form rows are evaluated first
+        rng = np.random.default_rng(3)
+        models = [random_model(rng) for _ in range(6)]
+        t = np.array([0.5, 1.0, 2.0, 3.0, 4.0, 5.0])
+        t[bad_row] = -1.0
+        backends = ["quadrature" if i % 2 else "closed_form" for i in range(6)]
+        rows = np.arange(6) % 2 == bad_row % 2
+        omega_c = np.array([m.bath.omega_c for m in models])
+        with pytest.raises(DomainError) as want:
+            KernelArgs(1.0, 0.5, omega_c[rows], t[rows])
+        with pytest.raises(DomainError) as got:
+            validation._sample_fields(models, t, backends)
+        assert str(got.value) == str(want.value)
 
     def test_time_bound_scales_with_cutoff(self, benchmark_model):
         fast = replace(benchmark_model, bath=replace(benchmark_model.bath, omega_c=1e10))
@@ -375,6 +412,53 @@ class TestBatchedProfiles:
                     # in 40% of the draws, at most 5.1e-7 of the quadrature
                     # tolerance over 41000 values
                     assert abs(got - want) <= 1e-5 * max(1e-10, 1e-8 * abs(want))
+
+
+    # (mu, nu): the r row's exponent mu and the s row's kappa = (mu + nu)/2 on
+    # every branch: |p| < 1e-12, p < -1/2, -1/2 <= p < 0, p >= 0
+    BRANCHES = [
+        (0.0, 0.4), (-5e-13, 0.5), (-0.7, 0.5), (-0.3, 0.3), (-0.3, 0.3 + 1e-12),
+        (0.5, 0.2), (-0.9, 0.1), (-0.99, 1.5), (2.0, 1e-3), (1.0, 1e-13),
+    ]
+    TIMES = np.array([0.0, 5e-324, 1e-150, 1e-3, 0.7, 30.0, 1e4, 1e60])
+
+    def _model(self, mu, nu, gamma_coef=0.05):
+        return ModelSpec(0.0, BathSpec(0.02, mu, 1.3), DisplacementSpec(gamma_coef, nu))
+
+    @pytest.mark.parametrize("gamma_coef", [0.05, 0.0])
+    @pytest.mark.parametrize("mu,nu", BRANCHES)
+    def test_one_time_is_the_array_element(self, mu, nu, gamma_coef):
+        model = self._model(mu, nu, gamma_coef)
+        whole = profile_at(model, self.TIMES)
+        kernel = decay_kernel(KernelArgs(0.02, mu, 1.3, self.TIMES))
+        for i, t in enumerate(self.TIMES.tolist()):
+            one = profile_at(model, t)
+            assert (one.r, one.s, one.phi) == (whole.r[i], whole.s[i], whole.phi[i])
+            assert decay_kernel(KernelArgs(0.02, mu, 1.3, t)) == kernel[i]
+
+    def test_rows_on_different_branches_equal_one_model_calls(self):
+        # every (model, time) pair of BRANCHES x TIMES in one batch: each row
+        # of the stacked r and s kernels may take its own branch
+        mu, nu = np.array(self.BRANCHES).T
+        mu, nu, t = (x.ravel() for x in np.broadcast_arrays(mu[:, None], nu[:, None], self.TIMES))
+        batch = _profiles(0.02, mu, 1.3, 0.05, nu, t, "closed_form")
+        for i in range(t.size):
+            one = profile_at(self._model(mu[i], nu[i]), t[i])
+            assert tuple(field[i] for field in batch) == (one.r, one.s, one.phi)
+
+    @pytest.mark.parametrize("mu,nu", BRANCHES)
+    def test_stacked_rows_are_the_one_kernel_formula(self, mu, nu):
+        # the plan's r and s rows give decay_kernel's bits for their own arguments
+        model = self._model(mu, nu)
+        profile = profile_at(model, self.TIMES)
+        c, kappa = math.sqrt(0.02 * 0.05), model.kappa
+        s_kernel = decay_kernel(KernelArgs(c, kappa, 1.3, self.TIMES))
+        assert _bits(profile.r) == _bits(4.0 * decay_kernel(KernelArgs(0.02, mu, 1.3, self.TIMES)))
+        assert _bits(profile.s) == _bits(2.0 * s_kernel - numerics.gamma_moment(0.025, nu, 1.3))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
 
 
 # exponents with numpy's fast paths for float powers (v ** 2.0 is v * v)

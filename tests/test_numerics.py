@@ -220,7 +220,8 @@ class TestDecayKernel:
             closed = decay_kernel(KernelArgs(0.7, p, wc, t))
             oracle = oracles.quad_kernel(0.7, p, wc, t)
             assert abs(closed - oracle) <= max(1e-8, 1e-6 * abs(oracle))
-            _, sine = numerics._closed_kernel(0.7, p, wc, numerics._time_terms(wc, t), sine=True)
+            setup = numerics._kernel_setup([(0.7, p)], wc)
+            _, sine = numerics._closed_kernel(setup, numerics._time_terms(wc, t), sine=0)
             oracle = oracles.quad_sine(0.7, p, wc, t)
             assert abs(sine - oracle) <= max(1e-8, 1e-6 * abs(oracle))
 
@@ -231,7 +232,8 @@ class TestDecayKernel:
         # so on either side of zero only |p| < 1e-12 takes them
         t = np.geomspace(1e-3, 1e8, 200)
         args = KernelArgs(0.7, p, 2.0, t)
-        closed, sine = numerics._closed_kernel(0.7, p, 2.0, numerics._time_terms(2.0, t), sine=True)
+        setup = numerics._kernel_setup([(0.7, p)], 2.0, t.ndim)
+        (closed,), sine = numerics._closed_kernel(setup, numerics._time_terms(2.0, t), sine=0)
         for got, want in ((closed, kernel_by_quadrature(args)), (sine, sine_moment(0.7, p, 2.0, t))):
             assert np.all(np.abs(got - want) <= np.maximum(1e-8, 1e-6 * np.abs(want)))
 

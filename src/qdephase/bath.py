@@ -151,21 +151,15 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
 
 
 class _ProfilePlan:
-    """r, s, phi of one scenario, or of broadcast arrays of scenarios.
-
-    The set-up takes the parameters of valid ModelSpecs (floats, or arrays
-    that broadcast, e.g. one value per sample), checks the s row's kernel
-    arguments (the r row's are a valid BathSpec's) and the quadrature parts'
-    exponents, and forms the closed form's s0 = s(0), the log overlap.
-    Calling the plan on times checks them as KernelArgs does and returns
-    ``(r, s, phi)``.  The closed form stacks the r kernel (alpha, mu) and the
-    s kernel (sqrt(alpha * gamma_coef), kappa) as the two rows of one
-    numerics._kernel_setup, made at the first evaluation (Gamma moments and
-    branch masks) and kept for every later one, and evaluates both rows in
-    one array pass, phi from the s row.  The quadrature evaluates one DE
-    table (see numerics) of the r kernel, the s kernel, the total moment of
-    s(0) and the phi sine moment, 3N + 1 rows for one model at N times > 0.
-    """
+    """The plan of the module docstring, over floats (one model) or arrays that
+    broadcast (e.g. one value per sample) of valid ModelSpec parameters; the
+    r row's arguments are a valid BathSpec's, so only the s row's are checked.
+    ``plan(t)`` gives ``(r, s, phi)``.  The closed form's two rows, the r kernel
+    (alpha, mu) and the s kernel (sqrt(alpha * gamma_coef), kappa), are one
+    numerics._kernel_setup, made at the first evaluation and kept; phi comes
+    from the s row.  The quadrature's parts are the r and s kernels, the total
+    moment of s(0) and the phi sine moment: 3N + 1 rows for one model at N
+    times > 0."""
 
     __slots__ = ("omega_c", "settings", "s0", "_rows", "_setups", "_parts")
 
@@ -182,9 +176,6 @@ class _ProfilePlan:
                 _total_part(gamma_coef, nu, omega_c), _part(_SINE, c, kappa, omega_c),
             )
             return
-        if any(isinstance(x, np.ndarray) for x in (c, kappa, omega_c)):
-            # the two rows' arrays need one shape
-            alpha, c, mu, kappa, _ = np.broadcast_arrays(alpha, c, mu, kappa, omega_c)
         self._rows, self._setups = [(alpha, mu), (c, kappa)], {}
         self.s0 = -gamma_moment(0.5 * gamma_coef, nu, omega_c)
 

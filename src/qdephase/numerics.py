@@ -100,7 +100,7 @@ class KernelArgs:
 
 
 def _check_kernel_args(c, p, omega_c) -> None:
-    """KernelArgs' checks of everything but the times."""
+    """KernelArgs' checks but that of the times."""
     if not all_true(ok := (c >= 0.0) & (c < math.inf)):
         raise DomainError(f"kernel prefactor c must be >= 0, got {_first_failing(c, ok)}")
     if not all_true(ok := (p > -1.0) & (p < math.inf)):
@@ -196,9 +196,9 @@ def decay_kernel(args: KernelArgs) -> float | np.ndarray:
     returned; it is off by ~|p| log(x)/2 relative, below 1e-9 at every
     accepted time.
     """
-    times = np.asarray(args.t, dtype=float)
-    setup = _kernel_setup([(args.c, args.p)], args.omega_c, times.ndim)
-    return _closed_kernel(setup, _time_terms(args.omega_c, times))[0]
+    ndim = np.broadcast(args.c, args.p, args.omega_c, args.t).ndim
+    setup = _kernel_setup([(args.c, args.p)], args.omega_c, ndim)
+    return _closed_kernel(setup, _time_terms(args.omega_c, args.t))[0]
 
 
 def _time_terms(omega_c, t) -> tuple:
@@ -208,38 +208,36 @@ def _time_terms(omega_c, t) -> tuple:
 
 
 def _kernel_setup(rows: list, omega_c, ndim: int = 0) -> tuple:
-    """All that _closed_kernel takes from kernel rows ``(c, p)`` that share
-    omega_c, whatever the times: ``(c, q, -q, q/2, moment, small, pole)``,
-    stacked on a leading axis of rows, with room after it for ``ndim``
-    broadcast axes (of the times).  A row's arguments are floats, or arrays
-    of one shape for all rows.
-
-    q is p, or 1 where |p| < SMALL_EXPONENT_LIMIT, so that Gamma is never
-    evaluated at its pole at 0; moment is c * Gamma(q) * omega_c**q, or 0
-    where p is small; small is where the p -> 0 limits hold, or None where
-    no exponent is small; pole is where q < -1/2 takes the pole brace, or
-    None where every q >= 0.
-    """
-    columns, any_small, negative = [], False, False
-    for c, p in rows:
+    """What _closed_kernel takes from kernel rows ``(c, p)`` of broadcastable
+    arguments sharing omega_c, whatever the times: ``(c, q, -q, q/2, moment,
+    small, pole)`` on a leading axis of rows, with room for ``ndim`` axes of
+    the times.  q is p, or 1 where |p| < SMALL_EXPONENT_LIMIT (so Gamma never
+    meets its pole at 0); moment is c * Gamma(q) * omega_c**q, 0 where p is
+    small; small masks the p -> 0 limits and pole the brace of q < -1/2, each
+    None where it holds nowhere (pole: where every q >= 0)."""
+    if isinstance(omega_c, float) and all(isinstance(x, float) for row in rows for x in row):
+        # one model: each row through gamma_moment's float path, no Gamma for a small p
+        columns, any_small, negative = [], False, False
+        for c, p in rows:
+            if abs(p) < SMALL_EXPONENT_LIMIT:
+                columns.append((c, 1.0, -1.0, 0.5, 0.0, 1.0))
+                any_small = True
+            else:
+                columns.append((c, p, -p, 0.5 * p, gamma_moment(c, p, omega_c), 0.0))
+                negative = negative or p < 0.0
+        stack = np.array(columns).T.reshape((6, len(rows)) + (1,) * ndim)
+        c, q, minus_q, half_q, moment, small = stack
+        small = small != 0.0 if any_small else None
+    else:
+        # [c, p] x row x (the shape of omega_c and every row's c and p), with room for the times
+        *cp, _ = np.broadcast_arrays(*(x for field in zip(*rows) for x in field), omega_c)
+        cp = np.array(cp, dtype=float)
+        c, p = cp.reshape((2, len(rows)) + (1,) * (ndim + 1 - cp.ndim) + cp.shape[1:])
         small = abs(p) < SMALL_EXPONENT_LIMIT
-        if isinstance(small, np.ndarray):
-            q = np.where(small, 1.0, p)
-            moment = gamma_moment(np.where(small, 0.0, c), q, omega_c)
-            columns.append(np.broadcast_arrays(c, q, -q, 0.5 * q, moment, small))
-            any_small = any_small or bool(small.any())
-            negative = negative or not all_true(q >= 0.0)
-        elif small:  # a float row: no Gamma at all
-            columns.append((c, 1.0, -1.0, 0.5, 0.0, True))
-            any_small = True
-        else:  # gamma_moment's float path
-            columns.append((c, p, -p, 0.5 * p, gamma_moment(c, p, omega_c), False))
-            negative = negative or p < 0.0
-    # [field x row x ...], small as 0 or 1, with room for the times
-    stack = np.array(columns, dtype=float).swapaxes(0, 1)
-    shape = stack.shape[1:2] + (1,) * (ndim + 2 - stack.ndim) + stack.shape[2:]
-    c, q, minus_q, half_q, moment, small = stack.reshape((6,) + shape)
-    small = small != 0.0 if any_small else None
+        q = np.where(small, 1.0, p)
+        moment = gamma_moment(np.where(small, 0.0, c), q, omega_c)
+        minus_q, half_q, small = -q, 0.5 * q, small if small.any() else None
+        negative = not all_true(q >= 0.0)
     return c, q, minus_q, half_q, moment, small, q < -0.5 if negative else None
 
 

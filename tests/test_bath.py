@@ -446,6 +446,21 @@ class TestBatchedProfiles:
             one = profile_at(self._model(mu[i], nu[i]), t[i])
             assert tuple(field[i] for field in batch) == (one.r, one.s, one.phi)
 
+    @pytest.mark.parametrize("name", ["alpha", "mu", "omega_c", "gamma_coef", "nu"])
+    @pytest.mark.parametrize("t", [3.0, np.array([0.0, 3.0, 1e4])])
+    def test_any_parameter_may_be_an_array(self, name, t):
+        params = {"alpha": 0.02, "mu": -0.7, "omega_c": 1.3, "gamma_coef": 0.05, "nu": 0.5}
+        values = {"alpha": [0.0025, 0.02, 0.5], "mu": [-0.7, 0.0, 1.5],
+                  "omega_c": [0.5, 1.3, 40.0], "gamma_coef": [0.0, 0.05, 1.0],
+                  "nu": [0.5, 1.4, 1e-3]}[name]
+        batch = _profiles(**{**params, name: np.array(values)}, t=t, backend="closed_form")
+        for i, v in enumerate(values):
+            p = {**params, name: v}
+            model = ModelSpec(0.0, BathSpec(p["alpha"], p["mu"], p["omega_c"]),
+                              DisplacementSpec(p["gamma_coef"], p["nu"]))
+            one = profile_at(model, t if np.ndim(t) == 0 else t[i])
+            assert tuple(field[i] for field in batch) == (one.r, one.s, one.phi)
+
     @pytest.mark.parametrize("mu,nu", BRANCHES)
     def test_stacked_rows_are_the_one_kernel_formula(self, mu, nu):
         # the plan's r and s rows give decay_kernel's bits for their own arguments

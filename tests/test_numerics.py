@@ -258,6 +258,17 @@ class TestDecayKernel:
         tiny = np.geomspace(1e-170, 1e-150, 200)
         assert np.all(decay_kernel(KernelArgs(0.7, p, wc, tiny)) >= 0.0)
 
+    @pytest.mark.parametrize("p", [0.5, 0.0, -0.7])
+    @pytest.mark.parametrize("array", ["c", "p", "omega_c", "t"])
+    def test_any_argument_may_be_an_array(self, p, array):
+        # each element as the call on its own floats, bit for bit
+        args = {"c": 0.7, "p": p, "omega_c": 1.3, "t": 2.0}
+        values = {"c": [0.0, 0.7, 3.0], "p": [p, 0.3, -0.2], "omega_c": [0.5, 1.3, 4.0],
+                  "t": [0.0, 2.0, 1e3]}[array]
+        whole = decay_kernel(KernelArgs(**{**args, array: np.array(values)}))
+        for i, v in enumerate(values):
+            assert whole[i] == decay_kernel(KernelArgs(**{**args, array: v}))
+
     def test_zero_time_is_positive_zero(self):
         for p in (-0.9, -0.3, 0.0, 0.5):
             assert math.copysign(1.0, decay_kernel(KernelArgs(0.7, p, 1.0, 0.0))) == 1.0

@@ -100,7 +100,7 @@ class KernelArgs:
 
 
 def _check_kernel_args(c, p, omega_c) -> None:
-    """KernelArgs' checks but that of the times."""
+    """KernelArgs' checks of c, p and omega_c."""
     if not all_true(ok := (c >= 0.0) & (c < math.inf)):
         raise DomainError(f"kernel prefactor c must be >= 0, got {_first_failing(c, ok)}")
     if not all_true(ok := (p > -1.0) & (p < math.inf)):
@@ -114,7 +114,7 @@ def _check_times(times: np.ndarray, omega_c) -> None:
     # a quotient, not max(1, omega_c) * t, which can overflow
     bound = MAX_SCALED_TIME / (
         np.maximum(omega_c, 1.0) if isinstance(omega_c, np.ndarray) else max(omega_c, 1.0))
-    if not all_true((times >= 0.0) & (times <= bound)):
+    if not ((times >= 0.0) & (times <= bound)).all():
         raise DomainError(
             f"time must satisfy 0 <= max(1, omega_c) * t <= {MAX_SCALED_TIME:g}, got t in "
             f"[{times.min()}, {times.max()}] at omega_c up to {np.max(omega_c)}"
@@ -229,7 +229,7 @@ def _kernel_setup(rows: list, omega_c, ndim: int = 0) -> tuple:
         c, q, minus_q, half_q, moment, small = stack
         small = small != 0.0 if any_small else None
     else:
-        # [c, p] x row x (the shape of omega_c and every row's c and p), with room for the times
+        # [c, p] x row x (the shape of every c, p and omega_c), with room for the times
         *cp, _ = np.broadcast_arrays(*(x for field in zip(*rows) for x in field), omega_c)
         cp = np.array(cp, dtype=float)
         c, p = cp.reshape((2, len(rows)) + (1,) * (ndim + 1 - cp.ndim) + cp.shape[1:])

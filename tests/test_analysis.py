@@ -1211,7 +1211,7 @@ class TestFindExtremum:
         for grid in (TimeGrid("log", 1e-3, 1e4, 12), TimeGrid("log", 1.0, 1e4, 60),
                      TimeGrid("linear", 600.0, 760.0, 300), TimeGrid("linear", 678.0, 680.0, 200)):
             series = distance_series(benchmark_model, 0.25, 0.0, grid=grid, backend=backend)
-            plans.clear(), moments.clear()
+            del plans[:], moments[:]
             with _series_calls() as calls:
                 assert find_extremum(series).kind == "minimum"
             rounds.add(len(calls))

@@ -216,7 +216,10 @@ def _kernel_setup(rows: list, omega_c, ndim: int = 0) -> tuple:
     small; small masks the p -> 0 limits and pole the brace of q < -1/2, each
     None where it holds nowhere (pole: where every q >= 0)."""
     if isinstance(omega_c, float) and all(isinstance(x, float) for row in rows for x in row):
-        # one model: each row through gamma_moment's float path, no Gamma for a small p
+        # one model: each row through gamma_moment's float path, no Gamma for a
+        # small p.  The array path gives the same bits but takes ~15 us instead
+        # of ~3 (numpy calls on 2-element arrays): a closed-form series op
+        # ~25% longer
         columns, any_small, negative = [], False, False
         for c, p in rows:
             if abs(p) < SMALL_EXPONENT_LIMIT:

@@ -20,7 +20,7 @@ from .bath import (
     DecoherenceProfile,
     DisplacementSpec,
     ModelSpec,
-    _profiles,
+    _ProfilePlan,
     ground_coherent_overlap,
 )
 from .dynamics import (
@@ -121,7 +121,7 @@ def _sample_fields(models, t: np.ndarray, backends) -> np.ndarray:
     fields = np.empty((3, len(models)))
     for backend in dict.fromkeys(backends.tolist()):
         rows = backends == backend
-        fields[:, rows] = _profiles(*params[:, rows], t[rows], backend)
+        fields[:, rows] = _ProfilePlan(*params[:, rows], backend)(t[rows])
     return fields
 
 

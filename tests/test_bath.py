@@ -31,7 +31,12 @@ from qdephase import (
     total_moment,
     validation,
 )
-from qdephase.bath import _profiles
+from qdephase.bath import _ProfilePlan
+
+
+def _profiles(alpha, mu, omega_c, gamma_coef, nu, t, backend):
+    """(r, s, phi) from one plan over the broadcast parameters, evaluated at t."""
+    return _ProfilePlan(alpha, mu, omega_c, gamma_coef, nu, backend)(t)
 
 
 def random_model(rng, mu_range=(-1.0, 3.0)):

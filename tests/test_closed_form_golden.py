@@ -6,9 +6,10 @@ small-exponent seam (|p| < 1e-12) and at 5e-8, on both sides of the pole
 brace at p = -1/2, and far from both; the mixed exponent kappa = (mu + nu)/2
 at and next to 0; a zero displacement (s row prefactor 0).  The times are
 400 log-spaced ones in [1e-3, 1e4] plus 0, the least subnormal, 1e-150 and
-large times up to 1e140.  The digests were recorded before the closed form
-was split into a per-scenario plan and an evaluation over times; any change
-of a single bit fails them.
+large times up to 1e140.  The array digest was recorded before the closed
+form was split into a per-scenario plan and an evaluation over times (the
+one-time digest after it, see SCALAR_DIGEST); any change of a single bit
+fails them.
 """
 
 import hashlib
@@ -83,11 +84,14 @@ def test_model_set_covers_every_branch():
 
 
 ARRAY_DIGEST = "1991375eaffc9be89bbcef150a2cea01ba4d08f0cddaf31082fdca61b53c234b"
-# One time is evaluated as an array of one time, with the array's bits.
-# Before, a float64 scalar's ``** 2`` (libm pow) could differ from an array's
-# square by an ulp: 2 of these values (r and decay_kernel at alpha 0.02,
-# mu -0.5, omega_c 1.3, t = 0.0483...) were one ulp off their array elements,
-# and that digest read f933c64b7908e947855f53fe700eb966b16e5f175076a7fb72194bbd8ac308bf.
+# Not the digest recorded before the plan.  That one read
+# f933c64b7908e947855f53fe700eb966b16e5f175076a7fb72194bbd8ac308bf: one time
+# went through numpy scalar arithmetic, whose ``** 2`` is libm's pow where an
+# array squares, and 2 of these values (r and decay_kernel at alpha 0.02,
+# mu -0.5, omega_c 1.3, t = 0.0483...) were one ulp off their array elements.
+# The plan evaluates one time as an array of one time, so those 2 values
+# moved by one ulp and this digest was recorded after that change; the
+# assertion below pins every one-time value to its array element.
 SCALAR_DIGEST = "899ebc8bbf3cba9358014010669f4635d05af9c8f676bf05d57e21bda2f84c6e"
 
 

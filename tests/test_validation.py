@@ -12,13 +12,18 @@ from qdephase import DomainError, dynamics, validation
 def profile_calls(monkeypatch):
     """Record (backend, rows) of every bath evaluation the suites make."""
     calls = []
-    real = validation._profiles
+    real = validation._ProfilePlan
 
     def counted(*args):
-        calls.append((args[6], args[5].size))
-        return real(*args)
+        plan = real(*args)
 
-    monkeypatch.setattr(validation, "_profiles", counted)
+        def evaluate(t):
+            calls.append((args[5], t.size))
+            return plan(t)
+
+        return evaluate
+
+    monkeypatch.setattr(validation, "_ProfilePlan", counted)
     return calls
 
 
@@ -63,15 +68,18 @@ def test_physicality_lets_a_programming_error_surface(monkeypatch):
 def test_physicality_counts_a_library_error_as_a_failure(monkeypatch):
     # one unphysical sample among 7 is one failure: r = s = -1, phi = 0 on the
     # first sample give |A| = ((1 - lam) e + lam) / C > 1
-    real = validation._profiles
+    real = validation._ProfilePlan
 
     def one_unphysical(*args):
-        r, s, phi = (np.array(x, dtype=float) for x in real(*args))
-        if args[6] == "closed_form":
-            r[0], s[0], phi[0] = -1.0, -1.0, 0.0
-        return r, s, phi
+        def evaluate(t):
+            r, s, phi = (np.array(x, dtype=float) for x in real(*args)(t))
+            if args[5] == "closed_form":
+                r[0], s[0], phi[0] = -1.0, -1.0, 0.0
+            return r, s, phi
 
-    monkeypatch.setattr(validation, "_profiles", one_unphysical)
+        return evaluate
+
+    monkeypatch.setattr(validation, "_ProfilePlan", one_unphysical)
     result = validation.check_physicality(7)
     assert result.failures == 1 and not result.passed
     assert result.worst > 1e-9

@@ -58,7 +58,6 @@ _RATIO_ARGS = ("alpha", "mu", "omega_c", "gamma", "nu", "lambda1", "lambda2")
 _limit_args = itemgetter(*_RATIO_ARGS[:5])
 
 _TIE_TOL = 1e-9
-_TREE_LEVELS = 7  # find_lambda_c: bisection levels per evaluator call
 # find_extremum: times per zoom round (each round narrows the bracket 64x)
 _ZOOM_POINTS = 129
 
@@ -298,7 +297,10 @@ def find_lambda_c(
     the ratio is undefined at a bracket end).  A midpoint where the ratio
     is undefined (it equals ``fixed``) is stepped past by one ulp.  The
     bisection stops at ``tol`` or when the bracket can no longer be split.
-    Each evaluator call covers _TREE_LEVELS levels, with the scalar loop's bits.
+    The ratio's closed-form root predicts the midpoints, and one evaluator
+    call takes them with the bracket ends; a midpoint off that path costs a
+    call of its own.  The result is the scalar bisection's float, bit for
+    bit, whatever the prediction.
     """
     lambda_c, r_lo, r_hi = _critical(model, fixed, bracket, tol)
     if lambda_c is None:
@@ -325,31 +327,58 @@ def _critical(
     limits = limit_exponents(*_limit_args(cell))
     _check_weights(cell, ("lambda2",))  # fixed; the bracket is checked above
 
-    def tree(lo: float, hi: float) -> tuple[list[float], list[float]]:
-        """lo, hi and the next _TREE_LEVELS levels of midpoints, in order, and their ratios."""
-        points = np.full(2**_TREE_LEVELS + 1, hi, dtype=float)
-        points[0] = lo
-        for n in reversed(range(_TREE_LEVELS)):
-            ends = points[:: 2 << n]
-            points[1 << n :: 2 << n] = 0.5 * (ends[:-1] + ends[1:])
-        return points.tolist(), _gain_ratios({**cell, "lambda1": points}, limits).tolist()
+    # the bisection's midpoints if it closes on the closed-form root, all in one call
+    root = _root(float(cell["lambda2"]), limits, lo, hi)
+    path, a, b = [lo, hi], lo, hi
+    while root is not None and 0.5 * (b - a) > tol and (mid := 0.5 * (a + b)) not in (a, b):
+        path.append(mid)
+        a, b = (mid, b) if mid < root else (a, mid)
+    values = _gain_ratios({**cell, "lambda1": np.array(path, dtype=float)}, limits).tolist()
+    known = dict(zip(path, values))
 
-    (points, values), i, j = tree(lo, hi), 0, 2**_TREE_LEVELS
-    r_lo, r_hi = (None if math.isnan(v) else v for v in (values[i], values[j]))
+    def ratio(x: float) -> float:
+        """The ratio at a point off the predicted path: one evaluator call."""
+        return float(_gain_ratios({**cell, "lambda1": np.float64(x)}, limits))
+
+    r_lo, r_hi = (None if math.isnan(v) else v for v in values[:2])
     if r_lo is None or r_hi is None or not (r_lo > 1.0 > r_hi):
         return None, r_lo, r_hi
     while 0.5 * (hi - lo) > tol:
-        if j - i < 2:
-            (points, values), i, j = tree(lo, hi), 0, 2**_TREE_LEVELS
-        k = (i + j) // 2
-        mid, r_mid = points[k], values[k]
-        if math.isnan(r_mid):  # step past it; the tree then re-grows
+        mid = 0.5 * (lo + hi)
+        r_mid = known[mid] if mid in known else ratio(mid)
+        if math.isnan(r_mid):  # step past it
             mid = math.nextafter(mid, hi)
-            r_mid, i, j = float(_gain_ratios({**cell, "lambda1": np.float64(mid)}, limits)), k, k
+            r_mid = ratio(mid)
         if mid in (lo, hi):
             break
-        lo, hi, i, j = (mid, hi, k, j) if r_mid > 1.0 else (lo, mid, i, k)
+        lo, hi = (mid, hi) if r_mid > 1.0 else (lo, mid)
     return 0.5 * (lo + hi), r_lo, r_hi
+
+
+def _root(f: float, limits: tuple, lo: float, hi: float) -> float | None:
+    """The weight in (lo, hi) at which the gain ratio against ``f`` is 1, in
+    closed form, or None if no branch has one there; a prediction only.
+
+    With X = e^(-r_inf), Y = e^(s_inf - r_inf) and O = e^(s0) the ratio is 1
+    where a(X - s) + b(Y - s O) = 0, s = +-1, that is where P(l)/C_l = K for
+    the line P(l) = (1 - l)(X - s) + l(Y - s O) = p0 + p1 l and K = P(f)/C_f.
+    Squared, with C_l^2 = 1 - q l + q l^2 and q = 2 (1 - O), that is the
+    quadratic (p1^2 - q K^2) l^2 + (2 p0 p1 + q K^2) l + p0^2 - K^2 = 0.  One
+    root is l = f, so the other is -B/A - f; it counts where P has the sign
+    of P(f).
+    """
+    s0, r_inf, s_inf = limits
+    x, y, o = math.exp(-r_inf), math.exp(s_inf - r_inf), math.exp(s0)
+    for sign in (1.0, -1.0):
+        p0, p1 = x - sign, (y - sign * o) - (x - sign)
+        p_f = p0 + p1 * f
+        c_f2 = (1.0 - f) * (1.0 - f) + f * f + 2.0 * f * (1.0 - f) * o
+        k2q = p_f * p_f / c_f2 * 2.0 * (1.0 - o)
+        if lead := p1 * p1 - k2q:
+            root = -(2.0 * p0 * p1 + k2q) / lead - f
+            if lo < root < hi and (p0 + p1 * root) * p_f > 0.0:
+                return root
+    return None
 
 
 def region_map(

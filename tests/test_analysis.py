@@ -56,12 +56,12 @@ def fast_converging_model():
 def ratio_budget(monkeypatch):
     """Cap the calls of the array gain-ratio evaluator at 500.
 
-    gain_ratio makes one call per ratio; find_lambda_c one per seven
-    bisection levels, plus one per midpoint it steps past; region_map one
-    for the grid and one per refinement round.  A search that stops making
-    progress then fails the test instead of hanging it.  A call checks no
-    weight (the entry points do, once; see unit_checks), so the records
-    count evaluations alone.
+    gain_ratio makes one call per ratio; find_lambda_c one for the bracket
+    ends and its predicted bisection path, plus one per midpoint off that
+    path; region_map one for the grid and one per refinement round.  A
+    search that stops making progress then fails the test instead of
+    hanging it.  A call checks no weight (the entry points do, once; see
+    unit_checks), so the records count evaluations alone.
     """
     calls = []
     real = analysis._gain_ratios
@@ -347,6 +347,14 @@ def _template_models(n, seed):
 
 TEMPLATE_MODELS = _template_models(210, seed=11)
 
+# the first midpoint of the bracket (0.01, 0.99) is 0.5: at fixed = 0.5 the
+# bisection meets an undefined ratio there
+_DEGENERATE_MIDPOINT_MODEL = ModelSpec(
+    epsilon=1.0,
+    bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
+    displacement=DisplacementSpec(gamma_coef=0.03, nu=0.05),
+)
+
 
 def _weight_ratio(model, fixed, vary):
     """The scalar gain_ratio as a function of the weight named by ``vary``."""
@@ -543,16 +551,16 @@ class TestWeightEntryChecks:
         assert checks_one == checks_many
 
     @pytest.mark.parametrize("vary,fixed", [("lambda1", 0.0), ("lambda2", 0.25)])
-    def test_checks_do_not_grow_with_tree_regrowths(
+    def test_checks_do_not_grow_with_bisection_levels(
         self, benchmark_model, ratio_budget, unit_checks, vary, fixed
     ):
-        # tol 0.01 ends inside the first tree, 1e-4 grows a second one
+        # tol 0.01 takes 6 bisection levels, 1e-4 takes 13: one evaluator call each
         counts = []
         for tol in (0.01, 1e-4):
             calls, checks = len(ratio_budget), len(unit_checks)
             find_lambda_c(benchmark_model, fixed, tol=tol)
             counts.append((len(ratio_budget) - calls, len(unit_checks) - checks))
-        assert [calls for calls, _ in counts] == [1, 2]
+        assert [calls for calls, _ in counts] == [1, 1]
         assert counts[0][1] == counts[1][1]
 
 
@@ -600,11 +608,7 @@ class TestFindLambdaC:
     def test_degenerate_midpoint_is_stepped_past(self, vary):
         # the first midpoint of (0.01, 0.99) equals the fixed weight 0.5,
         # where the ratio is undefined
-        model = ModelSpec(
-            epsilon=1.0,
-            bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
-            displacement=DisplacementSpec(gamma_coef=0.03, nu=0.05),
-        )
+        model = _DEGENERATE_MIDPOINT_MODEL
         assert 0.5 * (0.01 + 0.99) == 0.5
         tol = 1e-4
         lam_c = find_lambda_c(model, 0.5, bracket=(0.01, 0.99), tol=tol)
@@ -627,6 +631,84 @@ class TestFindLambdaC:
             else:
                 assert find_lambda_c(model, fixed, tol=tol) == want, (model, fixed)
 
+    @pytest.mark.parametrize("fault", ["none", "off", "midpoint", "nan"])
+    def test_a_wrong_prediction_costs_calls_not_bits(self, monkeypatch, ratio_budget, fault):
+        # the predicted root only picks the points of the first evaluator
+        # call; the walk applies the scalar rules to the ratios it reads
+        real = analysis._root
+
+        def predicted(f, limits, lo, hi):
+            root = real(f, limits, lo, hi)
+            return {
+                "none": None,
+                "off": None if root is None else root + 0.3,
+                "midpoint": 0.5 * (lo + hi),
+                "nan": math.nan,
+            }[fault]
+
+        monkeypatch.setattr(analysis, "_root", predicted)
+        searches = [(model, fixed, 1e-4) for model, fixed in TEMPLATE_MODELS[::21]]
+        searches += [(_DEGENERATE_MIDPOINT_MODEL, 0.5, 1e-4), (*TEMPLATE_MODELS[0], 1e-300)]
+        for model, fixed, tol in searches:
+            calls = len(ratio_budget)
+            want = oracles.bisect_lambda_c(_weight_ratio(model, fixed, "lambda1"), tol=tol)
+            if want is None:
+                with pytest.raises(NoBracketError):
+                    find_lambda_c(model, fixed, tol=tol)
+            else:
+                assert find_lambda_c(model, fixed, tol=tol) == want, (model, fixed)
+            assert len(ratio_budget) - calls < 200
+
+    def test_the_predicted_root_is_the_crossing(self):
+        # on every bracketed template search; none lies close enough to the
+        # fixed weight, where D(0) cancels, to move the root by 1e-9
+        bracketed = 0
+        for model, fixed in TEMPLATE_MODELS:
+            cell = analysis._ratio_args(model, fixed, fixed)
+            limits = bath.limit_exponents(*analysis._limit_args(cell))
+            root = analysis._root(fixed, limits, 0.01, 0.99)
+            with contextlib.suppress(NoBracketError):
+                lam_c = find_lambda_c(model, fixed, tol=1e-12)
+                bracketed += 1
+                assert root is not None and abs(root - lam_c) <= 1e-9, (model, fixed)
+        assert bracketed >= 200
+
+    def test_one_evaluator_call_per_template_search(self, ratio_budget):
+        counts = []
+        for model, fixed in TEMPLATE_MODELS:
+            calls = len(ratio_budget)
+            with contextlib.suppress(NoBracketError):
+                find_lambda_c(model, fixed)
+                counts.append(len(ratio_budget) - calls)
+        assert len(counts) >= 200
+        assert counts.count(1) >= 0.99 * len(counts)
+
+    def test_wide_models_equal_the_scalar_bisection(self):
+        # alpha and gamma over eight decades, mu and nu up to 3, omega_c over
+        # six decades, with random fixed weights, brackets and tolerances; a
+        # raw OverflowError or RuntimeWarning from the root fails the test
+        rng = np.random.default_rng(22)
+        bracketed = 0
+        for _ in range(1500):
+            bath_spec = BathSpec(
+                10.0 ** rng.uniform(-6.0, 2.0), rng.uniform(1e-3, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            )
+            displacement = DisplacementSpec(10.0 ** rng.uniform(-6.0, 2.0), rng.uniform(1e-3, 3.0))
+            model = ModelSpec(epsilon=1.0, bath=bath_spec, displacement=displacement)
+            fixed = float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+            lo = float(rng.choice([0.0, 0.01, rng.uniform(0.0, 0.5)]))
+            hi = float(rng.choice([1.0, 0.99, rng.uniform(lo + 1e-3, 1.0)]))
+            tol = float(rng.choice([1e-4, 1e-6, 1e-12, 1e-300, 0.3]))
+            ratio = _weight_ratio(model, fixed, "lambda1")
+            want = oracles.bisect_lambda_c(ratio, bracket=(lo, hi), tol=tol)
+            if want is None:
+                with pytest.raises(NoBracketError):
+                    find_lambda_c(model, fixed, bracket=(lo, hi), tol=tol)
+            else:
+                assert find_lambda_c(model, fixed, bracket=(lo, hi), tol=tol) == want
+                bracketed += 1
+        assert bracketed >= 50
+
     @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
     def test_integer_bracket_ends(self, benchmark_model, vary):
         # the midpoints of (0, 1) are floats, whatever the type of the ends
@@ -636,11 +718,11 @@ class TestFindLambdaC:
         assert lam_c == want
 
     @pytest.mark.parametrize("vary,fixed", [("lambda1", 0.0), ("lambda2", 0.25)])
-    def test_a_few_evaluator_calls(self, benchmark_model, ratio_budget, vary, fixed):
-        # 13 bisection levels at tol 1e-4: the bracket ends and the first
-        # seven levels in one call, the next seven in another
+    def test_one_evaluator_call(self, benchmark_model, ratio_budget, vary, fixed):
+        # 13 bisection levels at tol 1e-4: the bracket ends and the 13
+        # midpoints predicted from the closed-form root, in one call
         find_lambda_c(benchmark_model, fixed, tol=1e-4)
-        assert len(ratio_budget) <= 4
+        assert len(ratio_budget) == 1
 
     def test_undefined_ratio_at_bracket_end_is_no_bracket(self, benchmark_model):
         with pytest.raises(NoBracketError):

@@ -448,14 +448,14 @@ class TestCritical:
 
     @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
     def test_one_search_prints_its_own_ratios(self, config_path, capsys, monkeypatch, vary):
-        # the bracket-end ratios are the search's first evaluator call; the
-        # second covers the next seven bisection levels
+        # the bracket-end ratios come from the search's one evaluator call,
+        # with the bisection path predicted from the closed-form root
         calls = []
         real = analysis._gain_ratios
         monkeypatch.setattr(analysis, "_gain_ratios", lambda *a: calls.append(a) or real(*a))
         argv = ["critical", "--config", config_path, "--vary", vary, "--tol", "1e-4"]
         assert main(argv) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         payload = json.loads(capsys.readouterr().out)
         model = ModelSpec(
             epsilon=1.0,

@@ -621,8 +621,8 @@ class TestFindLambdaC:
     @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-300])
     @pytest.mark.parametrize("vary", ["lambda1", "lambda2"])
     def test_equals_the_scalar_bisection(self, vary, tol):
-        # each call evaluates seven levels of the bisection tree at once; the
-        # walk through it must give the scalar bisection's float, bit for bit
+        # one call evaluates the predicted bisection path at once; the walk
+        # along it must give the scalar bisection's float, bit for bit
         for model, fixed in TEMPLATE_MODELS:
             want = oracles.bisect_lambda_c(_weight_ratio(model, fixed, vary), tol=tol)
             if want is None:

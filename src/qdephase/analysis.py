@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -58,8 +58,8 @@ _RATIO_ARGS = ("alpha", "mu", "omega_c", "gamma", "nu", "lambda1", "lambda2")
 _limit_args = itemgetter(*_RATIO_ARGS[:5])
 
 _TIE_TOL = 1e-9
-# find_extremum: times per zoom round (each round narrows the bracket 64x)
-_ZOOM_POINTS = 129
+# find_extremum: times per zoom round (each round narrows the bracket 128x)
+_ZOOM_POINTS = 257
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,8 @@ class DistanceSeries:
     r: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
+    # the evaluator that made the series, for find_extremum; dataclasses.replace drops it
+    _evaluate: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def rows(self) -> Iterator[tuple[float, float, float, float, float, float, float]]:
         """Yield (t, D, |A1|, |A2|, r, s, phi) per grid point."""
@@ -176,7 +178,7 @@ def distance_series(
     time_grid = grid if grid is not None else default_grid(model.bath.omega_c)
     times = time_grid.times()
     (r, s, phi), dist, abs_a1, abs_a2 = evaluate(times, moduli=True)
-    return DistanceSeries(
+    series = DistanceSeries(
         model=model,
         lambda1=lambda1,
         lambda2=lambda2,
@@ -193,6 +195,8 @@ def distance_series(
         s=s,
         phi=phi,
     )
+    object.__setattr__(series, "_evaluate", evaluate)
+    return series
 
 
 def _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normalized):
@@ -507,39 +511,31 @@ def find_extremum(series: DistanceSeries) -> Extremum:
 
     Scans the grid for an interior point strictly below (above) both series
     endpoints that is also a local minimum (maximum), then zooms in on it:
-    each round evaluates the distance alone (one evaluation of the series'
-    scenario's profile plan, set up once per call) as
-    ``distance_series`` would, with the series' scenario, backend, settings
-    and normalization, on a linear grid between the neighbours of the best
-    point so far.  It stops once those lie within
-    2**-26 (sqrt eps) of t relative, which ends at any t.  About a smooth
-    extremum D is flat to rounding over a width of that order, so t is fixed
-    to that order; ``value`` is the best distance evaluated, exactly what
-    ``distance_series`` gives at ``t``.  Returns kind 'none' for flat or
-    monotone series.
+    each round evaluates the distance as ``distance_series`` would (with the
+    evaluator kept on a series it made) at 257 linear times between the
+    neighbours of the best point so far.  Once those lie within 2**-10 of t,
+    a parabola through them predicts a last window, 2**-21 of t wide; it is
+    kept only if its best point is interior and no worse than the best so
+    far, else that round zooms as before.  The search stops once the
+    neighbours lie within 2**-26 (sqrt eps) of t relative, over which a
+    smooth extremum is flat to rounding.  ``value`` is the best distance
+    evaluated, exactly what ``distance_series`` gives at ``t``.  Returns kind
+    'none' for flat or monotone series.
     """
     d = series.distance
     if len(d) < 3:
         raise DomainError("series needs at least 3 points for extremum detection")
-    interior = d[1:-1]
-    end_min = min(d[0], d[-1])
-    end_max = max(d[0], d[-1])
-
-    i_min = 1 + int(np.argmin(interior))
-    i_max = 1 + int(np.argmax(interior))
+    end_min, end_max = min(d[0], d[-1]), max(d[0], d[-1])
+    i_min, i_max = 1 + int(np.argmin(d[1:-1])), 1 + int(np.argmax(d[1:-1]))
     has_min = d[i_min] < end_min and d[i_min] <= d[i_min - 1] and d[i_min] <= d[i_min + 1]
     has_max = d[i_max] > end_max and d[i_max] >= d[i_max - 1] and d[i_max] >= d[i_max + 1]
     if not has_min and not has_max:
         return Extremum(t=None, value=None, kind="none")
     if has_min and has_max:
-        if (end_min - d[i_min]) >= (d[i_max] - end_max):
-            has_max = False
-        else:
-            has_min = False
-    i = i_min if has_min else i_max
-    sign = 1.0 if has_min else -1.0
+        has_min = (end_min - d[i_min]) >= (d[i_max] - end_max)
+    i, sign = (i_min, 1.0) if has_min else (i_max, -1.0)
 
-    distance = _distance_evaluator(
+    distance = series._evaluate or _distance_evaluator(
         series.model, series.lambda1, series.lambda2, series.amplitudes,
         series.backend, series.settings, series.normalized,
     )
@@ -550,9 +546,33 @@ def find_extremum(series: DistanceSeries) -> Extremum:
         a, b = float(times[max(i - 1, 0)]), float(times[min(i + 1, len(times) - 1)])
         if b - a <= 2.0**-26 * b:
             break
+        # a predicted window, sized so that its neighbours meet the stop rule
+        t_v, h = _vertex(times, sign * d, i), 2.0**-22 * b
+        if t_v is not None and a <= t_v - h and t_v + h <= b:
+            dw = distance(window := np.linspace(t_v - h, t_v + h, _ZOOM_POINTS))
+            j = int(np.argmin(sign * dw))
+            if 0 < j < _ZOOM_POINTS - 1 and sign * dw[j] <= sign * v_best:
+                times, d, i, t_best, v_best = window, dw, j, float(window[j]), float(dw[j])
+                continue
         times = np.linspace(a, b, _ZOOM_POINTS)
         d = distance(times)
         i = int(np.argmin(sign * d))
         if sign * d[i] < sign * v_best:
             t_best, v_best = float(times[i]), float(d[i])
     return Extremum(t=t_best, value=v_best, kind="minimum" if has_min else "maximum")
+
+
+def _vertex(times: np.ndarray, f: np.ndarray, i: int) -> float | None:
+    """The vertex of the parabola through f at times i - 1, i, i + 1 (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5), or None
+    unless i is interior, the parabola opens upwards, the spacing is at most
+    2**-10 of t and the vertex lies within half a spacing of times[i]."""
+    if not 0 < i < len(f) - 1:
+        return None
+    (t0, t1, t2), (f0, f1, f2) = times[i - 1:i + 2].tolist(), f[i - 1:i + 2].tolist()
+    h0, h2 = t1 - t0, t2 - t1
+    curvature = h2 * (f0 - f1) + h0 * (f2 - f1)
+    if not (curvature > 0.0 and h2 <= 2.0**-10 * t1):
+        return None
+    x = 0.5 * (h2 * h2 * (f0 - f1) - h0 * h0 * (f2 - f1)) / curvature
+    return t1 + x if abs(x) <= 0.5 * min(h0, h2) else None

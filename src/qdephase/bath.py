@@ -191,9 +191,20 @@ class _ProfilePlan:
             return np.maximum(4.0 * r, 0.0), 2.0 * s_kernel - 0.5 * total, phi
         setup = self._setups.get(times.ndim)
         if setup is None:
-            setup = self._setups[times.ndim] = _kernel_setup(self._rows, self.omega_c, times.ndim)
-        kernel, phi = _closed_kernel(setup, _time_terms(self.omega_c, times), sine=1)
-        return 4.0 * kernel[0], 2.0 * kernel[1] + self.s0, phi
+            # r is 4 and s - s(0) 2 kernels: bounded by the moments where every q > 0
+            setup = self._setups[times.ndim] = _kernel_setup(
+                self._rows, self.omega_c, times.ndim, (4.0, 2.0))
+        terms = _time_terms(self.omega_c, times)
+        if setup[5] is None and setup[6] is None:
+            kernel, phi = _closed_kernel(setup, terms, sine=1)
+            return 4.0 * kernel[0], 2.0 * kernel[1] + self.s0, phi
+        # the small-exponent limit and q < 0 grow with t: each evaluation is checked
+        with np.errstate(over="ignore"):
+            kernel, phi = _closed_kernel(setup, terms, sine=1)
+            profile = 4.0 * kernel[0], 2.0 * kernel[1] + self.s0, phi
+        if not all(np.isfinite(x).all() for x in profile):
+            raise DomainError(f"closed-form r, s or phi overflows a double at t <= {times.max()}")
+        return profile
 
 
 def profile_at(

@@ -207,14 +207,16 @@ def _time_terms(omega_c, t) -> tuple:
     return 0.5 * np.log1p(x * x), np.arctan(x), x
 
 
-def _kernel_setup(rows: list, omega_c, ndim: int = 0) -> tuple:
+def _kernel_setup(rows: list, omega_c, ndim: int = 0, scales: tuple | None = None) -> tuple:
     """What _closed_kernel takes from kernel rows ``(c, p)`` of broadcastable
     arguments sharing omega_c, whatever the times: ``(c, q, -q, q/2, moment,
     small, pole)`` on a leading axis of rows, with room for ``ndim`` axes of
     the times.  q is p, or 1 where |p| < SMALL_EXPONENT_LIMIT (so Gamma never
     meets its pole at 0); moment is c * Gamma(q) * omega_c**q, 0 where p is
     small; small masks the p -> 0 limits and pole the brace of q < -1/2, each
-    None where it holds nowhere (pole: where every q >= 0)."""
+    None where it holds nowhere (pole: where every q >= 0).  The brace of q > 0
+    is at most 2: DomainError where 2 * moment times the row's ``scales`` overflows."""
+    scales = scales or (1.0,) * len(rows)
     if isinstance(omega_c, float) and all(isinstance(x, float) for row in rows for x in row):
         # one model: each row through gamma_moment's float path, no Gamma for a
         # small p.  The array path gives the same bits but takes ~15 us instead
@@ -228,6 +230,7 @@ def _kernel_setup(rows: list, omega_c, ndim: int = 0) -> tuple:
             else:
                 columns.append((c, p, -p, 0.5 * p, gamma_moment(c, p, omega_c), 0.0))
                 negative = negative or p < 0.0
+        reach = [2.0 * k * col[4] if col[1] > 0.0 else 0.0 for col, k in zip(columns, scales)]
         stack = np.array(columns).T.reshape((6, len(rows)) + (1,) * ndim)
         c, q, minus_q, half_q, moment, small = stack
         small = small != 0.0 if any_small else None
@@ -241,6 +244,12 @@ def _kernel_setup(rows: list, omega_c, ndim: int = 0) -> tuple:
         moment = gamma_moment(np.where(small, 0.0, c), q, omega_c)
         minus_q, half_q, small = -q, 0.5 * q, small if small.any() else None
         negative = not all_true(q >= 0.0)
+        with np.errstate(over="ignore"):
+            k = np.reshape(scales, (-1,) + (1,) * (q.ndim - 1))
+            reach = 2.0 * k * np.where(q > 0.0, moment, 0.0)
+    if math.inf in reach:  # moment >= 0 where q > 0
+        raise DomainError(f"closed-form kernel overflows a double: scaled by {scales}, it reaches "
+                          f"twice c * gamma(p) * omega_c**p = {np.max(np.where(q > 0, moment, 0))}")
     return c, q, minus_q, half_q, moment, small, q < -0.5 if negative else None
 
 

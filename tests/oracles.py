@@ -8,6 +8,9 @@ were produced with 40-digit arbitrary-precision arithmetic from exactly
 these definitions (series + recurrence for gamma values, direct quadrature
 of the defining integrals, bisection on the closed-form gain condition for
 the critical correlation) and are trusted to every printed digit.
+
+The search references (``bisect_lambda_c``, ``zoom_extremum``) take the
+quantity they search as a callable: they pin a search's rules, not a value.
 """
 
 import math
@@ -98,6 +101,35 @@ def bisect_lambda_c(ratio, bracket=(0.01, 0.99), tol=1e-4):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def zoom_extremum(times, d, distance):
+    """The series-extremum search before its parabolic prediction, as
+    (kind, t, value): the dominant interior extremum of the distance ``d`` on
+    ``times``, zoomed by evaluating ``distance(np.linspace(a, b, 129))``
+    between the neighbours of the best point so far until they lie within
+    2**-26 of t relative."""
+    interior = d[1:-1]
+    end_min, end_max = min(d[0], d[-1]), max(d[0], d[-1])
+    i_min, i_max = 1 + int(np.argmin(interior)), 1 + int(np.argmax(interior))
+    has_min = d[i_min] < end_min and d[i_min] <= d[i_min - 1] and d[i_min] <= d[i_min + 1]
+    has_max = d[i_max] > end_max and d[i_max] >= d[i_max - 1] and d[i_max] >= d[i_max + 1]
+    if not has_min and not has_max:
+        return "none", None, None
+    if has_min and has_max:
+        has_min = (end_min - d[i_min]) >= (d[i_max] - end_max)
+    i, sign = (i_min, 1.0) if has_min else (i_max, -1.0)
+    t_best, v_best = float(times[i]), float(d[i])
+    while True:
+        a, b = float(times[max(i - 1, 0)]), float(times[min(i + 1, len(times) - 1)])
+        if b - a <= 2.0**-26 * b:
+            break
+        times = np.linspace(a, b, 129)
+        d = distance(times)
+        i = int(np.argmin(sign * d))
+        if sign * d[i] < sign * v_best:
+            t_best, v_best = float(times[i]), float(d[i])
+    return ("minimum" if has_min else "maximum"), t_best, v_best
 
 
 # ---------------------------------------------------------------------------

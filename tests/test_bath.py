@@ -283,6 +283,35 @@ class TestProfileAt:
             with pytest.raises(DomainError, match="overflows"):
                 profile_at(m, 1.0, backend="closed_form")
 
+    @pytest.mark.parametrize(
+        "bath, t",
+        [
+            # q = -0.5: r grows like t**0.5 past a double (an overflow warning and
+            # r = inf before); t = 1 stays finite
+            (BathSpec(1.42e270, -0.5, 1.41e-4), 6.16e123),
+            # the small-exponent limit 2 alpha log(1 + x^2) at x = 1e150
+            (BathSpec(1e306, 1e-13, 1.0), 1e150),
+            # q = 1: r reaches 4 alpha (2 - ...) ~ 8 moments, refused at set-up
+            # whatever the time (r(1e-3) is ~2e302)
+            (BathSpec(5e307, 1.0, 1.0), 1e-3),
+        ],
+        ids=["negative-exponent", "small-exponent", "bounded-by-moment"],
+    )
+    def test_closed_form_overflow_is_a_domain_error(self, bath, t):
+        m = ModelSpec(1.0, bath, DisplacementSpec(0.0, 6.6e-6))
+        with pytest.raises(DomainError, match="overflows a double"):
+            profile_at(m, t)
+        with pytest.raises(DomainError, match="overflows a double"):
+            profile_at(m, [1e-3, t])
+        # the array set-up of a batch (validation's) refuses it as well
+        b, d = m.bath, m.displacement
+        plan = _ProfilePlan(*(np.array([x, x]) for x in (b.alpha, b.mu, b.omega_c)),
+                            np.zeros(2), np.full(2, d.nu), "closed_form")
+        with pytest.raises(DomainError, match="overflows a double"):
+            plan(np.array([[t], [t]]))
+        if bath.mu < 0.5:
+            profile_at(m, 1.0)
+
     def test_ohmic_closed_form_uses_limit_branch(self):
         # mu = 0: r(t) = 2 alpha ln(1 + (wc t)^2) exactly
         m = ModelSpec(

@@ -206,6 +206,19 @@ class TestEvolve:
         assert err.startswith("error:") and "overflows" in err
         assert err.count("\n") == 1
 
+    def test_closed_form_overflow_is_a_domain_error(self, tmp_path, capsys):
+        # r(t) past a double at mu = -0.5 warned and printed r = inf before
+        path = tmp_path / "r-overflow.cfg"
+        path.write_text(
+            "alpha = 1.42e270\nmu = -0.5\nomega_c = 1.41e-4\ngamma = 0\nnu = 6.6e-6\n"
+            "lambda1 = 0.25\nlambda2 = 0\nt_max = 6.16e123\n",
+            encoding="utf-8",
+        )
+        assert main(["evolve", "--config", str(path), "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "overflows a double" in err
+
     def test_quadrature_exponent_bound_is_a_domain_error(self, tmp_path, capsys):
         # mu = 1e300 on quadrature printed a raw overflow RuntimeWarning
         path = tmp_path / "quad-mu.cfg"

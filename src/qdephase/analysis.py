@@ -89,9 +89,12 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         """The grid's times; a log grid has np.geomspace's bits, at half its cost."""
-        if self.kind == "linear":
-            return np.linspace(self.t_min, self.t_max, self.points)
-        times = np.logspace(*np.log10([self.t_min, self.t_max]), self.points)
+        try:
+            if self.kind == "linear":
+                return np.linspace(self.t_min, self.t_max, self.points)
+            times = np.logspace(*np.log10([self.t_min, self.t_max]), self.points)
+        except (ValueError, MemoryError):
+            raise DomainError(f"a grid of {self.points} points does not fit in memory") from None
         times[[0, -1]] = self.t_min, self.t_max
         return times
 

@@ -10,6 +10,7 @@ stdout or --out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,6 +31,8 @@ EXIT_USAGE = 2
 EXIT_NO_BRACKET = 3
 
 CSV_HEADER = "t,distance,abs_A1,abs_A2,r,s,phi"
+# one row of floats: "%.17g" % v is the C conversion of f"{v:.17g}"
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 _FLOAT_KEYS = (
     "alpha", "gamma", "mu", "nu", "omega_c", "epsilon",
@@ -159,7 +162,10 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ConfigError(f"range needs at least one point, got {spec!r}")
     if not -math.inf < lo <= hi < math.inf:
         raise ConfigError(f"range must satisfy lo <= hi with finite ends, got {spec!r}")
-    return np.linspace(lo, hi, n)
+    try:
+        return np.linspace(lo, hi, n)
+    except (ValueError, MemoryError):
+        raise DomainError(f"range of {n} points does not fit in memory, got {spec!r}")
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -176,8 +182,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         settings=scenario["settings"],
         normalized=scenario["normalized"],
     )
-    rows = (",".join(f"{value:.17g}" for value in row) for row in series.rows())
-    _emit("\n".join([CSV_HEADER, *rows]) + "\n", scenario.get("out"))
+    rows = "".join(map(_CSV_ROW.__mod__, series.rows()))
+    _emit(f"{CSV_HEADER}\n{rows}", scenario.get("out"))
     return EXIT_OK
 
 
@@ -310,9 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process: parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (DomainError, PhysicalityError, OSError, UnicodeDecodeError) as exc:

@@ -52,6 +52,10 @@ SMALL_EXPONENT_LIMIT = 1e-12
 # both overflow past ~1.34e154, and this bound keeps them finite with room.
 MAX_SCALED_TIME = 1e150
 
+# Bound of the kernel's brace 1 - e**(-b) cos(q atan x) for 0 < q <= 1, where
+# q atan x <= pi/2: 1, plus room for the brace's rounding (2 for q > 1).
+_UNIT_BRACE = 1.0 + 2.0**-48
+
 # Largest quadrature exponent: from p ~ 45 the sine tail's w**(p-1) overflows.
 MAX_EXPONENT = 40.0
 
@@ -215,7 +219,8 @@ def _kernel_setup(rows: list, omega_c, ndim: int = 0, scales: tuple | None = Non
     meets its pole at 0); moment is c * Gamma(q) * omega_c**q, 0 where p is
     small; small masks the p -> 0 limits and pole the brace of q < -1/2, each
     None where it holds nowhere (pole: where every q >= 0).  The brace of q > 0
-    is at most 2: DomainError where 2 * moment times the row's ``scales`` overflows."""
+    is at most 2, and at most 1 (q atan x <= pi/2) up to rounding for q <= 1:
+    DomainError where that bound times moment and the row's ``scales`` overflows."""
     scales = scales or (1.0,) * len(rows)
     if isinstance(omega_c, float) and all(isinstance(x, float) for row in rows for x in row):
         # one model: each row through gamma_moment's float path, no Gamma for a
@@ -230,7 +235,8 @@ def _kernel_setup(rows: list, omega_c, ndim: int = 0, scales: tuple | None = Non
             else:
                 columns.append((c, p, -p, 0.5 * p, gamma_moment(c, p, omega_c), 0.0))
                 negative = negative or p < 0.0
-        reach = [2.0 * k * col[4] if col[1] > 0.0 else 0.0 for col, k in zip(columns, scales)]
+        reach = [(2.0 if col[1] > 1.0 else _UNIT_BRACE) * k * col[4] if col[1] > 0.0 else 0.0
+                 for col, k in zip(columns, scales)]
         stack = np.array(columns).T.reshape((6, len(rows)) + (1,) * ndim)
         c, q, minus_q, half_q, moment, small = stack
         small = small != 0.0 if any_small else None
@@ -246,10 +252,11 @@ def _kernel_setup(rows: list, omega_c, ndim: int = 0, scales: tuple | None = Non
         negative = not all_true(q >= 0.0)
         with np.errstate(over="ignore"):
             k = np.reshape(scales, (-1,) + (1,) * (q.ndim - 1))
-            reach = 2.0 * k * np.where(q > 0.0, moment, 0.0)
+            reach = np.where(q > 1.0, 2.0, _UNIT_BRACE) * k * np.where(q > 0.0, moment, 0.0)
     if math.inf in reach:  # moment >= 0 where q > 0
-        raise DomainError(f"closed-form kernel overflows a double: scaled by {scales}, it reaches "
-                          f"twice c * gamma(p) * omega_c**p = {np.max(np.where(q > 0, moment, 0))}")
+        raise DomainError(f"closed-form kernel overflows a double: scaled by {scales}, it nears "
+                          f"c * gamma(p) * omega_c**p = {np.max(np.where(q > 0, moment, 0))} "
+                          "times 2 (1 where p <= 1)")
     return c, q, minus_q, half_q, moment, small, q < -0.5 if negative else None
 
 

@@ -11,6 +11,7 @@ the critical correlation) and are trusted to every printed digit.
 
 The search references (``bisect_lambda_c``, ``zoom_extremum``) take the
 quantity they search as a callable: they pin a search's rules, not a value.
+``evolve_csv`` is the CLI's CSV as first written, one f-string per value.
 """
 
 import math
@@ -130,6 +131,12 @@ def zoom_extremum(times, d, distance):
         if sign * d[i] < sign * v_best:
             t_best, v_best = float(times[i]), float(d[i])
     return ("minimum" if has_min else "maximum"), t_best, v_best
+
+
+def evolve_csv(rows):
+    """The ``evolve`` CSV of a series' rows, each value joined as ``f"{v:.17g}"``."""
+    lines = (",".join(f"{value:.17g}" for value in row) for row in rows)
+    return "\n".join(["t,distance,abs_A1,abs_A2,r,s,phi", *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------

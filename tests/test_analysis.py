@@ -196,6 +196,13 @@ class TestTimeGrid:
         times = TimeGrid("linear", 0.0, 1.0, np.int64(5)).times()
         assert times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    @pytest.mark.parametrize("kind", ["linear", "log"])
+    def test_unallocatable_point_count_is_a_domain_error(self, kind):
+        # numpy refuses 10**20 points before it allocates (a raw ValueError before)
+        grid = TimeGrid(kind, 1e-3, 1.0, 10**20)
+        with pytest.raises(DomainError, match=f"grid of {10**20} points"):
+            grid.times()
+
 
 class TestDistanceSeries:
     def test_degenerate_pair_is_identically_zero(self, benchmark_model):

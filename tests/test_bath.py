@@ -291,7 +291,7 @@ class TestProfileAt:
             (BathSpec(1.42e270, -0.5, 1.41e-4), 6.16e123),
             # the small-exponent limit 2 alpha log(1 + x^2) at x = 1e150
             (BathSpec(1e306, 1e-13, 1.0), 1e150),
-            # q = 1: r reaches 4 alpha (2 - ...) ~ 8 moments, refused at set-up
+            # q = 1: r nears 4 moments = 2e308 at late times, refused at set-up
             # whatever the time (r(1e-3) is ~2e302)
             (BathSpec(5e307, 1.0, 1.0), 1e-3),
         ],

@@ -12,13 +12,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qdephase import BathSpec, DisplacementSpec, ModelSpec, analysis, find_lambda_c, gain_ratio
+from qdephase import (
+    BathSpec,
+    DisplacementSpec,
+    ModelSpec,
+    QuadratureSettings,
+    analysis,
+    cli,
+    find_lambda_c,
+    gain_ratio,
+)
 from qdephase.cli import (
     _BOOL_KEYS,
     _FLOAT_KEYS,
     _INT_KEYS,
     CONFIG_KEYS,
     CSV_HEADER,
+    build_parser,
     main,
     parse_config,
 )
@@ -593,9 +603,19 @@ class TestUsageErrors:
              "range needs at least one point, got '0:1:0'"),
             ("", ["region", "--plane", "alpha", "--x-range", "0:1:2", "--y-range", "0:1:2"],
              "--plane must be X,Y, got 'alpha'"),
+            # numpy refuses these counts before it allocates (a raw ValueError and exit 1 before)
+            ("", ["evolve", "--points", str(10**20)],
+             f"a grid of {10**20} points does not fit in memory"),
+            ("", ["evolve", "--grid", "linear", "--points", str(10**20)],
+             f"a grid of {10**20} points does not fit in memory"),
+            ("", ["region", "--plane", "alpha,lambda1", "--x-range", f"0.1:0.2:{10**20}",
+                  "--y-range", "0:1:2"], f"range of {10**20} points does not fit in memory"),
+            ("", ["region", "--plane", "alpha,lambda1", "--x-range", "0.1:0.2:2",
+                  "--y-range", f"0:1:{10**20}"], f"range of {10**20} points does not fit in memory"),
         ],
         ids=["no-equals", "fractional-points", "two-field-range", "non-numeric-range",
-             "zero-point-range", "one-plane-name"],
+             "zero-point-range", "one-plane-name", "unallocatable-log-grid",
+             "unallocatable-linear-grid", "unallocatable-x-range", "unallocatable-y-range"],
     )
     def test_parse_errors(self, tmp_path, capsys, config, argv, message):
         path = tmp_path / "scenario.cfg"
@@ -605,6 +625,125 @@ class TestUsageErrors:
         assert captured.out == ""
         assert_one_error_line(captured.err)
         assert message in captured.err
+
+
+BENCHMARK_MODEL = ModelSpec(
+    epsilon=1.0,
+    bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
+    displacement=DisplacementSpec(gamma_coef=0.05, nu=0.05),
+)
+
+
+def _benchmark_csv():
+    """evolve's stdout for BENCHMARK_CONFIG and no flags: the default 400-point log grid."""
+    series = analysis.distance_series(
+        BENCHMARK_MODEL, 0.25, 0.0, grid=analysis.TimeGrid("log", 1e-3, 1e4, 400))
+    return oracles.evolve_csv(series.rows())
+
+
+class TestSharedParser:
+    """main parses with one parser per process; no call sees another's flags."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        yield built
+        cli._parser.cache_clear()
+
+    def test_flags_do_not_leak_into_the_next_call(self, config_path, capsys):
+        argv = ["evolve", "--config", config_path, "--points", "3", "--t-max", "10",
+                "--normalized", "--backend", "quad"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert main(["evolve", "--config", config_path]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 401
+        assert out == _benchmark_csv()
+
+    @pytest.mark.parametrize(
+        "flags,code",
+        [(["--points", "3", "--normalized", "--grid", "cubic"], 2),
+         (["--points", "3", "--normalized", "--help"], 0)],
+        ids=["parse-error", "help"],
+    )
+    def test_an_exit_inside_the_parser_leaves_it_whole(self, config_path, capsys, flags, code):
+        # the flags before the exit are parsed, and must not reach the next call
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evolve", "--config", config_path, *flags])
+        assert excinfo.value.code == code
+        capsys.readouterr()
+        assert main(["evolve", "--config", config_path]) == 0
+        assert capsys.readouterr().out == _benchmark_csv()
+
+    def test_main_builds_the_parser_once(self, builds, config_path, capsys):
+        for points in ("2", "3", "4"):
+            assert main(["evolve", "--config", config_path, "--points", points]) == 0
+        assert len(builds) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 3 + 4 + 5
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        first, second = build_parser(), build_parser()
+        assert first is not second and cli._parser() not in (first, second)
+
+
+class TestCsvFormat:
+    """evolve's CSV is byte for byte the per-value f"{v:.17g}" join."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1e16],
+    )
+    def test_percent_format_is_the_f_string(self, value):
+        assert "%.17g" % value == f"{value:.17g}"
+
+    @pytest.mark.parametrize("quad", [False, True], ids=["closed", "quad"])
+    @pytest.mark.parametrize("grid", ["log", "linear"])
+    @pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+    @settings(max_examples=6, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(-4.0, -1.0).map(lambda e: 10.0**e),
+        mu=st.floats(-0.9, 2.0),
+        gamma_coef=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+        nu=st.floats(0.01, 2.0),
+        epsilon=st.floats(0.0, 2.0),
+        omega_c=st.floats(0.5, 2.0),
+        lambdas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        t_max=st.floats(0.0, 4.0).map(lambda e: 10.0**e),
+        points=st.integers(2, 400),
+    )
+    def test_evolve_matches_the_f_string_join(self, alpha, mu, gamma_coef, nu, epsilon, omega_c,
+                                              lambdas, grid, t_max, quad, normalized, points):
+        # quadrature at a few times; a linear grid from t_min = 0
+        points = 2 + points % 6 if quad else points
+        t_min = 0.0 if grid == "linear" else 1e-3
+        model = ModelSpec(
+            epsilon=epsilon,
+            bath=BathSpec(alpha=alpha, mu=mu, omega_c=omega_c),
+            displacement=DisplacementSpec(gamma_coef=gamma_coef, nu=nu),
+        )
+        series = analysis.distance_series(
+            model, *lambdas, grid=analysis.TimeGrid(grid, t_min, t_max, points),
+            backend="quadrature" if quad else "closed_form", settings=QuadratureSettings(),
+            normalized=normalized,
+        )
+        values = dict(alpha=alpha, mu=mu, gamma=gamma_coef, nu=nu, epsilon=epsilon,
+                      omega_c=omega_c, lambda1=lambdas[0], lambda2=lambdas[1], grid=grid,
+                      t_min=t_min, t_max=t_max, points=points)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "scenario.cfg"
+            # str of a float is its repr: the config reads back the same bits
+            path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+            argv = ["evolve", "--config", str(path)]
+            argv += ["--backend", "quad"] * quad + ["--normalized"] * normalized
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+        # line lists with their ends: equal as the texts are, and cheap to report
+        want = oracles.evolve_csv(series.rows())
+        assert out.getvalue().splitlines(True) == want.splitlines(True)
 
 
 def _float_values():

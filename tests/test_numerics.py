@@ -273,6 +273,26 @@ class TestDecayKernel:
         for p in (-0.9, -0.3, 0.0, 0.5):
             assert math.copysign(1.0, decay_kernel(KernelArgs(0.7, p, 1.0, 0.0))) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1.0, 0.5, 1e-3])
+    @pytest.mark.parametrize("array", [False, True])
+    def test_moment_near_the_double_range_is_accepted_for_p_up_to_one(self, p, array):
+        # for 0 < p <= 1 the brace is at most 1: a moment of 1e308 stays finite
+        # at every time, where a bound of 2 moments refused it
+        c = 1e308 / math.gamma(p)
+        times = np.array([1e3, 1e150])
+        kernel = decay_kernel(KernelArgs(np.array([c, 1.0]) if array else c, p, 1.0, times[:, None]))
+        brace = 1.0 - np.cos(p * np.arctan(times)) * (1.0 + times * times) ** (-0.5 * p)
+        assert np.all(np.isfinite(kernel))
+        assert kernel[:, 0] == pytest.approx(gamma_moment(c, p, 1.0) * brace, rel=1e-12)
+
+    @pytest.mark.parametrize("array", [False, True])
+    def test_moment_near_the_double_range_is_refused_for_p_above_one(self, array):
+        # the brace of p = 2 nears 2 at late times: 2e308 overflows
+        c = np.array([1e308, 1.0]) if array else 1e308
+        with pytest.raises(DomainError, match="overflows a double"):
+            decay_kernel(KernelArgs(c, 2.0, 1.0, 1e3))
+
     def test_exponent_below_minus_one_rejected(self):
         with pytest.raises(DomainError):
             KernelArgs(1.0, -1.5, 1.0, 1.0)

@@ -45,6 +45,12 @@ lambda2 = 0
 
 STRONG_CONFIG = BENCHMARK_CONFIG.replace("alpha = 0.0025", "alpha = 0.05")
 
+BENCHMARK_MODEL = ModelSpec(
+    epsilon=1.0,
+    bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
+    displacement=DisplacementSpec(gamma_coef=0.05, nu=0.05),
+)
+
 
 def assert_one_error_line(err: str) -> None:
     assert err.startswith("error:") and err.count("\n") == 1, err
@@ -480,11 +486,7 @@ class TestCritical:
         assert main(argv) == 0
         assert len(calls) == 1
         payload = json.loads(capsys.readouterr().out)
-        model = ModelSpec(
-            epsilon=1.0,
-            bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
-            displacement=DisplacementSpec(gamma_coef=0.05, nu=0.05),
-        )
+        model = BENCHMARK_MODEL
         fixed = 0.0 if vary == "lambda1" else 0.25
         # one end each way round: the ratio is symmetric in the weights
         assert payload["ratio_lo"] == gain_ratio(model, 0.01, fixed)
@@ -503,11 +505,7 @@ class TestCritical:
         assert code == 0
         assert payload["status"] == "ok"
         assert payload["ratio_lo"] > 1.0 > payload["ratio_hi"]
-        model = ModelSpec(
-            epsilon=1.0,
-            bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
-            displacement=DisplacementSpec(gamma_coef=0.05, nu=0.05),
-        )
+        model = BENCHMARK_MODEL
         # the search is symmetric in the weights: the same call as --vary lambda1
         expected = find_lambda_c(model, 0.25, bracket=(0.01, 0.99), tol=1e-3)
         assert payload["lambda_c"] == expected
@@ -625,13 +623,6 @@ class TestUsageErrors:
         assert captured.out == ""
         assert_one_error_line(captured.err)
         assert message in captured.err
-
-
-BENCHMARK_MODEL = ModelSpec(
-    epsilon=1.0,
-    bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
-    displacement=DisplacementSpec(gamma_coef=0.05, nu=0.05),
-)
 
 
 def _benchmark_csv():

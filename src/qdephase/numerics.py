@@ -56,7 +56,9 @@ MAX_SCALED_TIME = 1e150
 # q atan x <= pi/2: 1, plus room for the brace's rounding (2 for q > 1).
 _UNIT_BRACE = 1.0 + 2.0**-48
 
-# Largest quadrature exponent: from p ~ 45 the sine tail's w**(p-1) overflows.
+# Largest quadrature exponent: the envelope tail's terms v**-(p+1) e**(-delta/
+# (omega_c v)), formed before delta**p scales them, peak near (omega_c t p)**(p+1)
+# e**-p in the kernel and overflow from omega_c t ~ 3e6 at p = 40 (~1e4 at 60).
 MAX_EXPONENT = 40.0
 
 # Every quadrature rule is a trapezoidal sum in a variable u with step
@@ -306,7 +308,9 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
 #             at v = 0);
 #   sine      Int_0^inf F(y) sin(t*y) dy with F(y) = (delta+y)**(p-1)
 #             e**(-(delta+y)/omega_c), by the Ooura-Mori DE formula for
-#             Fourier-type integrals (J. Comput. Appl. Math. 112 (1999) 229).
+#             Fourier-type integrals (J. Comput. Appl. Math. 112 (1999) 229),
+#             each term relative to F at its peak w0 = max(delta, (p-1)*omega_c)
+#             so that no term overflows before its exponential damps it.
 #
 # delta sits on a zero of the trig factor, so every oscillatory tail is the
 # same sine integral.  An _Integral is one kind of quantity: its split, head
@@ -319,18 +323,13 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
 # so that each part is a contiguous slice, the sine rows are the first and
 # the envelope rows the last of every block, and all stay so as converged rows
 # leave in order.  The node tables, the level-halving loop, the convergence
-# gate and the error report are shared; a smooth factor or a power runs once
-# per part, and the node power v**(1/r) only for a part with exponents per
-# row or a float q < 1 (at r = 1, w = delta*v).  A part whose parameters are
-# floats keeps its exponents floats: numpy computes v ** 2.0, ** 0.5 and
-# ** -1.0 through square, sqrt and reciprocal, and a column of the same
-# exponents through pow, which differs in the last bit, so float exponents
-# give the bits of a one-part call.  They are also faster: on a 25 x 124 block
-# np.power takes ~2-4 us with the float exponent 1.0 or 2.0 and ~12 us with a
-# column of exponents (2 vCPU, numpy 2.4).  Each row leaves the loop at its
-# own level, so its value does not depend on the other rows, and the table
-# runs in equal blocks of at most _BLOCK rows, which bound the [rows x nodes]
-# temporaries of long arrays.
+# gate and the error report are shared, and so is every power: _de_table
+# fills each row's exponents and factors as table columns, and the sums form
+# each node power as the exponential of a log, whatever the parameters' type.
+# A smooth factor runs once per part.  Each row leaves the loop at its own
+# level, so its value does not depend on the other rows (a batch row equals
+# its one-model call to the bit), and the table runs in equal blocks of at
+# most _BLOCK rows, which bound the [rows x nodes] temporaries of long arrays.
 #
 # The loop runs the levels in passes (0, 1), (2,), (3,), ...: most rows leave
 # at level 1, so the first pass evaluates two levels at once.  Level 0's
@@ -346,11 +345,10 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
 # Rows of a DE table that go through the level loop together.
 _BLOCK = 128
 
-# Fields of a DE table, one value per row each: the row's time, split point
-# and arguments; what the head, envelope and sine take from them at every
-# level; and the exponents of a part whose parameters are arrays.
+# Fields of a DE table, one value per row each: the row's time, split point and
+# arguments, and what the head, envelope and sine take from them at every level.
 (_T, _DELTA, _C, _WC, _P, _HEAD_SHIFT, _TAIL_SHIFT, _HEAD_FACTOR, _TAIL_FACTOR, _TAIL_EXPONENT,
- _SINE_FACTOR, _HEAD_POWER, _NODE_POWER, _SINE_POWER, _FIELDS) = range(15)
+ _SINE_FACTOR, _SINE_PEAK, _HEAD_POWER, _NODE_POWER, _SINE_POWER, _FIELDS) = range(16)
 
 
 @cache
@@ -432,13 +430,13 @@ def _ooura_mori_levels(levels: tuple[int, ...]) -> tuple:
 class _Integral(NamedTuple):
     """One kind of DE integral: its name, the split point ``split(t,
     omega_c)``, the head exponent ``q = p + q_offset`` and smooth factor
-    ``g(e, w, t)`` given ``e = exp(-w/omega_c)``, whether it has the envelope
-    tail, and the sign of its sine tail (0 for none)."""
+    ``g(w, t)`` of ``w**(q-1) e**(-w/omega_c)`` (None for 1), whether it has
+    the envelope tail, and the sign of its sine tail (0 for none)."""
 
     what: str
     split: Callable[[np.ndarray, np.ndarray], np.ndarray]
     q_offset: float
-    g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
     envelope: bool
     sine_sign: float
 
@@ -448,16 +446,16 @@ class _Integral(NamedTuple):
 # plus the Ooura-Mori sine integral.
 _KERNEL = _Integral(
     "kernel quadrature", lambda t, _: 0.5 * math.pi / t, 2.0,
-    lambda e, w, tc: e * 2.0 * (np.sin(0.5 * w * tc) / w) ** 2, True, 1.0,
+    lambda w, tc: 2.0 * (np.sin(0.5 * w * tc) / w) ** 2, True, 1.0,
 )
 # one power of w goes into sin(w t)/w = t*sinc(w t/pi), which is smooth
 _SINE = _Integral(
     "sine moment", lambda t, _: math.pi / t, 1.0,
-    lambda e, w, tc: e * tc * np.sinc(w * tc / math.pi), False, -1.0,
+    lambda w, tc: tc * np.sinc(w * tc / math.pi), False, -1.0,
 )
 # no trig factor: any t > 0 will do, and the split is at omega_c
 _TOTAL = _Integral(
-    "total moment", lambda t, wc: np.full_like(t, wc), 0.0, lambda e, w, tc: e, True, 0.0
+    "total moment", lambda t, wc: np.full_like(t, wc), 0.0, None, True, 0.0
 )
 
 
@@ -473,51 +471,43 @@ def _part(integral: _Integral, c, p, omega_c, t=None) -> tuple:
     return integral, c, p, omega_c, t
 
 
-def _exponents(integral: _Integral, p) -> tuple:
-    """``(q, r, (q/r - 1, 1/r, p - 1))``: a part's head exponent, its
-    substitution power, and the head, node and sine powers."""
-    q = p + integral.q_offset
-    r = np.minimum(q, 1.0) if isinstance(p, np.ndarray) else min(q, 1.0)
-    return q, r, (q / r - 1.0, 1.0 / r, p - 1.0)
-
-
 def _de_table(pieces: list, bounds: list[int]) -> np.ndarray:
     """The ``[_FIELDS x rows x 1]`` table of the pieces, whose rows start at
-    ``bounds``."""
+    ``bounds``: every exponent and factor is one operation on its columns."""
     table = np.zeros((_FIELDS, bounds[-1]))
-    for (integral, _, _, t, c, p, wc, power), a, b in zip(pieces, bounds, bounds[1:]):
+    for (integral, _, _, t, c, p, wc), a, b in zip(pieces, bounds, bounds[1:]):
         rows = table[:, a:b]
-        q, r, exponents = _exponents(integral, p)
-        if power is None:
-            rows[_HEAD_POWER], rows[_NODE_POWER], rows[_SINE_POWER] = exponents
-        delta = integral.split(t, wc)
-        rows[_T], rows[_DELTA], rows[_C], rows[_WC], rows[_P] = t, delta, c, wc, p
-        # r is held in the head shift until the log below
-        rows[_HEAD_SHIFT], rows[_HEAD_FACTOR] = r, delta ** q / r
-        if integral.envelope:
-            rows[_TAIL_FACTOR] = delta ** p
+        rows[_T], rows[_DELTA], rows[_C], rows[_WC], rows[_P] = t, integral.split(t, wc), c, wc, p
+        # q = p + q_offset is held in the head power until the powers below
+        rows[_HEAD_POWER] = p + integral.q_offset
         if integral.sine_sign:
             rows[_SINE_FACTOR] = integral.sine_sign / t
+    delta, wc, p, q = table[_DELTA], table[_WC], table[_P], table[_HEAD_POWER]
+    # w = delta*v**(1/r) absorbs the head's endpoint power w**(q-1)
+    r = np.minimum(q, 1.0)
+    table[_HEAD_FACTOR] = delta ** q / r
+    table[_HEAD_POWER], table[_NODE_POWER], table[_SINE_POWER] = q / r - 1.0, 1.0 / r, p - 1.0
     # centre the head where w = delta*v**(1/r) reaches omega_c when delta is
     # larger, the envelope tail where w = delta/v does (clipped so that
     # e**(shift - z) stays finite)
-    delta, wc, p = table[_DELTA], table[_WC], table[_P]
-    table[_HEAD_SHIFT] = np.minimum(table[_HEAD_SHIFT] * np.log1p(delta / wc), 650.0)
+    table[_HEAD_SHIFT] = np.minimum(r * np.log1p(delta / wc), 650.0)
     env = slice(bounds[sum(not piece[0].envelope for piece in pieces)], None)
+    table[_TAIL_FACTOR, env] = delta[env] ** p[env]
     table[_TAIL_SHIFT, env] = np.minimum(np.log(wc[env] / delta[env]), 650.0)
     table[_TAIL_EXPONENT, env] = -(p[env] + 1.0)
+    sine = slice(0, bounds[sum(bool(piece[0].sine_sign) for piece in pieces)])
+    w0 = table[_SINE_PEAK, sine] = np.maximum(delta[sine], (p[sine] - 1.0) * wc[sine])
+    table[_SINE_FACTOR, sine] *= np.exp(table[_SINE_POWER, sine] * np.log(w0) - w0 / wc[sine])
     return table[:, :, None]
 
 
-def _spans(pieces: list, bounds: list[int], rows: np.ndarray, m: np.ndarray) -> tuple:
+def _spans(pieces: list, bounds: list[int], rows: np.ndarray) -> tuple:
     """The envelope rows (the last) and the sine rows (the first) of the block
-    ``m`` of table rows ``rows``, and ``(slice, integral, (head, node, sine
-    powers))`` of each piece in it: its floats, or views of its rows'."""
+    of table rows ``rows``, and ``(slice, g)`` of each piece in it with a
+    smooth head factor g."""
     starts = np.searchsorted(rows, bounds).tolist()
-    spans = [
-        (slice(a, b), piece[0], m[_HEAD_POWER:_FIELDS, a:b] if piece[-1] is None else piece[-1])
-        for piece, a, b in zip(pieces, starts, starts[1:]) if a < b
-    ]
+    spans = [(slice(a, b), piece[0].g)
+             for piece, a, b in zip(pieces, starts, starts[1:]) if a < b and piece[0].g]
     n_sine_only = sum(not piece[0].envelope for piece in pieces)
     n_sine = sum(bool(piece[0].sine_sign) for piece in pieces)
     return slice(starts[n_sine_only], starts[-1]), slice(0, starts[n_sine]), spans
@@ -533,20 +523,19 @@ def _level_sums(f: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
 
 
 def _head_sums(levels: tuple[int, ...], m: np.ndarray, spans: list) -> np.ndarray:
-    """The head sums of the table rows ``m`` at ``levels``, one column each."""
+    """The head sums of the table rows ``m`` at ``levels``, one column each:
+    the tanh-sinh sums of ``e**((q/r - 1) log v - w/omega_c) g(w, t)`` at
+    ``w = delta*e**(log(v)/r)``."""
     v, dv = _unit_nodes(levels[-1], m[_HEAD_SHIFT])
-    f = np.empty_like(v)
-    for i, _, (head, node, _) in spans:
-        np.power(v[i], head, out=f[i])
-        if isinstance(node, np.ndarray) or node != 1.0:  # 1/r, 1.0 unless q < 1
-            np.power(v[i], node, out=v[i])
-    w = v  # in place: w = delta*v**(1/r)
+    log_v = np.log(v, out=v)
+    w = log_v * m[_NODE_POWER]
+    np.exp(w, out=w)
     w *= m[_DELTA]
-    e = np.negative(w)
-    e /= m[_WC]
-    np.exp(e, out=e)
-    for i, integral, _ in spans:
-        f[i] *= integral.g(e[i], w[i], m[_T, i])
+    f = log_v * m[_HEAD_POWER]
+    f -= np.divide(w, m[_WC], out=log_v)
+    np.exp(f, out=f)
+    for i, g in spans:
+        f[i] *= g(w[i], m[_T, i])
     f *= dv
     return _level_sums(f, levels)
 
@@ -565,23 +554,22 @@ def _envelope_sums(levels: tuple[int, ...], m: np.ndarray) -> np.ndarray:
     return _level_sums(x, levels)
 
 
-def _sine_sums(levels: tuple[int, ...], m: np.ndarray, spans: list) -> np.ndarray:
-    """The Ooura-Mori sums of ``F(delta + y/t)`` at ``levels`` over the table
-    rows ``m``, the first rows of a block whose pieces are ``spans`` (the sine
-    pieces come first, so their slices index ``m`` as they index the block)."""
+def _sine_sums(levels: tuple[int, ...], m: np.ndarray) -> np.ndarray:
+    """The Ooura-Mori sums of ``F(w)/F(w0)``, ``w = delta + y/t``, at
+    ``levels`` over the sine rows ``m``: the sums of ``e**((p-1) log(w/w0) -
+    (w - w0)/omega_c)``, each term at most 1."""
     y, dy, cuts = _ooura_mori_levels(levels)
     w = y / m[_T]
     w += m[_DELTA]
-    f = np.empty_like(w)
-    for i, integral, (_, _, sine) in spans:
-        if integral.sine_sign:
-            np.power(w[i], sine, out=f[i])
-    np.negative(w, out=w)
+    x = np.divide(w, m[_SINE_PEAK])
+    np.log(x, out=x)
+    x *= m[_SINE_POWER]
+    w -= m[_SINE_PEAK]
     w /= m[_WC]
-    np.exp(w, out=w)
-    f *= w
-    f *= dy
-    return np.concatenate([f[:, cut].sum(1, keepdims=True) for cut in cuts], 1)
+    x -= w
+    np.exp(x, out=x)
+    x *= dy
+    return np.concatenate([x[:, cut].sum(1, keepdims=True) for cut in cuts], 1)
 
 
 def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> list:
@@ -603,8 +591,7 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
         outs.append(np.zeros(times.shape))
         if on.any():
             c, p, wc = (x[on] if isinstance(x, np.ndarray) else x for x in params)
-            power = None if isinstance(p, np.ndarray) else _exponents(integral, p)[2]
-            pieces.append((integral, outs[-1], on, times[on], c, p, wc, power))
+            pieces.append((integral, outs[-1], on, times[on], c, p, wc))
     # sine only, sine + envelope, envelope only
     pieces.sort(key=lambda piece: piece[0].envelope - bool(piece[0].sine_sign))
     bounds = [0]
@@ -619,14 +606,14 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
     for first in range(0, bounds[-1], size):
         m = table[:, first:first + size]
         rows = np.arange(first, first + m.shape[1])
-        env, sine, spans = _spans(pieces, bounds, rows, m)
+        env, sine, spans = _spans(pieces, bounds, rows)
         value = np.full(len(rows), np.nan)
         for levels in ((0, 1), *((level,) for level in range(2, _LEVELS))):
             sums = m[_HEAD_FACTOR] * _head_sums(levels, m, spans)
             if env.start < env.stop:
                 sums[env] += m[_TAIL_FACTOR, env] * _envelope_sums(levels, m[:, env])
             if sine.stop:
-                sums[sine] += m[_SINE_FACTOR, sine] * _sine_sums(levels, m[:, sine], spans)
+                sums[sine] += m[_SINE_FACTOR, sine] * _sine_sums(levels, m[:, sine])
             sums *= m[_C]
             # the gate sees the last two levels: level 0 accepts no row
             prev = value if len(levels) == 1 else sums[:, -2]
@@ -641,7 +628,7 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
                     break
                 more = ~done
                 m, rows, value, gap, tol = m[:, more], rows[more], value[more], gap[more], tol[more]
-                env, sine, spans = _spans(pieces, bounds, rows, m)
+                env, sine, spans = _spans(pieces, bounds, rows)
         else:
             worst = int(np.argmax(gap / tol))
             what = pieces[int(np.searchsorted(bounds, rows[worst], "right")) - 1][0].what

@@ -436,16 +436,18 @@ class TestBatchedProfiles:
             model = ModelSpec(0.0, BathSpec(alpha, mu, omega_c), DisplacementSpec(gamma_coef, nu))
             one = profile_at(model, t, backend)
             for got, want in zip((field[i] for field in batch), (one.r, one.s, one.phi)):
-                if backend == "closed_form":
-                    assert got == want
-                else:
-                    # a one-model call takes numpy's fast paths for a float
-                    # exponent of exactly 2, 0.5 or -1 (v * v for v ** 2.0),
-                    # a row exponent does not.  Measured: no difference in
-                    # 3000 examples; with round values such as 0.5, 1, 1.5, 2
-                    # in 40% of the draws, at most 5.1e-7 of the quadrature
-                    # tolerance over 41000 values
-                    assert abs(got - want) <= 1e-5 * max(1e-10, 1e-8 * abs(want))
+                assert got == want
+
+    def test_quadrature_rows_equal_one_model_plans_to_the_bit(self):
+        # round exponents, whose float powers numpy once took through square,
+        # sqrt and reciprocal, among them: 1680 (model, time) pairs
+        mu, nu = np.meshgrid([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0],
+                             [0.01, 0.5, 1.0, 1.5, 2.0, 3.5], indexing="ij")
+        mu, nu, t = mu.reshape(-1, 1), nu.reshape(-1, 1), np.logspace(-3.0, 4.0, 40)
+        batch = _profiles(0.02, mu, 1.3, 0.05, nu, t, "quadrature")
+        for i in range(mu.shape[0]):
+            one = _profiles(0.02, mu[i, 0].item(), 1.3, 0.05, nu[i, 0].item(), t, "quadrature")
+            assert [_bits(field[i]) for field in batch] == [_bits(field) for field in one]
 
 
     # (mu, nu): the r row's exponent mu and the s row's kappa = (mu + nu)/2 on
@@ -568,12 +570,14 @@ class TestQuadratureTable:
         assert tables == [4]
 
     def test_unmet_tolerance_names_the_worst_row(self):
-        alpha, mu, gamma_coef, nu = 0.3, -0.2, 0.3, 0.4
-        model = ModelSpec(1.0, BathSpec(alpha, mu, 1.0), DisplacementSpec(gamma_coef, nu))
-        t = np.array([1.0, 7.0, 100.0])
-        harsh = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
+        # two models: at t = 1e55 both kernels' level gaps stay above 1e-10
+        # relative (the envelope's plateau), at kappa = 12 and t = 10 the sine
+        # moment's above 1e-8; every other row's gap is rounding, far below 1e-12
+        alpha, mu, gamma_coef = 0.3, -0.2, 0.3
+        nu, t = np.array([0.2, 24.2]), np.array([1e55, 10.0])
+        harsh = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12)
         with pytest.raises(ConvergenceError) as raised:
-            profile_at(model, t, backend="quadrature", settings=harsh)
+            _ProfilePlan(alpha, mu, 1.0, gamma_coef, nu, "quadrature", harsh)(t)
         c, kappa = math.sqrt(alpha * gamma_coef), 0.5 * (mu + nu)
         alone = []
         for moment in (
@@ -593,12 +597,11 @@ class TestQuadratureTable:
 
         # both kernels fail too, but the sine moment is furthest from its tolerance
         assert len(alone) == 3 and str(raised.value) == max(alone, key=ratio)
-        assert str(raised.value).startswith("sine moment (p=0.1, t=")
+        assert str(raised.value).startswith("sine moment (p=12.0, t=")
 
     def test_mixed_table_equals_each_part_alone(self, monkeypatch):
-        # array alpha and mu give the kernels and the sine moment exponents
-        # per row, float gamma, nu and omega_c give the total moment float
-        # exponents; at these times rows leave at levels 1 and 2
+        # array alpha and mu, float gamma, nu and omega_c; at these times rows
+        # leave at levels 1 and 2
         rng = np.random.default_rng(5)
         t = np.geomspace(1e-3, 1e4, 40)
         alpha, mu = 10.0 ** rng.uniform(-4.0, 0.0, t.size), rng.uniform(-0.9, 2.0, t.size)
@@ -606,9 +609,9 @@ class TestQuadratureTable:
         counts = []  # rows of each part in the block, whenever rows have left
         real = numerics._spans
 
-        def spy(pieces, bounds, rows, m):
+        def spy(pieces, bounds, rows):
             counts.append(np.bincount(np.searchsorted(bounds, rows, "right"), minlength=len(bounds)))
-            return real(pieces, bounds, rows, m)
+            return real(pieces, bounds, rows)
 
         monkeypatch.setattr(numerics, "_spans", spy)
         r, s, phi = _profiles(alpha, mu, omega_c, gamma_coef, nu, t, "quadrature")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -37,7 +36,7 @@ from .dynamics import (
     _pair_weights,
 )
 from .errors import DomainError, NoBracketError
-from .numerics import QuadratureSettings
+from .numerics import QuadratureSettings, all_true
 
 __all__ = [
     "TimeGrid",
@@ -53,9 +52,6 @@ __all__ = [
 ]
 
 PLANE_PARAMETERS = ("alpha", "gamma", "mu", "nu", "lambda1", "lambda2")
-_RATIO_ARGS = ("alpha", "mu", "omega_c", "gamma", "nu", "lambda1", "lambda2")
-# the arguments of limit_exponents in a dict keyed by _RATIO_ARGS
-_limit_args = itemgetter(*_RATIO_ARGS[:5])
 
 _TIE_TOL = 1e-9
 # find_extremum: times per zoom round (each round narrows the bracket 128x)
@@ -231,37 +227,47 @@ def _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normal
     return evaluate
 
 
-def _gain_ratios(cell: dict, limits: tuple | None = None) -> np.ndarray:
-    """gain_ratio elementwise over broadcastable parameters keyed by
-    _RATIO_ARGS (``gamma`` is gamma_coef; ``limits`` their limit_exponents,
-    if known): NaN where it is undefined, inf where only D(0) vanishes.
+def _long_time_terms(alpha, mu, omega_c, gamma_coef, nu) -> tuple:
+    """The gain ratio's weight-free terms (O, X, Y) = (e^s0, e^(-r_inf),
+    e^(s_inf - r_inf)) elementwise over broadcastable valid bath parameters.
+
+    For mu <= 0 r(t) diverges, and so does r - s >= Int (2g - f/2)^2 (1 -
+    cos wt) dw: X = Y = 0.  Those elements form no Gamma of their limits
+    (zero coupling and mu = 1 stand in), so no divergent limit overflows.
+    """
+    finite = mu > 0.0
+    if all_true(finite):
+        s0, r_inf, s_inf = limit_exponents(alpha, mu, omega_c, gamma_coef, nu)
+        return np.exp(s0), np.exp(-r_inf), np.exp(s_inf - r_inf)
+    overlap, x, y = _long_time_terms(
+        np.where(finite, alpha, 0.0), np.where(finite, mu, 1.0), omega_c, gamma_coef, nu
+    )
+    return overlap, np.where(finite, x, 0.0), np.where(finite, y, 0.0)
+
+
+def _gain_ratios(lambda1, lambda2, terms: tuple) -> np.ndarray:
+    """gain_ratio elementwise over broadcastable weights and the
+    _long_time_terms of their cells: NaN where it is undefined, inf where
+    only D(0) vanishes.
 
     Unchecked arithmetic: the public entry points check the weights where
     they enter, once per call or search, and the overlap exp(s0), s0 <= 0,
-    lies in [0, 1] by construction.  limit_exponents keeps its own checks.
+    lies in [0, 1] by construction.
 
     A map cell and gain_ratio on that cell must agree to the bit (the
     cancellation in D(0) magnifies any ulp), so every operation here gives
     an element of an array what it gives a scalar.
     """
-    s0, r_inf, s_inf = limits or limit_exponents(*_limit_args(cell))
-    overlap = np.exp(s0)
-    a, b = _pair_weights(cell["lambda1"], cell["lambda2"], overlap)
+    overlap, x, y = terms
+    a, b = _pair_weights(lambda1, lambda2, overlap)
     d0 = np.abs(a + b * overlap)
-    d_inf = np.abs(a * np.exp(-r_inf) + b * np.exp(s_inf - r_inf))
+    d_inf = np.abs(a * x + b * y)
     # both distances carry the same roundoff floor; below it they are zeros
     # (lambda1 = lambda2 makes a = b = 0 exactly)
     tiny = 1e-14 * (np.abs(a) + np.abs(b))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d0 > tiny, d_inf / d0, np.where(d_inf > tiny, np.inf, np.nan))
     return np.where(overlap < 1.0, ratio, np.nan)
-
-
-def _ratio_args(model: ModelSpec, lambda1: float, lambda2: float) -> dict[str, np.float64]:
-    """The argument of _gain_ratios for one cell, as numpy float64 scalars."""
-    b, d = model.bath, model.displacement
-    values = (b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu, lambda1, lambda2)
-    return dict(zip(_RATIO_ARGS, map(np.float64, values)))
 
 
 def gain_ratio(model: ModelSpec, lambda1: float, lambda2: float) -> float | None:
@@ -271,21 +277,18 @@ def gain_ratio(model: ModelSpec, lambda1: float, lambda2: float) -> float | None
     None when the distance vanishes identically (lambda1 = lambda2, or a
     trivial displacement with overlap 1 making every A_lambda equal) and
     +inf on the curve where only the initial distance is zero.  Values
-    above 1 signal contractivity breakdown in the long-time limit;
-    requires mu > 0 so the limit exists.  Symmetric in the two weights, to
-    the bit: swapping them negates both pair weights exactly.
+    above 1 signal contractivity breakdown in the long-time limit.  For
+    mu <= 0 every coherence dies, so the ratio is 0 (None where D(0) = 0).
+    Symmetric in the two weights, to the bit: swapping them negates both
+    pair weights exactly.
     """
-    cell = _ratio_args(model, lambda1, lambda2)
-    limits = limit_exponents(*_limit_args(cell))
-    _check_weights(cell, ("lambda1", "lambda2"))
-    ratio = float(_gain_ratios(cell, limits))
+    b, d = model.bath, model.displacement
+    terms = _long_time_terms(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu)
+    weights = np.float64(lambda1), np.float64(lambda2)
+    for weight in weights:
+        _check_unit("correlation weight", weight)
+    ratio = float(_gain_ratios(*weights, terms))
     return None if math.isnan(ratio) else ratio
-
-
-def _check_weights(cell: dict, names) -> None:
-    """Check the correlation weights ``names`` of a _gain_ratios argument, in order."""
-    for name in names:
-        _check_unit("correlation weight", cell[name])
 
 
 def find_lambda_c(
@@ -301,13 +304,14 @@ def find_lambda_c(
     bit, so the result is the threshold in lambda1 at lambda2 = ``fixed``
     and in lambda2 at lambda1 = ``fixed``.  Requires ratio(lo) > 1 >
     ratio(hi), otherwise NoBracketError (the gain region may be empty, or
-    the ratio is undefined at a bracket end).  A midpoint where the ratio
-    is undefined (it equals ``fixed``) is stepped past by one ulp.  The
-    bisection stops at ``tol`` or when the bracket can no longer be split.
-    The ratio's closed-form root predicts the midpoints, and one evaluator
-    call takes them with the bracket ends; a midpoint off that path costs a
-    call of its own.  The result is the scalar bisection's float, bit for
-    bit, whatever the prediction.
+    the ratio is undefined at a bracket end, or 0 everywhere for mu <= 0).
+    A midpoint where the ratio is undefined (it equals ``fixed``) is stepped
+    past by one ulp.  The bisection stops at ``tol`` or when the bracket can
+    no longer be split.  The long-time terms (O, X, Y) are formed once per
+    search, the ratio's closed-form root predicts the midpoints, and one
+    evaluator call takes them with the bracket ends; a midpoint off that
+    path costs a call of its own.  The result is the scalar bisection's
+    float, bit for bit, whatever the prediction.
     """
     lambda_c, r_lo, r_hi = _critical(model, fixed, bracket, tol)
     if lambda_c is None:
@@ -329,23 +333,24 @@ def _critical(
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol}")
 
-    # the long-time exponents do not depend on the weights: one per search
-    cell = _ratio_args(model, fixed, fixed)
-    limits = limit_exponents(*_limit_args(cell))
-    _check_weights(cell, ("lambda2",))  # fixed; the bracket is checked above
+    # the long-time terms do not depend on the weights: once per search
+    b, d = model.bath, model.displacement
+    terms = _long_time_terms(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu)
+    f = np.float64(fixed)
+    _check_unit("correlation weight", f)  # the bracket is checked above
 
     # the bisection's midpoints if it closes on the closed-form root, all in one call
-    root = _root(float(cell["lambda2"]), limits, lo, hi)
+    root = _root(float(f), terms, lo, hi)
     path, a, b = [lo, hi], lo, hi
     while root is not None and 0.5 * (b - a) > tol and (mid := 0.5 * (a + b)) not in (a, b):
         path.append(mid)
         a, b = (mid, b) if mid < root else (a, mid)
-    values = _gain_ratios({**cell, "lambda1": np.array(path, dtype=float)}, limits).tolist()
+    values = _gain_ratios(np.array(path, dtype=float), f, terms).tolist()
     known = dict(zip(path, values))
 
     def ratio(x: float) -> float:
         """The ratio at a point off the predicted path: one evaluator call."""
-        return float(_gain_ratios({**cell, "lambda1": np.float64(x)}, limits))
+        return float(_gain_ratios(np.float64(x), f, terms))
 
     r_lo, r_hi = (None if math.isnan(v) else v for v in values[:2])
     if r_lo is None or r_hi is None or not (r_lo > 1.0 > r_hi):
@@ -362,20 +367,18 @@ def _critical(
     return 0.5 * (lo + hi), r_lo, r_hi
 
 
-def _root(f: float, limits: tuple, lo: float, hi: float) -> float | None:
+def _root(f: float, terms: tuple, lo: float, hi: float) -> float | None:
     """The weight in (lo, hi) at which the gain ratio against ``f`` is 1, in
     closed form, or None if no branch has one there; a prediction only.
 
-    With X = e^(-r_inf), Y = e^(s_inf - r_inf) and O = e^(s0) the ratio is 1
-    where a(X - s) + b(Y - s O) = 0, s = +-1, that is where P(l)/C_l = K for
-    the line P(l) = (1 - l)(X - s) + l(Y - s O) = p0 + p1 l and K = P(f)/C_f.
+    With the long-time terms (O, X, Y) the ratio is 1 where a(X - s) +
+    b(Y - s O) = 0, s = +-1, that is where P(l)/C_l = K for the line P(l) = (1 - l)(X - s) + l(Y - s O) = p0 + p1 l and K = P(f)/C_f.
     Squared, with C_l^2 = 1 - q l + q l^2 and q = 2 (1 - O), that is the
     quadratic (p1^2 - q K^2) l^2 + (2 p0 p1 + q K^2) l + p0^2 - K^2 = 0.  One
     root is l = f, so the other is -B/A - f; it counts where P has the sign
     of P(f).
     """
-    s0, r_inf, s_inf = limits
-    x, y, o = math.exp(-r_inf), math.exp(s_inf - r_inf), math.exp(s0)
+    o, x, y = map(float, terms)
     for sign in (1.0, -1.0):
         p0, p1 = x - sign, (y - sign * o) - (x - sign)
         p_f = p0 + p1 * f
@@ -406,6 +409,8 @@ def region_map(
     edge whose endpoints carry opposite definite labels, by a safeguarded
     secant on log ratio that evaluates two points per edge and round, to a
     resolution of ``boundary_resolution`` (finite, >= 0) times the axis span.
+    Cells with mu <= 0 have ratio 0 (label '-'), as in gain_ratio; an edge
+    that crosses mu = 0 is refined like any other.
     """
     x_name, y_name = plane
     for name in (x_name, y_name):
@@ -425,23 +430,28 @@ def region_map(
     # every domain is an interval: checking each axis at its ends (min and max
     # propagate nan) also covers the cells and the refinement points, which
     # are clipped into their edge
-    args = _ratio_args(model, lambda1, lambda2)
+    d, omega_c = model.displacement, model.bath.omega_c
+    template = (model.bath.alpha, d.gamma_coef, model.bath.mu, d.nu, lambda1, lambda2)
+    args = dict(zip(PLANE_PARAMETERS, map(np.float64, template)))
     for name, values in ((x_name, xs), (y_name, ys)):
         for v in (values.min(), values.max()):
             cell = {**args, name: v}
-            BathSpec(cell["alpha"], cell["mu"], cell["omega_c"])
+            BathSpec(cell["alpha"], cell["mu"], omega_c)
             DisplacementSpec(cell["gamma"], cell["nu"])
             if name in ("lambda1", "lambda2"):
                 _check_unit("correlation weight", v)
 
-    def ratios(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
-        return _gain_ratios({**args, x_name: xv, y_name: yv})
+    def cells(xv: np.ndarray, yv: np.ndarray) -> tuple:
+        """The weights and the long-time terms of the cells at (xv, yv)."""
+        cell = {**args, x_name: xv, y_name: yv}
+        terms = _long_time_terms(cell["alpha"], cell["mu"], omega_c, cell["gamma"], cell["nu"])
+        return cell["lambda1"], cell["lambda2"], terms
 
-    cell = {**args, x_name: xs[np.newaxis, :], y_name: ys[:, np.newaxis]}
-    limits = limit_exponents(*_limit_args(cell))
+    grid_cells = cells(xs[np.newaxis, :], ys[:, np.newaxis])
     # the evaluator checks nothing: the template weights that no axis replaces enter here
-    _check_weights(args, [name for name in ("lambda1", "lambda2") if name not in plane])
-    grid = _gain_ratios(cell, limits)
+    for name in [name for name in ("lambda1", "lambda2") if name not in plane]:
+        _check_unit("correlation weight", args[name])
+    grid = _gain_ratios(*grid_cells)
     plus, minus = grid > 1.0 + _TIE_TOL, grid < 1.0 - _TIE_TOL
     labels = np.where(plus, "+", np.where(minus, "-", "0")).tolist()
     finite = np.isfinite(grid)
@@ -486,7 +496,7 @@ def region_map(
             # np.clip's bits (signed zeros included), without its Python-level dispatch
             p = np.minimum(
                 np.maximum(m[k] + [[-1.0], [1.0]] * h, np.minimum(a, b)), np.maximum(a, b))
-            r = ratios(np.where(along_x[k], p, f), np.where(along_x[k], f, p))
+            r = _gain_ratios(*cells(np.where(along_x[k], p, f), np.where(along_x[k], f, p)))
             # the new bracket is [p-, p+] if it holds a sign change, else [a, p-] or [p+, b];
             # preferring the middle keeps the choice symmetric where the sign flips more than once
             same = (r > 1.0) == lo_above[k]

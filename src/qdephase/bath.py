@@ -43,7 +43,6 @@ from .numerics import (
     _part,
     _time_terms,
     _total_part,
-    all_true,
     gamma_moment,
 )
 
@@ -239,13 +238,9 @@ def profile_at(
 
 def limit_exponents(alpha, mu, omega_c, gamma_coef, nu):
     """``(s(0), r(inf), s(inf))`` elementwise over broadcastable, validated
-    parameters; s(0) is the log overlap.  Requires mu > 0 (see profile_limit).
+    parameters with mu > 0; s(0) is the log overlap.  For mu <= 0 r(t) has
+    no finite limit: callers refuse (profile_limit) or mask those elements.
     """
-    if not all_true(mu > 0.0):
-        raise DomainError(
-            f"r(t) diverges as t -> inf for mu <= 0 (got mu={np.min(mu)}); "
-            "all coherences vanish and the long-time distance limit is 0"
-        )
     # a prefactor that overflows is inf, which gamma_moment refuses
     with np.errstate(over="ignore"):
         s0 = -gamma_moment(0.5 * gamma_coef, nu, omega_c)
@@ -262,6 +257,11 @@ def profile_limit(m: ModelSpec) -> DecoherenceProfile:
     rather than a finite profile.
     """
     b, d = m.bath, m.displacement
+    if not b.mu > 0.0:
+        raise DomainError(
+            f"r(t) diverges as t -> inf for mu <= 0 (got mu={b.mu}); "
+            "all coherences vanish and the long-time distance limit is 0"
+        )
     _, r_inf, s_inf = limit_exponents(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu)
     return DecoherenceProfile(
         t=math.inf, r=float(r_inf), s=float(s_inf), phi=0.0, backend="closed_form"

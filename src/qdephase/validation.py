@@ -22,6 +22,7 @@ from .bath import (
     ModelSpec,
     _ProfilePlan,
     ground_coherent_overlap,
+    limit_exponents,
 )
 from .dynamics import (
     InitialStateSpec,
@@ -36,6 +37,7 @@ from .dynamics import (
     trace_distance,
 )
 from .errors import DomainError
+from .numerics import total_moment
 
 __all__ = [
     "SuiteResult",
@@ -110,13 +112,18 @@ def _draw(samples: int, seed: int, draw_one) -> tuple:
     return models, *map(np.array, values)
 
 
-def _sample_fields(models, t: np.ndarray, backends) -> np.ndarray:
-    """r, s, phi (rows) of every sample (columns) on its backend, one name for
-    all or one per sample, from one array evaluation per backend."""
-    params = np.array(
+def _params(models) -> np.ndarray:
+    """alpha, mu, omega_c, gamma_coef, nu (rows) of every model (columns)."""
+    return np.array(
         [(m.bath.alpha, m.bath.mu, m.bath.omega_c, m.displacement.gamma_coef, m.displacement.nu)
          for m in models]
     ).T
+
+
+def _sample_fields(models, t: np.ndarray, backends) -> np.ndarray:
+    """r, s, phi (rows) of every sample (columns) on its backend, one name for
+    all or one per sample, from one array evaluation per backend."""
+    params = _params(models)
     backends = np.broadcast_to(backends, len(models))
     fields = np.empty((3, len(models)))
     for backend in dict.fromkeys(backends.tolist()):
@@ -139,6 +146,13 @@ def _result(name: str, errors: np.ndarray, failed: np.ndarray, tolerance: str) -
     )
 
 
+def _agreement(closed: np.ndarray, quadrature: np.ndarray, rel_tol: float) -> tuple:
+    """The per-sample (column) worst gap between two routes as a fraction of
+    max(_ABS_FLOOR, rel_tol*|closed|), and that tolerance for the report."""
+    errors = np.abs(closed - quadrature) / np.maximum(_ABS_FLOOR, rel_tol * np.abs(closed))
+    return errors.max(0), f"max({_ABS_FLOOR:g}, {rel_tol:g}*rel), reported as fraction of tol"
+
+
 def check_backend_agreement(samples: int, rel_tol: float = 1e-6, seed: int = 42) -> SuiteResult:
     """Closed-form r, s, phi against the quadrature backend on random tuples."""
     if not 0.0 < rel_tol < math.inf:
@@ -147,8 +161,7 @@ def check_backend_agreement(samples: int, rel_tol: float = 1e-6, seed: int = 42)
         _random_model(rng), 0.0 if i % 25 == 0 else rng.uniform(0.0, 100.0)))
     closed = _sample_fields(models, t, "closed_form")
     quadr = _sample_fields(models, t, "quadrature")
-    errors = (np.abs(closed - quadr) / np.maximum(_ABS_FLOOR, rel_tol * np.abs(closed))).max(0)
-    tolerance = f"max({_ABS_FLOOR:g}, {rel_tol:g}*rel), reported as fraction of tol"
+    errors, tolerance = _agreement(closed, quadr, rel_tol)
     return _result("backend-agreement", errors, errors > 1.0, tolerance)
 
 
@@ -175,19 +188,46 @@ def check_overlap_consistency(
     seed: int = 42,
     double_s_offset: bool = False,
 ) -> SuiteResult:
-    """exp(s(0)) must equal the ground-coherent overlap to 1e-12 relative.
+    """exp(s(0)) by the gamma-free quadrature, s(0) = -(1/2) Int f^2, must
+    equal the closed-form ground-coherent overlap to 1e-12 relative.
 
     ``double_s_offset`` deliberately doubles the static offset in s(0)
     (a debugging aid): the identity then fails by exp(offset/2), which is
     exactly what this suite is designed to catch.
     """
-    models, t = _draw(samples, seed, lambda rng, i: (_random_model(rng), 0.0))
-    s0 = _sample_fields(models, t, "closed_form")[1]
+    return _quadrature_identities(samples, seed, rel_tol, 1e-6, double_s_offset)[0]
+
+
+def _quadrature_identities(
+    samples: int, seed: int, overlap_tol: float, limit_tol: float, double_s_offset: bool
+) -> tuple[SuiteResult, SuiteResult]:
+    """The overlap-consistency and long-time-limits suites, from one table of
+    total moments: s(0) = -total(gamma_coef/2, nu) of every sample and, on the
+    mu > 0 samples, r(inf) = total(4 alpha, mu) and s(inf) = s(0) + total(2
+    sqrt(alpha gamma_coef), kappa).  The limits are compared with
+    limit_exponents, the Gamma route of every gain ratio, at
+    max(1e-8, limit_tol*rel)."""
+    (models,) = _draw(samples, seed, lambda rng, i: (_random_model(rng),))
+    alpha, mu, omega_c, gamma_coef, nu = params = _params(models)
+    on = mu > 0.0
+    totals = total_moment(
+        np.concatenate([0.5 * gamma_coef, 4.0 * alpha[on], 2.0 * np.sqrt(alpha * gamma_coef)[on]]),
+        np.concatenate([nu, mu[on], 0.5 * (mu + nu)[on]]),
+        np.concatenate([omega_c, omega_c[on], omega_c[on]]),
+    )
+    n, s0 = samples + np.count_nonzero(on), -totals[:samples]
+    # the long-time limits before the debugging aid touches s(0)
+    quadrature = np.stack([totals[samples:n], totals[n:] + s0[on]])
     if double_s_offset:
         s0 = 2.0 * s0
     overlap = _overlaps_and_epsilons(models)[0]
     err = np.abs(np.exp(s0) - overlap) / overlap
-    return _result("overlap-consistency", err, err > rel_tol, f"{rel_tol:g} relative")
+    closed = np.stack(limit_exponents(*params[:, on])[1:])
+    errors, tolerance = _agreement(closed, quadrature, limit_tol)
+    return (
+        _result("overlap-consistency", err, err > overlap_tol, f"{overlap_tol:g} relative"),
+        _result("long-time-limits", errors, errors > 1.0, tolerance),
+    )
 
 
 def check_distance_equivalence(
@@ -223,10 +263,11 @@ def run_all(
     seed: int = 42,
     double_s_offset: bool = False,
 ) -> list[SuiteResult]:
-    """Run every suite with a shared seed; deterministic for fixed inputs."""
+    """Run every suite with a shared seed; deterministic for fixed inputs.
+    The long-time limits are checked at the agreement tolerance ``rel_tol``."""
     return [
         check_backend_agreement(samples, rel_tol=rel_tol, seed=seed),
         check_physicality(samples, seed=seed),
-        check_overlap_consistency(samples, seed=seed, double_s_offset=double_s_offset),
+        *_quadrature_identities(samples, seed, 1e-12, rel_tol, double_s_offset),
         check_distance_equivalence(samples, seed=seed),
     ]

@@ -13,6 +13,12 @@ Outcomes: ``served`` (finite and within tolerance), ``unchecked`` (served,
 but the closed form refuses the model), ``ConvergenceError``,
 ``DomainError``, ``raw`` (any other exception; its locus is the innermost
 qdephase frame and the message) and ``disagrees``.
+
+Every served draw with mu > 0 also gets a long-time row with the same
+outcomes: ``limit_exponents``, the Gamma route of the gain ratio, against
+the quadrature's total moments r(inf) = total(4 alpha, mu) and s(inf) =
+total(2 sqrt(alpha gamma_coef), kappa) - total(gamma_coef/2, nu), at the
+same tolerance.
 """
 
 from __future__ import annotations
@@ -35,11 +41,15 @@ from qdephase import (
     ModelSpec,
     QDephaseError,
     profile_at,
+    total_moment,
 )
+from qdephase.bath import limit_exponents
 
 # name: the range of log10(t_max * max(1, omega_c))
 BANDS = {"ordinary": (-3.0, 4.0), "tiny": (-150.0, -3.0), "huge": (12.0, 150.0)}
 OUTCOMES = ("served", "unchecked", "ConvergenceError", "DomainError", "raw", "disagrees")
+# the count keys of the profile rows and of the long-time rows
+PREFIXES = ("", "long-time ")
 
 
 def draw(seed: int, band: str, index: int) -> tuple[dict, np.ndarray]:
@@ -64,14 +74,13 @@ def _locus(error: BaseException) -> str:
     return f"{where}: {type(error).__name__}: {error}"
 
 
-def run_draw(params: dict, times: np.ndarray) -> tuple[str, str, float]:
-    """``(outcome, detail, worst-of-tol)`` of one draw (worst nan unless compared)."""
+def _compare(quadrature, closed) -> tuple[str, str, float]:
+    """``(outcome, detail, worst-of-tol)`` of one draw: the two routes' values
+    as calls that return arrays (worst nan unless compared)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            model = ModelSpec(0.0, BathSpec(params["alpha"], params["mu"], params["omega_c"]),
-                              DisplacementSpec(params["gamma_coef"], params["nu"]))
-            quadrature = profile_at(model, times, backend="quadrature")
+            got = quadrature()
         except ConvergenceError as error:
             return "ConvergenceError", str(error), math.nan
         except DomainError as error:
@@ -79,36 +88,67 @@ def run_draw(params: dict, times: np.ndarray) -> tuple[str, str, float]:
         except Exception as error:  # noqa: BLE001 - every other exception is a finding
             return "raw", _locus(error), math.nan
         try:
-            closed = profile_at(model, times)
+            want = closed()
         except (QDephaseError, ArithmeticError, RuntimeWarning) as error:
             return "unchecked", f"closed form: {type(error).__name__}: {error}", math.nan
-    worst = 0.0
-    for name in ("r", "s", "phi"):
-        got, want = getattr(quadrature, name), getattr(closed, name)
-        with np.errstate(all="ignore"):
-            ratio = np.abs(got - want) / np.maximum(1e-8, 1e-6 * np.abs(want))
-        ratio = np.where(np.isfinite(got) & np.isfinite(ratio), ratio, math.inf)
-        worst = max(worst, float(ratio.max()))
+    with np.errstate(all="ignore"):
+        ratio = np.abs(got - want) / np.maximum(1e-8, 1e-6 * np.abs(want))
+    worst = float(np.where(np.isfinite(got) & np.isfinite(ratio), ratio, math.inf).max())
     return ("served" if worst <= 1.0 else "disagrees"), "", worst
 
 
+def run_draw(params: dict, times: np.ndarray) -> tuple[str, str, float]:
+    """``(outcome, detail, worst-of-tol)`` of one draw's profiles (r, s, phi)."""
+    alpha, mu, omega_c, gamma_coef, nu = params.values()
+
+    def profile(backend):
+        model = ModelSpec(0.0, BathSpec(alpha, mu, omega_c), DisplacementSpec(gamma_coef, nu))
+        p = profile_at(model, times, backend=backend)
+        return np.stack([p.r, p.s, p.phi])
+
+    return _compare(lambda: profile("quadrature"), lambda: profile("closed_form"))
+
+
+def run_limits(params: dict) -> tuple[str, str, float]:
+    """``(outcome, detail, worst-of-tol)`` of one draw's long-time row (mu > 0)."""
+    alpha, mu, omega_c, gamma_coef, nu = params.values()
+
+    def quadrature():
+        s0, r_inf, s_kernel = total_moment(
+            np.array([0.5 * gamma_coef, 4.0 * alpha, 2.0 * math.sqrt(alpha * gamma_coef)]),
+            np.array([nu, mu, 0.5 * (mu + nu)]), omega_c,
+        )
+        return np.array([r_inf, s_kernel - s0])
+
+    return _compare(quadrature, lambda: np.array(limit_exponents(*params.values())[1:]))
+
+
 def fuzz(draws: int, seed: int = 0, out=None) -> dict[str, Counter]:
-    """Outcome counts per band over ``draws`` draws per band; one line per
-    draw to ``out`` (band, index, outcome, worst-of-tol, parameters, t_max,
-    detail), tab-separated."""
+    """Outcome counts per band over ``draws`` draws per band, the long-time
+    rows' keyed ``"long-time " + outcome``; one line per draw to ``out``
+    (band, index, outcome, worst-of-tol, long-time outcome and worst-of-tol
+    or '-' and nan, parameters, t_max, detail), tab-separated."""
     counts = {}
     for band in BANDS:
-        counts[band] = Counter({outcome: 0 for outcome in OUTCOMES})
+        count = counts[band] = Counter({p + o: 0 for p in PREFIXES for o in OUTCOMES})
         for index in range(draws):
             params, times = draw(seed, band, index)
-            outcome, detail, worst = run_draw(params, times)
-            counts[band][outcome] += 1
-            counts[band]["worst"] = max(counts[band]["worst"], 0.0 if math.isnan(worst) else worst)
-            if outcome == "raw":
-                counts[band]["raw: " + detail] += 1
+            rows = {"": run_draw(params, times)}
+            if rows[""][0] == "served" and params["mu"] > 0.0:
+                rows["long-time "] = run_limits(params)
+            for prefix, (outcome, detail, worst) in rows.items():
+                count[prefix + outcome] += 1
+                worst = 0.0 if math.isnan(worst) else worst
+                count[prefix + "worst"] = max(count[prefix + "worst"], worst)
+                if outcome == "raw":
+                    count[prefix + "raw: " + detail] += 1
             if out is not None:
-                fields = [band, index, outcome, f"{worst:.3e}", *(f"{v:.6g}" for v in params.values()),
-                          f"{times[-1]:.3e}", detail.replace("\t", " ").replace("\n", " ")]
+                (outcome, detail, worst), (limit, limit_detail, limit_worst) = (
+                    rows[""], rows.get("long-time ", ("-", "", math.nan)))
+                detail = " ".join(filter(None, (detail, limit_detail)))
+                fields = [band, index, outcome, f"{worst:.3e}", limit, f"{limit_worst:.3e}",
+                          *(f"{v:.6g}" for v in params.values()), f"{times[-1]:.3e}",
+                          detail.replace("\t", " ").replace("\n", " ")]
                 print(*fields, sep="\t", file=out)
     return counts
 
@@ -122,10 +162,12 @@ def main(argv=None) -> int:
     with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
         counts = fuzz(args.draws, args.seed, out)
     for band, count in counts.items():
-        print(f"{band} {BANDS[band]}: " + ", ".join(f"{k} {count[k]}" for k in OUTCOMES)
-              + f", worst-of-tol {count['worst']:.3e}")
-        for key in sorted(k for k in count if k.startswith("raw: ")):
-            print(f"  {count[key]:4d} {key}")
+        for prefix in PREFIXES:
+            print((f"{band} {BANDS[band]}: " if not prefix else "  long-time: ")
+                  + ", ".join(f"{k} {count[prefix + k]}" for k in OUTCOMES)
+                  + f", worst-of-tol {count[prefix + 'worst']:.3e}")
+            for key in sorted(k for k in count if k.startswith(prefix + "raw: ")):
+                print(f"  {count[key]:4d} {key}")
     return 0
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import inspect
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -307,10 +308,19 @@ class TestGainRatio:
             )
             assert d_inf / series.distance[0] == pytest.approx(ratio, rel=1e-12)
 
-    def test_requires_positive_mu(self, benchmark_model):
-        ohmic = replace(benchmark_model, bath=replace(benchmark_model.bath, mu=0.0))
-        with pytest.raises(DomainError):
-            gain_ratio(ohmic, 0.25, 0.0)
+    @pytest.mark.parametrize("mu", [0.0, -0.5, -0.999])
+    def test_ohmic_and_below_give_zero(self, benchmark_model, mu):
+        # r(t) diverges for mu <= 0 and every coherence dies: D(inf) = 0
+        model = replace(benchmark_model, bath=replace(benchmark_model.bath, mu=mu))
+        assert gain_ratio(model, 0.25, 0.0) == 0.0
+        assert gain_ratio(model, 0.0, 0.9) == 0.0
+        # D(0) = 0 too: undefined, as at mu > 0
+        assert gain_ratio(model, 0.4, 0.4) is None
+
+    def test_huge_coupling_below_ohmic_gives_zero(self):
+        # the masked cell forms no Gamma: 4e300 * gamma(mu) * 1e10**mu would overflow
+        model = ModelSpec(1.0, BathSpec(1e300, -0.5, 1e10), DisplacementSpec(0.05, 0.5))
+        assert gain_ratio(model, 0.25, 0.0) == 0.0
 
     def test_overflowing_prefactor_is_a_domain_error(self, benchmark_model):
         # alpha * gamma_coef = 1e600 overflows a double inside the t -> inf limit
@@ -410,11 +420,9 @@ class TestWeightSymmetry:
 _WEIGHT_ERROR = "correlation weight must lie in [0, 1], got {}"
 
 
-def _model_fault(model, fault):
-    """The model with a fault that the long-time limit refuses before any weight."""
-    if fault == "mu":
-        return replace(model, bath=replace(model.bath, mu=0.0))
-    # alpha * gamma_coef = 1e600 overflows a double inside the t -> inf limit
+def _model_fault(model):
+    """The model with a fault that the long-time limit refuses before any weight:
+    alpha * gamma_coef = 1e600 overflows a double inside the t -> inf limit."""
     return ModelSpec(
         epsilon=1.0,
         bath=replace(model.bath, alpha=1e300),
@@ -500,9 +508,9 @@ class TestWeightEntryChecks:
             want.labels, want.gain, want.boundary_points
         )
 
-    @pytest.mark.parametrize("fault,match", [("mu", "diverges"), ("overflow", "overflows")])
+    @pytest.mark.parametrize("fault,match", [("overflow", "overflows")])
     def test_a_model_fault_comes_first(self, benchmark_model, fault, match):
-        model = _model_fault(benchmark_model, fault)
+        model = _model_fault(benchmark_model)
         with pytest.raises(DomainError, match=match):
             gain_ratio(model, 1.5, 0.0)
         with pytest.raises(DomainError, match=match):
@@ -515,6 +523,22 @@ class TestWeightEntryChecks:
                 x_values=_AXES["nu"], y_values=_AXES["lambda2"],
             )
 
+    @pytest.mark.parametrize("mu", [0.0, -0.5])
+    def test_an_ohmic_model_is_no_fault(self, benchmark_model, mu):
+        # mu <= 0 is served (ratio 0), so a bad weight is the error
+        model = replace(benchmark_model, bath=replace(benchmark_model.bath, mu=mu))
+        for call in (
+            lambda: gain_ratio(model, 1.5, 0.0),
+            lambda: find_lambda_c(model, 1.5),
+            lambda: region_map(
+                model, 1.5, -0.5, plane=("nu", "lambda2"),
+                x_values=_AXES["nu"], y_values=_AXES["lambda2"],
+            ),
+        ):
+            with pytest.raises(DomainError) as raised:
+                call()
+            assert str(raised.value) == _WEIGHT_ERROR.format(1.5)
+
     def test_a_plane_fault_comes_first(self, benchmark_model):
         def plane_error(plane, x_values):
             with pytest.raises(DomainError) as raised:
@@ -524,7 +548,8 @@ class TestWeightEntryChecks:
                 )
             return str(raised.value)
 
-        assert "diverges" in plane_error(("mu", "alpha"), [0.0, 0.5])
+        # an ohmic axis end is served, so the template weight is the error
+        assert plane_error(("mu", "alpha"), [0.0, 0.5]) == _WEIGHT_ERROR.format(1.5)
         assert "overflows" in plane_error(("mu", "alpha"), [0.5, 200.0])
         assert plane_error(("alpha", "nu"), [-1.0, 0.01]) == (
             "coupling alpha must be positive, got -1.0"
@@ -644,8 +669,8 @@ class TestFindLambdaC:
         # call; the walk applies the scalar rules to the ratios it reads
         real = analysis._root
 
-        def predicted(f, limits, lo, hi):
-            root = real(f, limits, lo, hi)
+        def predicted(f, terms, lo, hi):
+            root = real(f, terms, lo, hi)
             return {
                 "none": None,
                 "off": None if root is None else root + 0.3,
@@ -671,9 +696,9 @@ class TestFindLambdaC:
         # fixed weight, where D(0) cancels, to move the root by 1e-9
         bracketed = 0
         for model, fixed in TEMPLATE_MODELS:
-            cell = analysis._ratio_args(model, fixed, fixed)
-            limits = bath.limit_exponents(*analysis._limit_args(cell))
-            root = analysis._root(fixed, limits, 0.01, 0.99)
+            b, d = model.bath, model.displacement
+            terms = analysis._long_time_terms(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu)
+            root = analysis._root(fixed, terms, 0.01, 0.99)
             with contextlib.suppress(NoBracketError):
                 lam_c = find_lambda_c(model, fixed, tol=1e-12)
                 bracketed += 1
@@ -736,18 +761,24 @@ class TestFindLambdaC:
             find_lambda_c(benchmark_model, 0.01, bracket=(0.01, 0.99))
 
     @pytest.mark.parametrize("vary,fixed,tol", [("lambda1", 0.0, 1e-4), ("lambda2", 0.25, 1e-300)])
-    def test_limit_exponents_once_per_search(self, benchmark_model, monkeypatch, vary, fixed, tol):
-        # the long-time exponents do not depend on the weights being bisected
+    def test_terms_once_per_search(self, benchmark_model, monkeypatch, vary, fixed, tol):
+        # the long-time terms (O, X, Y) do not depend on the weights being bisected
         calls = []
-        real = analysis.limit_exponents
+        real = analysis._long_time_terms
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(analysis, "limit_exponents", counted)
+        monkeypatch.setattr(analysis, "_long_time_terms", counted)
         find_lambda_c(benchmark_model, fixed, tol=tol)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5])
+    def test_ohmic_and_below_have_no_bracket(self, benchmark_model, mu):
+        model = replace(benchmark_model, bath=replace(benchmark_model.bath, mu=mu))
+        with pytest.raises(NoBracketError, match=r"ratio\(lo\)=0\.0, ratio\(hi\)=0\.0"):
+            find_lambda_c(model, 0.0)
 
 
 class TestRegionMap:
@@ -1112,9 +1143,9 @@ class TestRegionMapArrayPath:
         # only crossing edge is dropped, wherever its first point falls
         real = analysis._gain_ratios
 
-        def undefined_inside(cell, limits=None):
-            on_grid = np.isin(cell["lambda1"], [0.1, 0.5])
-            return np.where(on_grid, real(cell, limits), np.nan)
+        def undefined_inside(lambda1, lambda2, terms):
+            on_grid = np.isin(lambda1, [0.1, 0.5])
+            return np.where(on_grid, real(lambda1, lambda2, terms), np.nan)
 
         monkeypatch.setattr(analysis, "_gain_ratios", undefined_inside)
         plane = ("lambda1", "lambda2")
@@ -1143,7 +1174,6 @@ class TestRegionMapArrayPath:
     @pytest.mark.parametrize(
         "plane,x_values",
         [
-            (("mu", "lambda1"), [0.5, 0.0]),
             (("mu", "lambda1"), [-1.5, 0.5]),
             (("alpha", "lambda1"), [0.01, -0.01]),
             (("lambda1", "alpha"), [0.5, 1.2]),
@@ -1201,7 +1231,8 @@ class TestRegionMapArrayPath:
         )
         assert 0 < len(calls) <= 3
 
-    def test_out_of_domain_axis_value_exits_2(self, tmp_path, capsys):
+    def test_ohmic_axis_value_exits_0(self, tmp_path, capsys):
+        # mu = 0 is served: its column is all loss, with ratio 0
         path = tmp_path / "scenario.cfg"
         path.write_text(
             "alpha = 0.0025\ngamma = 0.05\nmu = 0.01\nnu = 0.05\nlambda1 = 0.25\nlambda2 = 0\n",
@@ -1211,8 +1242,27 @@ class TestRegionMapArrayPath:
             ["region", "--config", str(path), "--plane", "mu,lambda1",
              "--x-range", "0:0.5:3", "--y-range", "0.1:0.9:3"]
         )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row[0] for row in payload["labels"]] == ["-", "-", "-"]
+        assert [row[0] for row in payload["gain_ratio"]] == [0.0, 0.0, 0.0]
+
+    def test_refined_map_across_the_ohmic_point(self, benchmark_model):
+        # mu in [-0.5, 0.5]: every cell with mu <= 0 is loss with ratio 0, and
+        # each '-' to '+' edge across mu = 0 gets its crossing inside the edge
+        plane, xs, ys = ("mu", "alpha"), np.linspace(-0.5, 0.5, 11), [1e-3, 2.5e-3, 4e-3]
+        result = region_map(
+            benchmark_model, 0.25, 0.0, plane=plane, x_values=xs, y_values=ys, refine_boundary=True
+        )
+        for labels, gains in zip(result.labels, result.gain):
+            assert labels[:6] == ["-"] * 6 and gains[:6] == [0.0] * 6
+        crossing = [iy for iy, labels in enumerate(result.labels) if labels[6] == "+"]
+        assert crossing
+        for iy in crossing:
+            inside = [bx for bx, by in result.boundary_points if by == ys[iy] and 0.0 < bx < xs[6]]
+            assert len(inside) == 1
+        self.assert_cells_equal_scalar_gain_ratio(result, benchmark_model, plane, xs, ys)
+        _assert_boundary_near(result, benchmark_model, plane, xs, ys, 1e-4)
 
     def test_overflowing_cell_exits_2_with_one_line(self, tmp_path, capsys):
         # Gamma(mu) overflows in the last column: one short diagnostic
@@ -1575,11 +1625,16 @@ _EDGES = (
     0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 171.5, 171.7, 343.3, 1.0
 )
 _WILD = st.one_of(st.sampled_from(_EDGES), st.floats())
-# a valid scenario with up to two of its seven inputs replaced by wild ones
+# a valid scenario (mu in (-1, 0.5], so ohmic and sub-ohmic baths too) with up
+# to two of its seven inputs replaced by wild ones
+_SCENARIO = ("alpha", "mu", "omega_c", "gamma", "nu", "lambda1", "lambda2")
 _VALUES = st.builds(
     lambda valid, wild: {**valid, **wild},
-    st.fixed_dictionaries({name: st.floats(1e-3, 0.5) for name in analysis._RATIO_ARGS}),
-    st.dictionaries(st.sampled_from(analysis._RATIO_ARGS), _WILD, max_size=2),
+    st.fixed_dictionaries({
+        name: st.floats(-1.0, 0.5, exclude_min=True) if name == "mu" else st.floats(1e-3, 0.5)
+        for name in _SCENARIO
+    }),
+    st.dictionaries(st.sampled_from(_SCENARIO), _WILD, max_size=2),
 )
 _AXIS = st.one_of(
     st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3),

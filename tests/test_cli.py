@@ -349,18 +349,21 @@ class TestRegion:
         assert "+" in flat and "-" in flat
 
     @pytest.mark.parametrize("mu", ["-0.5", "0"])
-    def test_ohmic_and_sub_ohmic_baths_diverge(self, tmp_path, capsys, mu):
-        # r(t) has no finite limit for mu <= 0, whatever the backend
+    def test_ohmic_and_sub_ohmic_baths_are_all_loss(self, tmp_path, capsys, mu):
+        # r(t) diverges for mu <= 0: every coherence dies and every ratio is 0
         path = tmp_path / "sub-ohmic.cfg"
         path.write_text(BENCHMARK_CONFIG.replace("mu = 0.01", f"mu = {mu}"), encoding="utf-8")
         code = main(
             ["region", "--config", str(path), "--plane", "alpha,lambda1",
-             "--x-range", "1e-5:0.02:4", "--y-range", "0.05:0.95:5"]
+             "--x-range", "1e-5:0.02:4", "--y-range", "0.05:0.95:5", "--refine-boundary"]
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert_one_error_line(err)
-        assert "diverges" in err
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["labels"] == [["-"] * 4] * 5
+        assert payload["gain_ratio"] == [[0.0] * 4] * 5
+        assert payload["boundary"] == []
 
     def test_zero_area_range(self, config_path, capsys):
         code = main(
@@ -444,13 +447,16 @@ class TestCritical:
         assert payload["lambda_c"] is None
 
     @pytest.mark.parametrize("mu", ["-0.5", "0"])
-    def test_ohmic_and_sub_ohmic_baths_diverge(self, tmp_path, capsys, mu):
+    def test_ohmic_and_sub_ohmic_baths_have_no_bracket(self, tmp_path, capsys, mu):
+        # the ratio is 0 at both bracket ends: no gain region, exit 3
         path = tmp_path / "sub-ohmic.cfg"
         path.write_text(BENCHMARK_CONFIG.replace("mu = 0.01", f"mu = {mu}"), encoding="utf-8")
-        assert main(["critical", "--config", str(path), "--bracket", "0.05:0.95"]) == 2
-        err = capsys.readouterr().err
-        assert_one_error_line(err)
-        assert "diverges" in err
+        assert main(["critical", "--config", str(path), "--bracket", "0.05:0.95"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["status"] == "no-bracket" and payload["lambda_c"] is None
+        assert (payload["ratio_lo"], payload["ratio_hi"]) == (0.0, 0.0)
 
     def test_inverted_bracket(self, config_path, capsys):
         assert main(["critical", "--config", config_path, "--bracket", "0.9:0.1"]) == 2

@@ -1,5 +1,6 @@
 """Gamma function, decay kernel, and quadrature primitives."""
 
+import io
 import math
 import re
 
@@ -706,9 +707,18 @@ class TestClosedFormBits:
 
 
 def test_quadrature_fuzz_counts_add_up():
-    # a smoke run of tests/fuzz_quadrature.py: 10 draws per t_max band
-    counts = fuzz_quadrature.fuzz(10, seed=0)
+    # a smoke run of tests/fuzz_quadrature.py: 10 draws per t_max band, and a
+    # long-time row for each served draw with mu > 0
+    out = io.StringIO()
+    counts = fuzz_quadrature.fuzz(10, seed=0, out=out)
     assert list(counts) == list(fuzz_quadrature.BANDS)
-    for count in counts.values():
+    lines = [line.split("\t") for line in out.getvalue().splitlines()]
+    assert len(lines) == 30
+    for band, count in counts.items():
         assert sum(count[outcome] for outcome in fuzz_quadrature.OUTCOMES) == 10
         assert sum(n for key, n in count.items() if key.startswith("raw: ")) == count["raw"]
+        # band, index, outcome, worst, long-time outcome, its worst, alpha, mu, ...
+        rows = sum(f[0] == band and f[2] == "served" and float(f[7]) > 0.0 for f in lines)
+        limits = [count["long-time " + outcome] for outcome in fuzz_quadrature.OUTCOMES]
+        assert sum(limits) == rows == sum(f[0] == band and f[4] != "-" for f in lines)
+    assert sum(count["long-time served"] for count in counts.values()) > 0

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qdephase import DomainError, dynamics, validation
+from qdephase import DomainError, bath, dynamics, validation
+from qdephase.cli import main
 
 
 @pytest.fixture
@@ -37,7 +38,8 @@ def profile_calls(monkeypatch):
             validation.check_physicality,
             lambda n: [("closed_form", n - n // 2), ("quadrature", n // 2)][: min(n, 2)],
         ),
-        (validation.check_overlap_consistency, lambda n: [("closed_form", n)]),
+        # s(0) comes from the quadrature's total moments, which need no plan
+        (validation.check_overlap_consistency, lambda n: []),
         (validation.check_distance_equivalence, lambda n: [("closed_form", n)]),
     ],
 )
@@ -149,3 +151,48 @@ def test_one_call_per_route_whatever_the_sample_count(monkeypatch, suite, expect
                 monkeypatch.setattr(module, name, counted(name, getattr(dynamics, name)))
     assert suite(samples).passed
     assert {k: v for k, v in calls.items() if v} == expected
+
+
+def test_overlap_identity_compares_two_routes():
+    # s(0) by quadrature against the closed-form overlap: a float compared
+    # with itself would read worst 0
+    result = validation.check_overlap_consistency(100)
+    assert result.passed and result.worst > 0.0
+
+
+@pytest.mark.parametrize("samples", [1, 5, 100])
+def test_one_table_of_total_moments(monkeypatch, samples):
+    # s(0) of every sample and the two long-time totals of the mu > 0 samples
+    calls = []
+    real = validation.total_moment
+
+    def counted(c, p, omega_c):
+        calls.append(np.size(c))
+        return real(c, p, omega_c)
+
+    monkeypatch.setattr(validation, "total_moment", counted)
+    results = validation.run_all(samples)
+    assert all(result.passed for result in results)
+    long_time = results[3]
+    assert long_time.name == "long-time-limits"
+    assert calls == [samples + 2 * long_time.samples]
+
+
+def _s_inf_without_s0(alpha, mu, omega_c, gamma_coef, nu):
+    s0, r_inf, s_inf = bath.limit_exponents(alpha, mu, omega_c, gamma_coef, nu)
+    return s0, r_inf, s_inf - s0
+
+
+def _r_inf_with_omega_c_to_mu_plus_1(alpha, mu, omega_c, gamma_coef, nu):
+    s0, r_inf, s_inf = bath.limit_exponents(alpha, mu, omega_c, gamma_coef, nu)
+    return s0, r_inf * omega_c, s_inf
+
+
+@pytest.mark.parametrize("mutation", [_s_inf_without_s0, _r_inf_with_omega_c_to_mu_plus_1])
+def test_a_mutated_long_time_route_fails_validate(monkeypatch, capsys, mutation):
+    monkeypatch.setattr(validation, "limit_exponents", mutation)
+    long_time = validation.run_all(100)[3]
+    assert long_time.samples > 50 and long_time.failures == long_time.samples
+    assert main(["validate", "--samples", "8"]) == 1
+    out = capsys.readouterr().out
+    assert "long-time-limits: FAIL" in out and "overlap-consistency: pass" in out

@@ -22,7 +22,6 @@ from .bath import (
     DisplacementSpec,
     ModelSpec,
     _ProfilePlan,
-    ground_coherent_overlap,
     limit_exponents,
 )
 from .dynamics import (
@@ -36,7 +35,7 @@ from .dynamics import (
     _pair_weights,
 )
 from .errors import DomainError, NoBracketError
-from .numerics import QuadratureSettings, all_true
+from .numerics import QuadratureSettings, all_true, gamma_moment
 
 __all__ = [
     "TimeGrid",
@@ -202,12 +201,14 @@ def _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normal
     """The scenario's checks, profile plan, overlap, pair weights and C_lambda,
     once; then ``evaluate(times)`` gives D, or with ``moduli`` ((r, s, phi), D,
     |A1|, |A2|), as distance_same_amplitudes and unphased_coherence_factor on
-    profile_at's profile would.  The overlap is exp(s0) of a closed-form plan
-    (ground_coherent_overlap's bits); a quadrature plan holds no Gamma moment."""
+    profile_at's profile would.  The overlap is exp(s0), ground_coherent_overlap's
+    bits; a quadrature plan holds no Gamma moment, so s0 is formed here."""
     InitialStateSpec(amps, lambda1), InitialStateSpec(amps, lambda2)
     b, d = model.bath, model.displacement
     plan = _ProfilePlan(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu, backend, settings)
-    overlap = ground_coherent_overlap(d, b.omega_c) if plan.s0 is None else float(np.exp(plan.s0))
+    # s0 of either plan: a DomainError where it overflows, as s(t) does
+    s0 = -gamma_moment(0.5 * d.gamma_coef, d.nu, b.omega_c) if plan.s0 is None else plan.s0
+    overlap = float(np.exp(s0))
     # the weights are checked above, and an overlap exp(s0), s0 <= 0, lies in [0, 1]
     weights = _pair_weights(lambda1, lambda2, overlap)
     c1, c2 = _normalization(lambda1, overlap), _normalization(lambda2, overlap)
@@ -227,6 +228,18 @@ def _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normal
     return evaluate
 
 
+def _overflows(c, p, omega_c) -> bool:
+    """gamma_moment(c, p, omega_c) of one element overflows a double."""
+    try:
+        gamma_moment(c, p, omega_c)
+    except DomainError:
+        return True
+    return False
+
+
+_OVERFLOWS = np.frompyfunc(_overflows, 3, 1)
+
+
 def _long_time_terms(alpha, mu, omega_c, gamma_coef, nu) -> tuple:
     """The gain ratio's weight-free terms (O, X, Y) = (e^s0, e^(-r_inf),
     e^(s_inf - r_inf)) elementwise over broadcastable valid bath parameters.
@@ -234,10 +247,22 @@ def _long_time_terms(alpha, mu, omega_c, gamma_coef, nu) -> tuple:
     For mu <= 0 r(t) diverges, and so does r - s >= Int (2g - f/2)^2 (1 -
     cos wt) dw: X = Y = 0.  Those elements form no Gamma of their limits
     (zero coupling and mu = 1 stand in), so no divergent limit overflows.
+    Where the overlap moment gamma_coef/2 * Gamma(nu) * omega_c**nu
+    overflows a double, O = 0, and so is Y, since r_inf - s_inf >= Int
+    f^2 / 4: once the Gamma route has raised, zero displacement stands in.
     """
     finite = mu > 0.0
     if all_true(finite):
-        s0, r_inf, s_inf = limit_exponents(alpha, mu, omega_c, gamma_coef, nu)
+        try:
+            s0, r_inf, s_inf = limit_exponents(alpha, mu, omega_c, gamma_coef, nu)
+        except DomainError:
+            with np.errstate(over="ignore"):
+                lost = np.asarray(_OVERFLOWS(0.5 * gamma_coef, nu, omega_c), dtype=bool)
+            if not lost.any():
+                raise
+            overlap, x, y = _long_time_terms(
+                alpha, mu, omega_c, np.where(lost, 0.0, gamma_coef), nu)
+            return np.where(lost, 0.0, overlap), x, np.where(lost, 0.0, y)
         return np.exp(s0), np.exp(-r_inf), np.exp(s_inf - r_inf)
     overlap, x, y = _long_time_terms(
         np.where(finite, alpha, 0.0), np.where(finite, mu, 1.0), omega_c, gamma_coef, nu

@@ -142,11 +142,16 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
     """Overlap of the ground and displaced environment states.
 
     Equals ``exp(-(1/2) * Int f^2) = exp(-gamma_coef*Gamma(nu)*omega_c**nu/2)``,
-    which is also ``exp(s(0))``.
+    which is also ``exp(s(0))``: exactly 0 where that moment overflows a
+    double (orthogonal branches).  s(t) itself is not finite there, so
+    profile_at and distance_series refuse such a model.
     """
     if not (math.isfinite(omega_c) and omega_c > 0.0):
         raise DomainError(f"omega_c must be positive, got {omega_c}")
-    return float(np.exp(-gamma_moment(0.5 * d.gamma_coef, d.nu, omega_c)))
+    try:
+        return float(np.exp(-gamma_moment(0.5 * d.gamma_coef, d.nu, omega_c)))
+    except DomainError:  # nu > 0: an overflow, not a pole
+        return 0.0
 
 
 class _ProfilePlan:

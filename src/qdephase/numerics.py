@@ -312,6 +312,12 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
 #             each term relative to F at its peak w0 = max(delta, (p-1)*omega_c)
 #             so that no term overflows before its exponential damps it.
 #
+# Both tanh-sinh rules take v = 1/(1 + e**(shift - k*z)), fitted per row to
+# where the integrand lives: a head with q > 1 centres on w = q*omega_c (when
+# delta is larger) and an envelope with p > 0 on w - delta = (1+p)*omega_c,
+# each with k = 1/sqrt(q) or 1/sqrt(1+p), the width of w**(q-1) e**(-w/omega_c)
+# about its peak in log w.  Other rows centre on omega_c with k = 1.
+#
 # delta sits on a zero of the trig factor, so every oscillatory tail is the
 # same sine integral.  An _Integral is one kind of quantity: its split, head
 # and tails.  A part is one kind over broadcast arguments, with one row per
@@ -326,29 +332,31 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
 # gate and the error report are shared, and so is every power: _de_table
 # fills each row's exponents and factors as table columns, and the sums form
 # each node power as the exponential of a log, whatever the parameters' type.
-# A smooth factor runs once per part.  Each row leaves the loop at its own
-# level, so its value does not depend on the other rows (a batch row equals
-# its one-model call to the bit), and the table runs in equal blocks of at
-# most _BLOCK rows, which bound the [rows x nodes] temporaries of long arrays.
+# A smooth factor runs once per run of adjacent parts that share it.  Each
+# row leaves the loop at its own level, so its value does not depend on the
+# other rows (a batch row equals its one-model call to the bit), and the
+# table runs in equal blocks of at most _BLOCK rows, which bound the [rows x
+# nodes] temporaries of long arrays.
 #
 # The loop runs the levels in passes (0, 1), (2,), (3,), ...: most rows leave
 # at level 1, so the first pass evaluates two levels at once.  Level 0's
 # tanh-sinh nodes are level 1's even nodes and its weights twice theirs, bit
-# for bit (ceil(3.2/h) and ceil(4.5/h) double when h halves), so the head and
-# the envelope run on level 1's nodes and level 0's sum is twice the
-# even-column sum (Takahasi and Mori, Publ. RIMS 9 (1974) 721).  The
-# Ooura-Mori nodes do not nest: the sine tail runs on both levels' nodes side
-# by side.  Level 0 has no level before it to agree with, so only the last
-# level of a pass can accept a row, and every row leaves at the level it
-# would one level at a time.
+# for bit (ceil(3.2/h) and ceil(4.5/h) double when h halves, and k*z scales
+# both alike), so the head and the envelope run on level 1's nodes and level
+# 0's sum is twice the even-column sum (Takahasi and Mori, Publ. RIMS 9
+# (1974) 721).  The Ooura-Mori nodes do not nest: the sine tail runs on both
+# levels' nodes side by side.  Level 0 has no level before it to agree with,
+# so only the last level of a pass can accept a row, and every row leaves at
+# the level it would one level at a time.
 
 # Rows of a DE table that go through the level loop together.
 _BLOCK = 128
 
 # Fields of a DE table, one value per row each: the row's time, split point and
 # arguments, and what the head, envelope and sine take from them at every level.
-(_T, _DELTA, _C, _WC, _P, _HEAD_SHIFT, _TAIL_SHIFT, _HEAD_FACTOR, _TAIL_FACTOR, _TAIL_EXPONENT,
- _SINE_FACTOR, _SINE_PEAK, _HEAD_POWER, _NODE_POWER, _SINE_POWER, _FIELDS) = range(16)
+(_T, _DELTA, _C, _WC, _P, _HEAD_SHIFT, _TAIL_SHIFT, _HEAD_SCALE, _TAIL_SCALE, _HEAD_FACTOR,
+ _TAIL_FACTOR, _TAIL_EXPONENT, _SINE_FACTOR, _SINE_PEAK, _HEAD_POWER, _NODE_POWER, _SINE_POWER,
+ _FIELDS) = range(18)
 
 
 @cache
@@ -366,16 +374,19 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _unit_nodes(level: int, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes v = 1/(1 + e**(shift - z)) on (0, 1) and weights, one row per shift.
+def _unit_nodes(level: int, shift: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes v = 1/(1 + e**(shift - k*z)) on (0, 1) and weights, one row per
+    shift and scale k.
 
     The shift moves the centre of the rule to v = 1/(1 + e**shift), where
-    the integrand of that row has its scale.
+    the integrand of that row has its peak, and k fits the rule to the
+    peak's width; the factor k of dv/dz is in the row factor, not here.
     """
     z, dz = _tanh_sinh(level)
     # in place: the [rows x nodes] temporaries of a table are its largest
-    # allocations; the weights are dz * e**(shift - z) * v * v
-    ez = shift - z
+    # allocations; the weights are dz * e**(shift - k*z) * v * v
+    ez = np.multiply(z, scale)
+    np.subtract(shift, ez, out=ez)
     np.exp(ez, out=ez)
     v = 1.0 + ez
     np.divide(1.0, v, out=v)
@@ -484,16 +495,20 @@ def _de_table(pieces: list, bounds: list[int]) -> np.ndarray:
             rows[_SINE_FACTOR] = integral.sine_sign / t
     delta, wc, p, q = table[_DELTA], table[_WC], table[_P], table[_HEAD_POWER]
     # w = delta*v**(1/r) absorbs the head's endpoint power w**(q-1)
-    r = np.minimum(q, 1.0)
-    table[_HEAD_FACTOR] = delta ** q / r
+    r, q_peak = np.minimum(q, 1.0), np.maximum(q, 1.0)
+    k = table[_HEAD_SCALE] = q_peak ** -0.5
+    table[_HEAD_FACTOR] = delta ** q / r * k
     table[_HEAD_POWER], table[_NODE_POWER], table[_SINE_POWER] = q / r - 1.0, 1.0 / r, p - 1.0
-    # centre the head where w = delta*v**(1/r) reaches omega_c when delta is
-    # larger, the envelope tail where w = delta/v does (clipped so that
-    # e**(shift - z) stays finite)
-    table[_HEAD_SHIFT] = np.minimum(r * np.log1p(delta / wc), 650.0)
+    # centre the head where w = delta*v**(1/r) reaches max(q, 1)*omega_c when
+    # delta is larger, the envelope tail where w = delta/v reaches delta + (1 +
+    # max(p, 0))*omega_c, and narrow each by k to the width of its peak
+    # (shifts clipped so that e**(shift - k*z) stays finite)
+    table[_HEAD_SHIFT] = np.minimum(r * np.log1p(delta / wc / q_peak), 650.0)
     env = slice(bounds[sum(not piece[0].envelope for piece in pieces)], None)
-    table[_TAIL_FACTOR, env] = delta[env] ** p[env]
-    table[_TAIL_SHIFT, env] = np.minimum(np.log(wc[env] / delta[env]), 650.0)
+    p_peak = 1.0 + np.maximum(p[env], 0.0)
+    k = table[_TAIL_SCALE, env] = p_peak ** -0.5
+    table[_TAIL_FACTOR, env] = delta[env] ** p[env] * k
+    table[_TAIL_SHIFT, env] = np.minimum(np.log(wc[env] / delta[env]) + np.log(p_peak), 650.0)
     table[_TAIL_EXPONENT, env] = -(p[env] + 1.0)
     sine = slice(0, bounds[sum(bool(piece[0].sine_sign) for piece in pieces)])
     w0 = table[_SINE_PEAK, sine] = np.maximum(delta[sine], (p[sine] - 1.0) * wc[sine])
@@ -506,8 +521,12 @@ def _spans(pieces: list, bounds: list[int], rows: np.ndarray) -> tuple:
     of table rows ``rows``, and ``(slice, g)`` of each piece in it with a
     smooth head factor g."""
     starts = np.searchsorted(rows, bounds).tolist()
-    spans = [(slice(a, b), piece[0].g)
-             for piece, a, b in zip(pieces, starts, starts[1:]) if a < b and piece[0].g]
+    spans = []
+    for piece, a, b in zip(pieces, starts, starts[1:]):
+        if a < b and piece[0].g:
+            if spans and spans[-1][1] is piece[0].g:  # adjacent pieces of one g: one call
+                a = spans.pop()[0].start
+            spans.append((slice(a, b), piece[0].g))
     n_sine_only = sum(not piece[0].envelope for piece in pieces)
     n_sine = sum(bool(piece[0].sine_sign) for piece in pieces)
     return slice(starts[n_sine_only], starts[-1]), slice(0, starts[n_sine]), spans
@@ -526,7 +545,7 @@ def _head_sums(levels: tuple[int, ...], m: np.ndarray, spans: list) -> np.ndarra
     """The head sums of the table rows ``m`` at ``levels``, one column each:
     the tanh-sinh sums of ``e**((q/r - 1) log v - w/omega_c) g(w, t)`` at
     ``w = delta*e**(log(v)/r)``."""
-    v, dv = _unit_nodes(levels[-1], m[_HEAD_SHIFT])
+    v, dv = _unit_nodes(levels[-1], m[_HEAD_SHIFT], m[_HEAD_SCALE])
     log_v = np.log(v, out=v)
     w = log_v * m[_NODE_POWER]
     np.exp(w, out=w)
@@ -543,7 +562,7 @@ def _head_sums(levels: tuple[int, ...], m: np.ndarray, spans: list) -> np.ndarra
 def _envelope_sums(levels: tuple[int, ...], m: np.ndarray) -> np.ndarray:
     """The envelope tail sums of the table rows ``m`` at ``levels``: the
     tanh-sinh sums of ``e**(-(p+1) log v - delta/(omega_c v))``."""
-    v, dv = _unit_nodes(levels[-1], m[_TAIL_SHIFT])
+    v, dv = _unit_nodes(levels[-1], m[_TAIL_SHIFT], m[_TAIL_SCALE])
     x = np.log(v)
     x *= m[_TAIL_EXPONENT]
     v *= m[_WC]

@@ -19,6 +19,10 @@ outcomes: ``limit_exponents``, the Gamma route of the gain ratio, against
 the quadrature's total moments r(inf) = total(4 alpha, mu) and s(inf) =
 total(2 sqrt(alpha gamma_coef), kappa) - total(gamma_coef/2, nu), at the
 same tolerance.
+
+Per band, the run also counts the DE table rows that enter each level of
+the quadrature's level loop (``"level N"``), over the profile and long-time
+rows alike: a row that leaves at level 1 has entered levels 0 and 1.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from qdephase import (
     DomainError,
     ModelSpec,
     QDephaseError,
+    numerics,
     profile_at,
     total_moment,
 )
@@ -123,19 +128,39 @@ def run_limits(params: dict) -> tuple[str, str, float]:
     return _compare(quadrature, lambda: np.array(limit_exponents(*params.values())[1:]))
 
 
+@contextlib.contextmanager
+def _levels_into(count: Counter):
+    """While active, add the rows entering each DE level to ``count["level N"]``:
+    a spy on numerics._head_sums, which every row runs at every level it enters."""
+    real = numerics._head_sums
+
+    def spy(levels, m, *rest):
+        for level in levels:
+            count[f"level {level}"] += m.shape[1]
+        return real(levels, m, *rest)
+
+    numerics._head_sums = spy
+    try:
+        yield
+    finally:
+        numerics._head_sums = real
+
+
 def fuzz(draws: int, seed: int = 0, out=None) -> dict[str, Counter]:
     """Outcome counts per band over ``draws`` draws per band, the long-time
-    rows' keyed ``"long-time " + outcome``; one line per draw to ``out``
-    (band, index, outcome, worst-of-tol, long-time outcome and worst-of-tol
-    or '-' and nan, parameters, t_max, detail), tab-separated."""
+    rows' keyed ``"long-time " + outcome``, and the rows entering each DE
+    level keyed ``"level N"``; one line per draw to ``out`` (band, index,
+    outcome, worst-of-tol, long-time outcome and worst-of-tol or '-' and nan,
+    parameters, t_max, detail), tab-separated."""
     counts = {}
     for band in BANDS:
         count = counts[band] = Counter({p + o: 0 for p in PREFIXES for o in OUTCOMES})
         for index in range(draws):
             params, times = draw(seed, band, index)
-            rows = {"": run_draw(params, times)}
-            if rows[""][0] == "served" and params["mu"] > 0.0:
-                rows["long-time "] = run_limits(params)
+            with _levels_into(count):
+                rows = {"": run_draw(params, times)}
+                if rows[""][0] == "served" and params["mu"] > 0.0:
+                    rows["long-time "] = run_limits(params)
             for prefix, (outcome, detail, worst) in rows.items():
                 count[prefix + outcome] += 1
                 worst = 0.0 if math.isnan(worst) else worst
@@ -168,6 +193,9 @@ def main(argv=None) -> int:
                   + f", worst-of-tol {count[prefix + 'worst']:.3e}")
             for key in sorted(k for k in count if k.startswith(prefix + "raw: ")):
                 print(f"  {count[key]:4d} {key}")
+        levels = sorted(int(k.split()[1]) for k in count if k.startswith("level "))
+        print("  rows entering each level: "
+              + ", ".join(f"{level}: {count[f'level {level}']}" for level in levels))
     return 0
 
 

@@ -176,3 +176,17 @@ SCENARIO_DIP_D = 0.0025234069067445
 STRONG_R_INF = 3.9773034047660241
 STRONG_S_INF = 0.97943756635521723
 STRONG_GAIN = 0.43238611473651516
+
+# DE rows that leave the level loop at level 1 once fitted to their peaks,
+# at the double arguments of the calls: the cosine part of each kernel and
+# the sine moment by direct quadrature over half periods of the trig factor
+# up to 150 omega_c, the total moments by direct quadrature, each equal to
+# the Gamma closed form to 40 digits.
+# kernel c=0.04, p=1.8, omega_c=1, t=1100
+KERNEL_1_8_AT_1100 = 0.037255469595404983277565
+# kernel c=1, p=10, omega_c=1, t=10
+KERNEL_10_AT_10 = 362880.00001875106732835
+# total moment c=0.5, p=1.9, omega_c=0.97
+TOTAL_1_9 = 0.45384300227946090034794
+# sine moment c=1, p=1.35, omega_c=1, t=3e-3
+SINE_1_35_AT_3E_3 = 0.0036091207209371607383787

@@ -332,6 +332,16 @@ class TestGainRatio:
         with pytest.raises(DomainError, match="overflows"):
             gain_ratio(huge, 0.25, 0.0)
 
+    @pytest.mark.parametrize("mu", [-0.8, 0.5])
+    def test_overflowing_overlap_moment_gives_orthogonal_branches(self, mu):
+        # 0.00459 * Gamma(29) * 4.48e42**29 overflows a double: O = 0, and Y = 0
+        # too (r_inf - s_inf >= Int f^2 / 4), so the ratio is e^-r(inf), ~1 here
+        # (r_inf ~ 3e-50), or 0 for mu <= 0
+        model = ModelSpec(1.0, BathSpec(1.93e-72, mu, 4.48e42), DisplacementSpec(0.00918, 29.0))
+        assert gain_ratio(model, 0.25, 0.0) == (1.0 if mu > 0.0 else 0.0)
+        with pytest.raises(NoBracketError):
+            find_lambda_c(model)
+
     def test_orthogonal_displaced_branches(self, benchmark_model):
         # gamma = 1e6 underflows the overlap e^s(0) to 0, and e^s(t) stays 0:
         # A_lam(t) = (1 - lam) e^-r(t) / C_lam, so D(t) = D(0) e^-r(t) and the
@@ -1347,7 +1357,7 @@ class TestFindExtremum:
         plan_init, moment = bath._ProfilePlan.__init__, numerics.gamma_moment
         monkeypatch.setattr(
             bath._ProfilePlan, "__init__", lambda *a: plans.append(a) or plan_init(*a))
-        for module in (bath, numerics):
+        for module in (analysis, bath, numerics):
             monkeypatch.setattr(module, "gamma_moment", lambda *a: moments.append(a) or moment(*a))
         rounds = set()
         for grid in (TimeGrid("log", 1e-3, 1e4, 12), TimeGrid("log", 1.0, 1e4, 60),

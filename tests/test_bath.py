@@ -21,7 +21,9 @@ from qdephase import (
     KernelArgs,
     ModelSpec,
     QuadratureSettings,
+    TimeGrid,
     bath,
+    distance_series,
     ground_coherent_overlap,
     kernel_by_quadrature,
     numerics,
@@ -101,6 +103,19 @@ class TestOverlap:
     def test_unit_parameters(self):
         d = DisplacementSpec(gamma_coef=1.0, nu=1.0)
         assert ground_coherent_overlap(d, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-13)
+
+    def test_overflowing_moment_gives_orthogonal_branches(self):
+        # 0.00459 * Gamma(29) * 4.48e42**29 overflows a double: the overlap is 0,
+        # while s(t) is not finite, so a profile or a series is still refused
+        d = DisplacementSpec(0.00918, 29.0)
+        assert ground_coherent_overlap(d, 4.48e42) == 0.0
+        model = ModelSpec(1.0, BathSpec(1.93e-72, 0.5, 4.48e42), d)
+        with pytest.raises(DomainError, match="overflows a double"):
+            profile_at(model, 1e-40)
+        for backend in ("closed_form", "quadrature"):
+            with pytest.raises(DomainError, match="overflows a double"):
+                distance_series(model, 0.25, 0.0, grid=TimeGrid("linear", 0.0, 1e-43, 3),
+                                backend=backend)
 
     def test_quadrature_cross_check(self):
         # exp(-(1/2) Int f^2) with the integral done numerically
@@ -601,9 +616,10 @@ class TestQuadratureTable:
 
     def test_mixed_table_equals_each_part_alone(self, monkeypatch):
         # array alpha and mu, float gamma, nu and omega_c; at these times rows
-        # leave at levels 1 and 2
+        # leave at levels 1 and 2 (the last, at mu = -0.46 and t = 1e5: a
+        # sub-ohmic kernel at omega_c t >~ 1e3 needs level 2)
         rng = np.random.default_rng(5)
-        t = np.geomspace(1e-3, 1e4, 40)
+        t = np.geomspace(1e-3, 1e5, 40)
         alpha, mu = 10.0 ** rng.uniform(-4.0, 0.0, t.size), rng.uniform(-0.9, 2.0, t.size)
         gamma_coef, nu, omega_c = 0.05, 0.5, 1.0
         counts = []  # rows of each part in the block, whenever rows have left

@@ -45,6 +45,17 @@ lambda2 = 0
 
 STRONG_CONFIG = BENCHMARK_CONFIG.replace("alpha = 0.0025", "alpha = 0.05")
 
+# gamma/2 * Gamma(nu) * omega_c**nu overflows a double: orthogonal branches
+ORTHOGONAL_CONFIG = """
+alpha = 1.93e-72
+mu = 0.5
+omega_c = 4.48e42
+gamma = 0.00918
+nu = 29.0
+lambda1 = 0.25
+lambda2 = 0
+"""
+
 BENCHMARK_MODEL = ModelSpec(
     epsilon=1.0,
     bath=BathSpec(alpha=0.0025, mu=0.01, omega_c=1.0),
@@ -348,6 +359,16 @@ class TestRegion:
         flat = [c for row in payload["labels"] for c in row]
         assert "+" in flat and "-" in flat
 
+    def test_overflowing_overlap_moment_is_served(self, tmp_path, capsys):
+        # the overlap is 0: ratio e^-r(inf) = 1.0 above the ohmic point, 0 below
+        path = tmp_path / "orthogonal.cfg"
+        path.write_text(ORTHOGONAL_CONFIG, encoding="utf-8")
+        code = main(["region", "--config", str(path), "--plane", "lambda1,mu",
+                     "--x-range", "0.05:0.95:3", "--y-range=-0.5:0.5:3"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["gain_ratio"] == [[0.0] * 3, [0.0] * 3, [1.0] * 3]
+
     @pytest.mark.parametrize("mu", ["-0.5", "0"])
     def test_ohmic_and_sub_ohmic_baths_are_all_loss(self, tmp_path, capsys, mu):
         # r(t) diverges for mu <= 0: every coherence dies and every ratio is 0
@@ -445,6 +466,14 @@ class TestCritical:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "no-bracket"
         assert payload["lambda_c"] is None
+
+    def test_overflowing_overlap_moment_has_no_bracket(self, tmp_path, capsys):
+        path = tmp_path / "orthogonal.cfg"
+        path.write_text(ORTHOGONAL_CONFIG, encoding="utf-8")
+        assert main(["critical", "--config", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "no-bracket"
+        assert (payload["ratio_lo"], payload["ratio_hi"]) == (1.0, 1.0)
 
     @pytest.mark.parametrize("mu", ["-0.5", "0"])
     def test_ohmic_and_sub_ohmic_baths_have_no_bracket(self, tmp_path, capsys, mu):

@@ -536,17 +536,22 @@ class TestPairedFirstPass:
 
     # values as float.hex, and the rows of the table at each level: every row
     # leaves where it did one level at a time.  Re-recorded when the DE powers
-    # became exponentials of logs: 1-2 ulps, 19 at the smallest phi
+    # became exponentials of logs (1-2 ulps, 19 at the smallest phi), and when
+    # head rows with q > 1 and envelope rows with p > 0 were fitted to their
+    # peaks (up to 16 ulps; gamma = 0 now leaves at level 1).  Three rows
+    # still leave at level 2: sub-ohmic kernels at omega_c t >= 2e3 (r at
+    # p = -0.5, t = 2e3 and 1e4; s at p = -0.05, t = 1e4), whose envelope
+    # keeps the unit rule
     PROFILES = {
         "sub-ohmic, t = 0": (
             ModelSpec(1.0, BathSpec(0.02, -0.5, 1.0), DisplacementSpec(0.05, 0.5)),
             [0.0, 0.01, 1.0, 100.0, 3000.0],
             {0: 13, 1: 13},
             (
-                ["0x0.0p+0", "0x1.dbc64b88dc913p-19", "0x1.ca8626ee923edp-6",
+                ["0x0.0p+0", "0x1.dbc64b88dc923p-19", "0x1.ca8626ee923edp-6",
                  "0x1.bb54b80591108p+0", "0x1.567498951853ep+3"],
-                ["-0x1.6affa0e2a5926p-5", "-0x1.6af8ff3c3e7ecp-5", "-0x1.6edf4eb44b17ep-6",
-                 "0x1.f9c00eb828f88p-3", "0x1.d925280ecbe5fp-2"],
+                ["-0x1.6affa0e2a5923p-5", "-0x1.6af8ff3c3e7e9p-5", "-0x1.6edf4eb44b179p-6",
+                 "0x1.f9c00eb828f89p-3", "0x1.d925280ecbe5ep-2"],
                 ["0x0.0p+0", "0x1.4b93ea496173ap-12", "0x1.96ebb55021925p-6",
                  "0x1.94548d7b8ecf2p-5", "0x1.96d59a3269294p-5"],
             ),
@@ -554,24 +559,24 @@ class TestPairedFirstPass:
         "gamma = 0": (
             ModelSpec(0.5, BathSpec(0.01, 1.0, 2.0), DisplacementSpec(0.0, 0.5)),
             [0.5, 20.0],
-            {0: 2, 1: 2, 2: 2},
+            {0: 2, 1: 2},
             (
-                ["0x1.47ae147ae147bp-5", "0x1.4779af172f7d7p-4"],
+                ["0x1.47ae147ae147bp-5", "0x1.4779af172f7dap-4"],
                 ["0x0.0p+0", "0x0.0p+0"],
                 ["0x0.0p+0", "0x0.0p+0"],
             ),
         ),
         "three rows leave at level 2": (
-            ModelSpec(0.0, BathSpec(0.003, 0.7, 1.0), DisplacementSpec(0.02, 1.3)),
-            [1e-3, 0.2, 7.0, 1e4],
+            ModelSpec(0.0, BathSpec(0.003, -0.5, 1.0), DisplacementSpec(0.02, 0.4)),
+            [1e-3, 0.2, 2e3, 1e4],
             {0: 13, 1: 13, 2: 3},
             (
-                ["0x1.3e73226cd37ffp-27", "0x1.783becae93564p-12", "0x1.b84eed4de479cp-7",
-                 "0x1.fe0c7f4ad036cp-7"],
-                ["-0x1.26152b2e1ce9fp-7", "-0x1.128f00142aa4dp-7", "0x1.96ceaf65b6f2ep-8",
-                 "0x1.ab1ce9ad3efe4p-8"],
-                ["0x1.03e947dc1c34bp-17", "0x1.867df7665daddp-10", "0x1.1c47393a236dcp-10",
-                 "0x1.9fdbc12825af5p-21"],
+                ["0x1.6d67fc061dbd3p-28", "0x1.b89754f34fdc6p-13", "0x1.4d911a487e7dbp+0",
+                 "0x1.7b97a5f6731aap+1"],
+                ["-0x1.6b6c529834208p-6", "-0x1.668abe131e3b4p-6", "0x1.fc78b7082be4ep-4",
+                 "0x1.4e31349684c10p-3"],
+                ["0x1.0c16257621021p-17", "0x1.9dd4501bd2d53p-10", "0x1.2c48a9b26b266p-6",
+                 "0x1.4587a57f74bdbp-6"],
             ),
         ),
     }
@@ -609,13 +614,40 @@ class TestPairedFirstPass:
 
     @pytest.mark.parametrize("call,want", [
         (lambda t: kernel_by_quadrature(KernelArgs(0.2, -0.3, 1.5, t)),
-         ["0x0.0p+0", "0x1.556a41b33c30dp-13", "0x1.ed951ab71c9edp-3", "0x1.0d690e431009ap+2"]),
+         ["0x0.0p+0", "0x1.556a41b33c30ep-13", "0x1.ed951ab71c9edp-3", "0x1.0d690e431009ap+2"]),
         (lambda t: sine_moment(0.2, 0.4, 1.5, t),
-         ["0x0.0p+0", "0x1.3363d5373e33ap-7", "0x1.4300d1bf8a850p-3", "0x1.636e1e33849fcp-6"]),
-        (lambda t: total_moment(0.2, 0.4, 1.5), ["0x1.0b2250c59d6ebp-1"]),
+         ["0x0.0p+0", "0x1.3363d5373e33ap-7", "0x1.4300d1bf8a850p-3", "0x1.636e1e33849fap-6"]),
+        (lambda t: total_moment(0.2, 0.4, 1.5), ["0x1.0b2250c59d6e9p-1"]),
     ], ids=["kernel", "sin", "total"])
     def test_one_part_bits(self, call, want):
         assert _hexes(call(self.T)) == want
+
+    # a head with q <= 1 (the sine moment's q = p + 1 at p <= 0) and an
+    # envelope with p <= 0 take the rule centred at omega_c with k = 1 exactly:
+    # their bits are the unit rule's
+    def test_rows_under_the_unit_rule_keep_their_bits(self, monkeypatch):
+        assert _hexes(sine_moment(0.2, -0.4, 1.5, self.T)) == [
+            "0x0.0p+0", "0x1.754e960bb8edcp-7", "0x1.ec44ab79c9124p-2", "0x1.50316558a05a6p+2"]
+        envelopes = []
+        real = numerics._envelope_sums
+        monkeypatch.setattr(numerics, "_envelope_sums",
+                            lambda levels, m: envelopes.append(real(levels, m)) or envelopes[-1])
+        kernel_by_quadrature(KernelArgs(0.2, -0.3, 1.5, self.T))
+        assert [_hexes(sums[:, -1]) for sums in envelopes] == [
+            ["0x1.610630a01c4e4p-56", "0x1.c801fa6a100bbp-2", "0x1.54036b9378c20p+1"]]
+
+    # rows that the unit rule takes to level 2 or more; references as in
+    # oracles.py
+    @pytest.mark.parametrize("call,want", [
+        (lambda: kernel_by_quadrature(KernelArgs(0.04, 1.8, 1.0, 1100.0)),
+         oracles.KERNEL_1_8_AT_1100),
+        (lambda: total_moment(0.5, 1.9, 0.97), oracles.TOTAL_1_9),
+        (lambda: sine_moment(1.0, 1.35, 1.0, 3e-3), oracles.SINE_1_35_AT_3E_3),
+        (lambda: kernel_by_quadrature(KernelArgs(1.0, 10.0, 1.0, 10.0)), oracles.KERNEL_10_AT_10),
+    ], ids=["kernel-1.8", "total-1.9", "sin-1.35", "kernel-10"])
+    def test_peak_fitted_row_leaves_at_level_one(self, sums, call, want):
+        assert call() == pytest.approx(want, rel=1e-13)
+        assert [levels for f, levels, *_ in sums if f == "_head_sums"] == [(0, 1)]
 
     @pytest.mark.parametrize("name", PROFILES)
     def test_paired_pass_equals_each_level_alone(self, sums, name):
@@ -722,3 +754,6 @@ def test_quadrature_fuzz_counts_add_up():
         limits = [count["long-time " + outcome] for outcome in fuzz_quadrature.OUTCOMES]
         assert sum(limits) == rows == sum(f[0] == band and f[4] != "-" for f in lines)
     assert sum(count["long-time served"] for count in counts.values()) > 0
+    # every row enters levels 0 and 1 together, and the spy is gone afterwards
+    assert all(count["level 0"] == count["level 1"] > 0 for count in counts.values())
+    assert numerics._head_sums.__module__ == "qdephase.numerics"

@@ -228,18 +228,6 @@ def _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normal
     return evaluate
 
 
-def _overflows(c, p, omega_c) -> bool:
-    """gamma_moment(c, p, omega_c) of one element overflows a double."""
-    try:
-        gamma_moment(c, p, omega_c)
-    except DomainError:
-        return True
-    return False
-
-
-_OVERFLOWS = np.frompyfunc(_overflows, 3, 1)
-
-
 def _long_time_terms(alpha, mu, omega_c, gamma_coef, nu) -> tuple:
     """The gain ratio's weight-free terms (O, X, Y) = (e^s0, e^(-r_inf),
     e^(s_inf - r_inf)) elementwise over broadcastable valid bath parameters.
@@ -248,21 +236,11 @@ def _long_time_terms(alpha, mu, omega_c, gamma_coef, nu) -> tuple:
     cos wt) dw: X = Y = 0.  Those elements form no Gamma of their limits
     (zero coupling and mu = 1 stand in), so no divergent limit overflows.
     Where the overlap moment gamma_coef/2 * Gamma(nu) * omega_c**nu
-    overflows a double, O = 0, and so is Y, since r_inf - s_inf >= Int
-    f^2 / 4: once the Gamma route has raised, zero displacement stands in.
+    overflows a double, limit_exponents' s0 = s_inf = -inf give O = Y = 0.
     """
     finite = mu > 0.0
     if all_true(finite):
-        try:
-            s0, r_inf, s_inf = limit_exponents(alpha, mu, omega_c, gamma_coef, nu)
-        except DomainError:
-            with np.errstate(over="ignore"):
-                lost = np.asarray(_OVERFLOWS(0.5 * gamma_coef, nu, omega_c), dtype=bool)
-            if not lost.any():
-                raise
-            overlap, x, y = _long_time_terms(
-                alpha, mu, omega_c, np.where(lost, 0.0, gamma_coef), nu)
-            return np.where(lost, 0.0, overlap), x, np.where(lost, 0.0, y)
+        s0, r_inf, s_inf = limit_exponents(alpha, mu, omega_c, gamma_coef, nu)
         return np.exp(s0), np.exp(-r_inf), np.exp(s_inf - r_inf)
     overlap, x, y = _long_time_terms(
         np.where(finite, alpha, 0.0), np.where(finite, mu, 1.0), omega_c, gamma_coef, nu

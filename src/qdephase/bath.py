@@ -25,6 +25,7 @@ once; a distance series and its extremum zoom rounds keep one plan.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -144,14 +145,33 @@ def ground_coherent_overlap(d: DisplacementSpec, omega_c: float) -> float:
     Equals ``exp(-(1/2) * Int f^2) = exp(-gamma_coef*Gamma(nu)*omega_c**nu/2)``,
     which is also ``exp(s(0))``: exactly 0 where that moment overflows a
     double (orthogonal branches).  s(t) itself is not finite there, so
-    profile_at and distance_series refuse such a model.
+    profile_at, profile_limit and distance_series refuse such a model.  A
+    DomainError where the moment is a double but Gamma(nu) or omega_c**nu
+    is not.
     """
     if not (math.isfinite(omega_c) and omega_c > 0.0):
         raise DomainError(f"omega_c must be positive, got {omega_c}")
+    return float(np.exp(_log_overlap(d.gamma_coef, d.nu, omega_c)))
+
+
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# log Gamma elementwise (numpy has none); inf past ~2.5e305, where math's overflows
+_LGAMMA = np.frompyfunc(lambda x: math.lgamma(x) if x < 1e305 else math.inf, 1, 1)
+
+
+def _log_overlap(gamma_coef, nu, omega_c):
+    """s(0) = -gamma_coef/2 * Gamma(nu) * omega_c**nu elementwise over valid
+    parameters, and -inf where the log of that moment exceeds a double's
+    (overlap 0).  The log is formed only once the moment has raised; where
+    it is in range but a factor is not, the DomainError stands."""
+    c = 0.5 * gamma_coef
     try:
-        return float(np.exp(-gamma_moment(0.5 * d.gamma_coef, d.nu, omega_c)))
-    except DomainError:  # nu > 0: an overflow, not a pole
-        return 0.0
+        return -gamma_moment(c, nu, omega_c)
+    except DomainError:
+        with np.errstate(divide="ignore"):  # c = 0: log 0 = -inf, in range
+            log_moment = np.log(c) + np.asarray(_LGAMMA(nu), dtype=float) + nu * np.log(omega_c)
+        lost = log_moment > _LOG_DOUBLE_MAX
+        return np.where(lost, -math.inf, -gamma_moment(np.where(lost, 0.0, c), nu, omega_c))
 
 
 class _ProfilePlan:
@@ -245,12 +265,19 @@ def limit_exponents(alpha, mu, omega_c, gamma_coef, nu):
     """``(s(0), r(inf), s(inf))`` elementwise over broadcastable, validated
     parameters with mu > 0; s(0) is the log overlap.  For mu <= 0 r(t) has
     no finite limit: callers refuse (profile_limit) or mask those elements.
+    Where the overlap moment overflows a double, s(0) = s(inf) = -inf, since
+    s(inf) <= r(inf) - Int f^2 / 4 (2 g f <= 4 g^2 + f^2 / 4): e**s(0) and
+    e**(s(inf) - r(inf)) are 0 there.
     """
     # a prefactor that overflows is inf, which gamma_moment refuses
     with np.errstate(over="ignore"):
-        s0 = -gamma_moment(0.5 * gamma_coef, nu, omega_c)
+        s0 = _log_overlap(gamma_coef, nu, omega_c)
         r_inf = gamma_moment(4.0 * alpha, mu, omega_c)
-        s_inf = gamma_moment(2.0 * np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu), omega_c) + s0
+        c, kappa = 2.0 * np.sqrt(alpha * gamma_coef), 0.5 * (mu + nu)
+        try:
+            s_inf = gamma_moment(c, kappa, omega_c) + s0
+        except DomainError:  # where s0 = -inf this moment may overflow too: 0 stands in
+            s_inf = gamma_moment(np.where(s0 > -math.inf, c, 0.0), kappa, omega_c) + s0
     return s0, r_inf, s_inf
 
 
@@ -268,6 +295,11 @@ def profile_limit(m: ModelSpec) -> DecoherenceProfile:
             "all coherences vanish and the long-time distance limit is 0"
         )
     _, r_inf, s_inf = limit_exponents(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu)
+    if s_inf == -math.inf:
+        raise DomainError(
+            f"{0.5 * d.gamma_coef} * gamma({d.nu}) * {b.omega_c}**{d.nu} overflows a double: "
+            "s(t) is not finite"
+        )
     return DecoherenceProfile(
         t=math.inf, r=float(r_inf), s=float(s_inf), phi=0.0, backend="closed_form"
     )

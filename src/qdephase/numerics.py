@@ -316,7 +316,8 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
 # where the integrand lives: a head with q > 1 centres on w = q*omega_c (when
 # delta is larger) and an envelope with p > 0 on w - delta = (1+p)*omega_c,
 # each with k = 1/sqrt(q) or 1/sqrt(1+p), the width of w**(q-1) e**(-w/omega_c)
-# about its peak in log w.  Other rows centre on omega_c with k = 1.
+# about its peak in log w, down to k = 1/4 (_PEAK_CAP).  Other rows centre
+# on omega_c with k = 1.
 #
 # delta sits on a zero of the trig factor, so every oscillatory tail is the
 # same sine integral.  An _Integral is one kind of quantity: its split, head
@@ -351,6 +352,10 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
 
 # Rows of a DE table that go through the level loop together.
 _BLOCK = 128
+
+# Cap of the peak power that sets a row's k = power**-0.5: at k >= 1/4 the
+# rule's v -> 1 end, k*pi*sinh(4.5) >= 35, leaves out e**-35 of w's range.
+_PEAK_CAP = 16.0
 
 # Fields of a DE table, one value per row each: the row's time, split point and
 # arguments, and what the head, envelope and sine take from them at every level.
@@ -496,7 +501,7 @@ def _de_table(pieces: list, bounds: list[int]) -> np.ndarray:
     delta, wc, p, q = table[_DELTA], table[_WC], table[_P], table[_HEAD_POWER]
     # w = delta*v**(1/r) absorbs the head's endpoint power w**(q-1)
     r, q_peak = np.minimum(q, 1.0), np.maximum(q, 1.0)
-    k = table[_HEAD_SCALE] = q_peak ** -0.5
+    k = table[_HEAD_SCALE] = np.minimum(q_peak, _PEAK_CAP) ** -0.5
     table[_HEAD_FACTOR] = delta ** q / r * k
     table[_HEAD_POWER], table[_NODE_POWER], table[_SINE_POWER] = q / r - 1.0, 1.0 / r, p - 1.0
     # centre the head where w = delta*v**(1/r) reaches max(q, 1)*omega_c when
@@ -506,7 +511,7 @@ def _de_table(pieces: list, bounds: list[int]) -> np.ndarray:
     table[_HEAD_SHIFT] = np.minimum(r * np.log1p(delta / wc / q_peak), 650.0)
     env = slice(bounds[sum(not piece[0].envelope for piece in pieces)], None)
     p_peak = 1.0 + np.maximum(p[env], 0.0)
-    k = table[_TAIL_SCALE, env] = p_peak ** -0.5
+    k = table[_TAIL_SCALE, env] = np.minimum(p_peak, _PEAK_CAP) ** -0.5
     table[_TAIL_FACTOR, env] = delta[env] ** p[env] * k
     table[_TAIL_SHIFT, env] = np.minimum(np.log(wc[env] / delta[env]) + np.log(p_peak), 650.0)
     table[_TAIL_EXPONENT, env] = -(p[env] + 1.0)

@@ -190,3 +190,6 @@ KERNEL_10_AT_10 = 362880.00001875106732835
 TOTAL_1_9 = 0.45384300227946090034794
 # sine moment c=1, p=1.35, omega_c=1, t=3e-3
 SINE_1_35_AT_3E_3 = 0.0036091207209371607383787
+# kernel c=1, p=40, omega_c=1, t=0.0375: its head peaks near its end delta;
+# the Gamma closed form to 40 digits
+KERNEL_40_AT_0_0375 = 1.898108338474983049929735e46

@@ -342,6 +342,13 @@ class TestGainRatio:
         with pytest.raises(NoBracketError):
             find_lambda_c(model)
 
+    def test_overflowing_factor_of_a_small_overlap_moment_is_refused(self):
+        # Gamma(200) overflows, but 0.025 * Gamma(200) * 0.01**200 ~ 1e-29: the
+        # overlap is ~1, so neither O = 0 nor a ratio e^-r(inf) would be right
+        model = ModelSpec(1.0, BathSpec(0.1, 0.5, 0.01), DisplacementSpec(0.05, 200.0))
+        with pytest.raises(DomainError, match="overflows a double"):
+            gain_ratio(model, 0.25, 0.0)
+
     def test_orthogonal_displaced_branches(self, benchmark_model):
         # gamma = 1e6 underflows the overlap e^s(0) to 0, and e^s(t) stays 0:
         # A_lam(t) = (1 - lam) e^-r(t) / C_lam, so D(t) = D(0) e^-r(t) and the

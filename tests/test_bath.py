@@ -117,6 +117,24 @@ class TestOverlap:
                 distance_series(model, 0.25, 0.0, grid=TimeGrid("linear", 0.0, 1e-43, 3),
                                 backend=backend)
 
+    def test_overflowing_factor_of_a_small_moment_is_a_domain_error(self):
+        # Gamma(200) overflows, but 0.025 * Gamma(200) * 0.01**200 ~ 1e-29: the
+        # overlap is ~1, not 0, and a double cannot form it this way
+        with pytest.raises(DomainError, match="overflows a double"):
+            ground_coherent_overlap(DisplacementSpec(0.05, 200.0), 0.01)
+
+    def test_overflow_is_decided_per_element(self):
+        # the overflowing element is -inf in s0 and s_inf; the others keep the
+        # bits of their float call
+        alpha, mu = np.array([0.1, 1.93e-72, 0.02]), np.array([0.5, 0.5, 1.5])
+        omega_c, gamma_coef, nu = np.array([1.0, 4.48e42, 2.0]), np.array([0.05, 0.00918, 0.3]), np.array([2.0, 29.0, 0.7])
+        got = bath.limit_exponents(alpha, mu, omega_c, gamma_coef, nu)
+        for i in (0, 2):
+            one = bath.limit_exponents(*(float(x[i]) for x in (alpha, mu, omega_c, gamma_coef, nu)))
+            assert [_bits(x[i]) for x in got] == [_bits(x) for x in one]
+        assert (got[0][1], got[2][1]) == (-math.inf, -math.inf)
+        assert 0.0 < got[1][1] < 1e-49
+
     def test_quadrature_cross_check(self):
         # exp(-(1/2) Int f^2) with the integral done numerically
         d = DisplacementSpec(gamma_coef=0.05, nu=0.05)
@@ -705,6 +723,12 @@ class TestProfileLimit:
             displacement=DisplacementSpec(gamma_coef=0.1, nu=0.5),
         )
         with pytest.raises(DomainError, match="distance limit is 0"):
+            profile_limit(m)
+
+    def test_overflowing_overlap_moment_refused(self):
+        # s(inf) <= r(inf) - Int f^2 / 4 is no double: the limit is refused
+        m = ModelSpec(1.0, BathSpec(1.93e-72, 0.5, 4.48e42), DisplacementSpec(0.00918, 29.0))
+        with pytest.raises(DomainError, match="s\\(t\\) is not finite"):
             profile_limit(m)
 
     def test_profiles_approach_the_limit(self):

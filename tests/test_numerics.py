@@ -649,6 +649,13 @@ class TestPairedFirstPass:
         assert call() == pytest.approx(want, rel=1e-13)
         assert [levels for f, levels, *_ in sums if f == "_head_sums"] == [(0, 1)]
 
+    def test_steep_head_reaches_its_end_at_a_tight_tolerance(self):
+        # q = 42 and delta = pi/(2t) ~ q omega_c: a scale 1/sqrt(42) would stop
+        # the rule e**-22 of w short of delta, 2e-9 of the value at both levels
+        got = kernel_by_quadrature(
+            KernelArgs(1.0, 40.0, 1.0, 0.0375), QuadratureSettings(rel_tol=1e-10))
+        assert got == pytest.approx(oracles.KERNEL_40_AT_0_0375, rel=1e-12)
+
     @pytest.mark.parametrize("name", PROFILES)
     def test_paired_pass_equals_each_level_alone(self, sums, name):
         model, times, _, _ = self.PROFILES[name]

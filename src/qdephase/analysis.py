@@ -523,20 +523,21 @@ def region_map(
 
 
 def find_extremum(series: DistanceSeries) -> Extremum:
-    """Locate the dominant interior extremum of a distance series.
+    """Refine the extremum of a distance series at its best interior grid point.
 
-    Scans the grid for an interior point strictly below (above) both series
-    endpoints that is also a local minimum (maximum), then zooms in on it:
-    each round evaluates the distance as ``distance_series`` would (with the
-    evaluator kept on a series it made) at 257 linear times between the
-    neighbours of the best point so far.  Once those lie within 2**-10 of t,
-    a parabola through them predicts a last window, 2**-21 of t wide; it is
-    kept only if its best point is interior and no worse than the best so
-    far, else that round zooms as before.  The search stops once the
-    neighbours lie within 2**-26 (sqrt eps) of t relative, over which a
-    smooth extremum is flat to rounding.  ``value`` is the best distance
-    evaluated, exactly what ``distance_series`` gives at ``t``.  Returns kind
-    'none' for flat or monotone series.
+    Scans the grid for its lowest (highest) interior point, taken if strictly
+    below (above) both series endpoints, then zooms on the bracket of that
+    point's neighbours: each round evaluates the distance as ``distance_series``
+    would (with the evaluator kept on a series it made) at 257 linear times
+    between the neighbours of the best point so far.  Once those lie within
+    2**-10 of t, a parabola through them predicts a last window, 2**-21 of t
+    wide; it is kept only if its best point is interior and no worse than the
+    best so far, else that round zooms as before.  The search stops once the
+    neighbours lie within 2**-26 (sqrt eps) of t relative, over which a smooth
+    extremum is flat to rounding.  ``value`` is the best distance evaluated in
+    that bracket, exactly what ``distance_series`` gives at ``t``: on a coarse
+    grid whose bracket holds several minima (maxima), not necessarily the
+    deepest (highest).  Returns kind 'none' for flat or monotone series.
     """
     d = series.distance
     if len(d) < 3:

@@ -41,7 +41,6 @@ from .numerics import (
     _closed_kernel,
     _de_integral,
     _kernel_setup,
-    _part,
     _time_terms,
     _total_part,
     gamma_moment,
@@ -197,8 +196,8 @@ class _ProfilePlan:
         self._parts = self._rows = self.s0 = None
         if backend == "quadrature":
             self._parts = (
-                _part(_KERNEL, alpha, mu, omega_c), _part(_KERNEL, c, kappa, omega_c),
-                _total_part(gamma_coef, nu, omega_c), _part(_SINE, c, kappa, omega_c),
+                (_KERNEL, alpha, mu, omega_c, None), (_KERNEL, c, kappa, omega_c, None),
+                _total_part(gamma_coef, nu, omega_c), (_SINE, c, kappa, omega_c, None),
             )
             return
         self._rows, self._setups = [(alpha, mu), (c, kappa)], {}

@@ -47,19 +47,13 @@ __all__ = [
 # values down to |p| = 1e-20.
 SMALL_EXPONENT_LIMIT = 1e-12
 
-# Largest t and omega_c * t accepted.  The closed forms square x = omega_c * t
-# and the quadrature kernel squares t (its integrand is ~t**2/4 at w -> 0);
-# both overflow past ~1.34e154, and this bound keeps them finite with room.
+# Largest t and omega_c * t accepted.  The closed forms square x = omega_c * t,
+# which overflows past ~1.34e154; this bound keeps them finite with room.
 MAX_SCALED_TIME = 1e150
 
 # Bound of the kernel's brace 1 - e**(-b) cos(q atan x) for 0 < q <= 1, where
 # q atan x <= pi/2: 1, plus room for the brace's rounding (2 for q > 1).
 _UNIT_BRACE = 1.0 + 2.0**-48
-
-# Largest quadrature exponent: the envelope tail's terms v**-(p+1) e**(-delta/
-# (omega_c v)), formed before delta**p scales them, peak near (omega_c t p)**(p+1)
-# e**-p in the kernel and overflow from omega_c t ~ 3e6 at p = 40 (~1e4 at 60).
-MAX_EXPONENT = 40.0
 
 # Every quadrature rule is a trapezoidal sum in a variable u with step
 # _STEP / 2**level, for level = 0 .. _LEVELS - 1.
@@ -301,16 +295,20 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
 # Double-exponential (DE) quadrature.  Each quantity is split at a point
 # delta > 0 into
 #
-#   head      Int_0^delta w**(q-1) g(w) dw with g smooth: w = delta*v**(1/r),
-#             r = min(q, 1), absorbs the endpoint power, then tanh-sinh in v;
+#   head      Int_0^delta w**(q-1) e**(-w/omega_c) g dw, g smooth (t**q_offset
+#             times a function of w*t): w = delta*v**(1/r), r = min(q, 1),
+#             absorbs the endpoint power, then tanh-sinh in v;
 #   envelope  Int_delta^inf w**(p-1) e**(-w/omega_c) dw: w = delta/v, then
 #             tanh-sinh in v (the integrand vanishes double exponentially
 #             at v = 0);
 #   sine      Int_0^inf F(y) sin(t*y) dy with F(y) = (delta+y)**(p-1)
 #             e**(-(delta+y)/omega_c), by the Ooura-Mori DE formula for
-#             Fourier-type integrals (J. Comput. Appl. Math. 112 (1999) 229),
-#             each term relative to F at its peak w0 = max(delta, (p-1)*omega_c)
-#             so that no term overflows before its exponential damps it.
+#             Fourier-type integrals (J. Comput. Appl. Math. 112 (1999) 229).
+#
+# Each row is taken relative to its integrand at a peak w0 (w**q e**(-w/omega_c)
+# per unit log w in the head, w**p e**(-w/omega_c) in the envelope, F in the
+# sine), so no term overflows.  Its factor, c times g's scale times that peak, is
+# one exp of a log column, and a DomainError past a double before any node runs.
 #
 # Both tanh-sinh rules take v = 1/(1 + e**(shift - k*z)), fitted per row to
 # where the integrand lives: a head with q > 1 centres on w = q*omega_c (when
@@ -331,8 +329,8 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
 # the envelope rows the last of every block, and all stay so as converged rows
 # leave in order.  The node tables, the level-halving loop, the convergence
 # gate and the error report are shared, and so is every power: _de_table
-# fills each row's exponents and factors as table columns, and the sums form
-# each node power as the exponential of a log, whatever the parameters' type.
+# fills each row's exponents, offsets and factors as table columns, and the
+# sums form each term as the exp of a log, whatever the parameters' type.
 # A smooth factor runs once per run of adjacent parts that share it.  Each
 # row leaves the loop at its own level, so its value does not depend on the
 # other rows (a batch row equals its one-model call to the bit), and the
@@ -357,11 +355,11 @@ _BLOCK = 128
 # rule's v -> 1 end, k*pi*sinh(4.5) >= 35, leaves out e**-35 of w's range.
 _PEAK_CAP = 16.0
 
-# Fields of a DE table, one value per row each: the row's time, split point and
-# arguments, and what the head, envelope and sine take from them at every level.
-(_T, _DELTA, _C, _WC, _P, _HEAD_SHIFT, _TAIL_SHIFT, _HEAD_SCALE, _TAIL_SCALE, _HEAD_FACTOR,
- _TAIL_FACTOR, _TAIL_EXPONENT, _SINE_FACTOR, _SINE_PEAK, _HEAD_POWER, _NODE_POWER, _SINE_POWER,
- _FIELDS) = range(18)
+# Fields of a DE table, one value per row each: the row's arguments, split point
+# and delta/omega_c, and what the head, envelope and sine take from them.
+(_C, _T, _DELTA, _WC, _P, _RATIO, _HEAD_SHIFT, _TAIL_SHIFT, _HEAD_SCALE, _TAIL_SCALE,
+ _HEAD_FACTOR, _TAIL_FACTOR, _SINE_FACTOR, _HEAD_OFFSET, _TAIL_OFFSET, _SINE_PEAK,
+ _HEAD_POWER, _NODE_POWER, _TAIL_POWER, _FIELDS) = range(20)
 
 
 @cache
@@ -379,26 +377,18 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _unit_nodes(level: int, shift: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes v = 1/(1 + e**(shift - k*z)) on (0, 1) and weights, one row per
-    shift and scale k.
-
-    The shift moves the centre of the rule to v = 1/(1 + e**shift), where
-    the integrand of that row has its peak, and k fits the rule to the
-    peak's width; the factor k of dv/dz is in the row factor, not here.
-    """
+def _unit_nodes(level: int, shift: np.ndarray, scale: np.ndarray) -> tuple:
+    """The nodes v = 1/(1 + e**a), a = shift - k*z, on (0, 1) as ``(a, e**a,
+    log(1/v), dz)``, one row per shift and scale k.  The weights in log v are
+    k*dz*e**(a - log(1/v)), their k in the row factor.  The shift centres the
+    rule on the row's peak, at v = 1/(1 + e**shift), and k fits it to the
+    peak's width."""
     z, dz = _tanh_sinh(level)
-    # in place: the [rows x nodes] temporaries of a table are its largest
-    # allocations; the weights are dz * e**(shift - k*z) * v * v
-    ez = np.multiply(z, scale)
-    np.subtract(shift, ez, out=ez)
-    np.exp(ez, out=ez)
-    v = 1.0 + ez
-    np.divide(1.0, v, out=v)
-    ez *= dz
-    ez *= v
-    ez *= v
-    return v, ez
+    # in place: the [rows x nodes] temporaries of a table are its largest allocations
+    a = np.multiply(z, scale)
+    np.subtract(shift, a, out=a)
+    ez = np.exp(a)
+    return a, ez, np.log1p(ez), dz
 
 
 @cache
@@ -446,78 +436,84 @@ def _ooura_mori_levels(levels: tuple[int, ...]) -> tuple:
 class _Integral(NamedTuple):
     """One kind of DE integral: its name, the split point ``split(t,
     omega_c)``, the head exponent ``q = p + q_offset`` and smooth factor
-    ``g(w, t)`` of ``w**(q-1) e**(-w/omega_c)`` (None for 1), whether it has
-    the envelope tail, and the sign of its sine tail (0 for none)."""
+    ``t**q_offset g(w*t)`` of ``w**(q-1) e**(-w/omega_c)`` (g None for 1),
+    whether it has the envelope tail, and the sign of its sine tail (0 for
+    none)."""
 
     what: str
     split: Callable[[np.ndarray, np.ndarray], np.ndarray]
     q_offset: float
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray] | None
+    g: Callable[[np.ndarray], np.ndarray] | None
     envelope: bool
     sine_sign: float
 
 
 # With delta = pi/(2t), the kernel is the head of w**(p+1) * (1 - cos(w t))/w**2
 # on [0, delta], plus the envelope tail, minus the cosine tail, which equals
-# plus the Ooura-Mori sine integral.
+# plus the Ooura-Mori sine integral.  (1 - cos(u))/w**2 = t**2 * 2 (sin(u/2)/u)**2
+# with u = w t, which is > 0 on the head's nodes (v >= e**-689).
 _KERNEL = _Integral(
     "kernel quadrature", lambda t, _: 0.5 * math.pi / t, 2.0,
-    lambda w, tc: 2.0 * (np.sin(0.5 * w * tc) / w) ** 2, True, 1.0,
+    lambda u: 2.0 * (np.sin(0.5 * u) / u) ** 2, True, 1.0,
 )
 # one power of w goes into sin(w t)/w = t*sinc(w t/pi), which is smooth
 _SINE = _Integral(
-    "sine moment", lambda t, _: math.pi / t, 1.0,
-    lambda w, tc: tc * np.sinc(w * tc / math.pi), False, -1.0,
+    "sine moment", lambda t, _: math.pi / t, 1.0, lambda u: np.sinc(u / math.pi), False, -1.0,
 )
 # no trig factor: any t > 0 will do, and the split is at omega_c
-_TOTAL = _Integral(
-    "total moment", lambda t, wc: np.full_like(t, wc), 0.0, None, True, 0.0
-)
-
-
-def _part(integral: _Integral, c, p, omega_c, t=None) -> tuple:
-    """A part of a DE table, ``(integral, c, p, omega_c, t)``: ``integral`` over
-    the broadcast checked arguments, which is 0 at t = 0 or c = 0; a part
-    without its times takes them as ``(*part[:-1], t)``.  Exponents above
-    MAX_EXPONENT are a DomainError."""
-    if not all_true(ok := p <= MAX_EXPONENT):
-        raise DomainError(
-            f"quadrature exponent p must be <= {MAX_EXPONENT:g}, got p={_first_failing(p, ok)}"
-        )
-    return integral, c, p, omega_c, t
+_TOTAL = _Integral("total moment", lambda t, wc: wc, 0.0, None, True, 0.0)
 
 
 def _de_table(pieces: list, bounds: list[int]) -> np.ndarray:
     """The ``[_FIELDS x rows x 1]`` table of the pieces, whose rows start at
-    ``bounds``: every exponent and factor is one operation on its columns."""
+    ``bounds``: every column is one operation on the table.  A row factor
+    past a double is a DomainError naming its part."""
     table = np.zeros((_FIELDS, bounds[-1]))
     for (integral, _, _, t, c, p, wc), a, b in zip(pieces, bounds, bounds[1:]):
         rows = table[:, a:b]
-        rows[_T], rows[_DELTA], rows[_C], rows[_WC], rows[_P] = t, integral.split(t, wc), c, wc, p
-        # q = p + q_offset is held in the head power until the powers below
-        rows[_HEAD_POWER] = p + integral.q_offset
-        if integral.sine_sign:
-            rows[_SINE_FACTOR] = integral.sine_sign / t
-    delta, wc, p, q = table[_DELTA], table[_WC], table[_P], table[_HEAD_POWER]
-    # w = delta*v**(1/r) absorbs the head's endpoint power w**(q-1)
-    r, q_peak = np.minimum(q, 1.0), np.maximum(q, 1.0)
-    k = table[_HEAD_SCALE] = np.minimum(q_peak, _PEAK_CAP) ** -0.5
-    table[_HEAD_FACTOR] = delta ** q / r * k
-    table[_HEAD_POWER], table[_NODE_POWER], table[_SINE_POWER] = q / r - 1.0, 1.0 / r, p - 1.0
-    # centre the head where w = delta*v**(1/r) reaches max(q, 1)*omega_c when
-    # delta is larger, the envelope tail where w = delta/v reaches delta + (1 +
-    # max(p, 0))*omega_c, and narrow each by k to the width of its peak
-    # (shifts clipped so that e**(shift - k*z) stays finite)
-    table[_HEAD_SHIFT] = np.minimum(r * np.log1p(delta / wc / q_peak), 650.0)
-    env = slice(bounds[sum(not piece[0].envelope for piece in pieces)], None)
-    p_peak = 1.0 + np.maximum(p[env], 0.0)
-    k = table[_TAIL_SCALE, env] = np.minimum(p_peak, _PEAK_CAP) ** -0.5
-    table[_TAIL_FACTOR, env] = delta[env] ** p[env] * k
-    table[_TAIL_SHIFT, env] = np.minimum(np.log(wc[env] / delta[env]) + np.log(p_peak), 650.0)
-    table[_TAIL_EXPONENT, env] = -(p[env] + 1.0)
-    sine = slice(0, bounds[sum(bool(piece[0].sine_sign) for piece in pieces)])
-    w0 = table[_SINE_PEAK, sine] = np.maximum(delta[sine], (p[sine] - 1.0) * wc[sine])
-    table[_SINE_FACTOR, sine] *= np.exp(table[_SINE_POWER, sine] * np.log(w0) - w0 / wc[sine])
+        rows[_C], rows[_T], rows[_DELTA], rows[_WC], rows[_P] = c, t, integral.split(t, wc), wc, p
+        # held in power columns until the last lines: the power of t in g's
+        # scale (q = p + q_offset), and the sine tail's sign
+        rows[_NODE_POWER], rows[_TAIL_POWER] = integral.q_offset, integral.sine_sign
+    c, t, delta, wc, p = table[:_RATIO]
+    scale_power, sign = table[_NODE_POWER:]
+    q = p + scale_power
+    # the head's, envelope's and sine's peak powers, and w0: that times omega_c,
+    # or delta where smaller (the head's) or larger (the tails')
+    r, peaks = np.minimum(q, 1.0), np.array([np.maximum(q, 1.0), 1.0 + np.maximum(p, 0.0), p - 1.0])
+    w0 = peaks * wc
+    np.minimum(w0[0], delta, out=w0[0])
+    np.maximum(w0[1:], delta, out=w0[1:])
+    k = table[_HEAD_SCALE:_TAIL_SCALE + 1] = np.minimum(peaks[:2], _PEAK_CAP) ** -0.5
+    with np.errstate(all="ignore"):  # a factor past a double is refused below
+        ratio = table[_RATIO] = delta / wc
+        # centre the head near w0 and the envelope where w - delta = (1 + max(p,
+        # 0))*omega_c (clipped so that e**(shift - k*z) stays finite)
+        table[_HEAD_SHIFT] = np.minimum(r * np.log1p(ratio / peaks[0]), 650.0)
+        table[_TAIL_SHIFT] = np.minimum(np.log(peaks[1] / ratio), 650.0)
+        log_c, log_t, log_delta = np.log(table[:_WC])
+        log_w0, scaled = np.log(w0), w0 / wc
+        powers = np.array([q, p, peaks[2]])
+        table[_HEAD_OFFSET:_TAIL_OFFSET + 1] = powers[:2] * (log_delta - log_w0[:2]) + scaled[:2]
+        table[_TAIL_OFFSET] -= ratio  # the envelope's w - w0 from w - delta
+        # each integrand at w0 times c, the head's t**q_offset k/r (dlog w =
+        # dlog v/r), the envelope's k and the sine's 1/t (dw = dy/t); 0 without the tail
+        log_k = np.log(k)
+        logs = powers * log_w0 - scaled + log_c + np.array(
+            [scale_power * log_t + log_k[0] - np.log(r), log_k[1], -log_t])
+        logs[1, :bounds[sum(not piece[0].envelope for piece in pieces)]] = -math.inf
+        logs[2, bounds[sum(bool(piece[0].sine_sign) for piece in pieces)]:] = -math.inf
+        factors = np.exp(logs)
+    if not factors.max(initial=0.0) < math.inf:  # also nan
+        row = int(np.argmin(np.isfinite(factors).all(0)))
+        integral = pieces[int(np.searchsorted(bounds, row, "right")) - 1][0]
+        at = f", t={t[row]}" if integral is not _TOTAL else ""  # its t stands in
+        raise DomainError(f"{integral.what} overflows a double at c={c[row]}, p={p[row]}, "
+                          f"omega_c={wc[row]}{at}")
+    factors[2] *= sign
+    table[_HEAD_FACTOR:_SINE_FACTOR + 1] = factors
+    table[_HEAD_POWER], table[_NODE_POWER] = -1.0 - q / r, -1.0 / r
+    table[_TAIL_POWER], table[_SINE_PEAK] = peaks[2], w0[2]
     return table[:, :, None]
 
 
@@ -548,33 +544,36 @@ def _level_sums(f: np.ndarray, levels: tuple[int, ...]) -> np.ndarray:
 
 def _head_sums(levels: tuple[int, ...], m: np.ndarray, spans: list) -> np.ndarray:
     """The head sums of the table rows ``m`` at ``levels``, one column each:
-    the tanh-sinh sums of ``e**((q/r - 1) log v - w/omega_c) g(w, t)`` at
-    ``w = delta*e**(log(v)/r)``."""
-    v, dv = _unit_nodes(levels[-1], m[_HEAD_SHIFT], m[_HEAD_SCALE])
-    log_v = np.log(v, out=v)
-    w = log_v * m[_NODE_POWER]
-    np.exp(w, out=w)
-    w *= m[_DELTA]
-    f = log_v * m[_HEAD_POWER]
-    f -= np.divide(w, m[_WC], out=log_v)
+    the tanh-sinh sums in log v of ``(w/w0)**q e**(-(w - w0)/omega_c) g(w t)``,
+    ``w = delta*v**(1/r)``, the head per unit log w relative to its peak."""
+    a, ez, log_1_v, dz = _unit_nodes(levels[-1], m[_HEAD_SHIFT], m[_HEAD_SCALE])
+    y = np.exp(np.multiply(log_1_v, m[_NODE_POWER], out=ez), out=ez)  # w/delta
+    # -(q/r + 1) log(1/v) + offset - w/omega_c and the weight's a
+    f = log_1_v * m[_HEAD_POWER]
+    f += a
+    f += m[_HEAD_OFFSET]
+    f -= np.multiply(y, m[_RATIO], out=log_1_v)
     np.exp(f, out=f)
     for i, g in spans:
-        f[i] *= g(w[i], m[_T, i])
-    f *= dv
+        f[i] *= g(y[i] * (m[_DELTA, i] * m[_T, i]))
+    f *= dz
     return _level_sums(f, levels)
 
 
 def _envelope_sums(levels: tuple[int, ...], m: np.ndarray) -> np.ndarray:
     """The envelope tail sums of the table rows ``m`` at ``levels``: the
-    tanh-sinh sums of ``e**(-(p+1) log v - delta/(omega_c v))``."""
-    v, dv = _unit_nodes(levels[-1], m[_TAIL_SHIFT], m[_TAIL_SCALE])
-    x = np.log(v)
-    x *= m[_TAIL_EXPONENT]
-    v *= m[_WC]
-    np.divide(m[_DELTA], v, out=v)
-    x -= v
+    tanh-sinh sums in log v of ``(w/w0)**p e**(-(w - w0)/omega_c)``, ``w =
+    delta/v = delta (1 + e**a)``, the envelope per unit log w relative to its
+    peak."""
+    a, ez, log_w, dz = _unit_nodes(levels[-1], m[_TAIL_SHIFT], m[_TAIL_SCALE])
+    # (p - 1) log(w/delta) + offset - (w - delta)/omega_c and the weight's a
+    x = log_w * m[_TAIL_POWER]
+    x += a
+    x += m[_TAIL_OFFSET]
+    ez *= m[_RATIO]
+    x -= ez
     np.exp(x, out=x)
-    x *= dv
+    x *= dz
     return _level_sums(x, levels)
 
 
@@ -587,7 +586,7 @@ def _sine_sums(levels: tuple[int, ...], m: np.ndarray) -> np.ndarray:
     w += m[_DELTA]
     x = np.divide(w, m[_SINE_PEAK])
     np.log(x, out=x)
-    x *= m[_SINE_POWER]
+    x *= m[_TAIL_POWER]
     w -= m[_SINE_PEAK]
     w /= m[_WC]
     x -= w
@@ -598,7 +597,8 @@ def _sine_sums(levels: tuple[int, ...], m: np.ndarray) -> np.ndarray:
 
 def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> list:
     """Every part's ``c * (head + [envelope] + sine_sign * sine)``, elementwise
-    over its broadcast arguments, from one table of rows.
+    over its broadcast arguments, from one table of rows; a part is
+    ``(integral, c, p, omega_c, t)``, its value 0 at t = 0 or c = 0.
 
     Every level halves the step of all rules; a row is done once two
     successive levels agree to within ``max(abs_tol, rel_tol * |value|)``.
@@ -638,7 +638,6 @@ def _de_integral(parts: list[tuple], settings: QuadratureSettings | None) -> lis
                 sums[env] += m[_TAIL_FACTOR, env] * _envelope_sums(levels, m[:, env])
             if sine.stop:
                 sums[sine] += m[_SINE_FACTOR, sine] * _sine_sums(levels, m[:, sine])
-            sums *= m[_C]
             # the gate sees the last two levels: level 0 accepts no row
             prev = value if len(levels) == 1 else sums[:, -2]
             value = sums[:, -1]
@@ -673,7 +672,7 @@ def _total_part(c, p, omega_c) -> tuple:
         raise DomainError(f"total moment diverges for p <= 0, got p={_first_failing(p, ok)}")
     _check_kernel_args(c, p, omega_c)
     # the least t > 0, which no omega_c takes out of range
-    return _part(_TOTAL, c, p, omega_c, math.ulp(0.0))
+    return _TOTAL, c, p, omega_c, math.ulp(0.0)
 
 
 def total_moment(c, p, omega_c, settings: QuadratureSettings | None = None):
@@ -693,7 +692,7 @@ def sine_moment(
     Ooura-Mori sine integral, accurate for arbitrarily large t.
     """
     KernelArgs(c, p, omega_c, t)
-    return _de_integral([_part(_SINE, c, p, omega_c, t)], settings)[0]
+    return _de_integral([(_SINE, c, p, omega_c, t)], settings)[0]
 
 
 def kernel_by_quadrature(
@@ -704,4 +703,4 @@ def kernel_by_quadrature(
     The independent oracle of ``decay_kernel``; elementwise over the
     broadcast arguments.
     """
-    return _de_integral([_part(_KERNEL, args.c, args.p, args.omega_c, args.t)], settings)[0]
+    return _de_integral([(_KERNEL, args.c, args.p, args.omega_c, args.t)], settings)[0]

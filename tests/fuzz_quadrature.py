@@ -11,8 +11,9 @@ between two checkouts of the package:
 
 Outcomes: ``served`` (finite and within tolerance), ``unchecked`` (served,
 but the closed form refuses the model), ``ConvergenceError``,
-``DomainError``, ``raw`` (any other exception; its locus is the innermost
-qdephase frame and the message) and ``disagrees``.
+``DomainError`` (the closed form refuses the model too), ``refused`` (a
+DomainError of the quadrature alone), ``raw`` (any other exception; its
+locus is the innermost qdephase frame and the message) and ``disagrees``.
 
 Every served draw with mu > 0 also gets a long-time row with the same
 outcomes: ``limit_exponents``, the Gamma route of the gain ratio, against
@@ -52,7 +53,8 @@ from qdephase.bath import limit_exponents
 
 # name: the range of log10(t_max * max(1, omega_c))
 BANDS = {"ordinary": (-3.0, 4.0), "tiny": (-150.0, -3.0), "huge": (12.0, 150.0)}
-OUTCOMES = ("served", "unchecked", "ConvergenceError", "DomainError", "raw", "disagrees")
+OUTCOMES = ("served", "unchecked", "ConvergenceError", "DomainError", "refused", "raw",
+            "disagrees")
 # the count keys of the profile rows and of the long-time rows
 PREFIXES = ("", "long-time ")
 
@@ -89,7 +91,11 @@ def _compare(quadrature, closed) -> tuple[str, str, float]:
         except ConvergenceError as error:
             return "ConvergenceError", str(error), math.nan
         except DomainError as error:
-            return "DomainError", str(error), math.nan
+            try:
+                closed()
+            except (QDephaseError, ArithmeticError, RuntimeWarning):
+                return "DomainError", str(error), math.nan
+            return "refused", str(error), math.nan
         except Exception as error:  # noqa: BLE001 - every other exception is a finding
             return "raw", _locus(error), math.nan
         try:

@@ -246,7 +246,7 @@ class TestEvolve:
         assert_one_error_line(err)
         assert "overflows a double" in err
 
-    def test_quadrature_exponent_bound_is_a_domain_error(self, tmp_path, capsys):
+    def test_quadrature_exponent_overflow_is_a_domain_error(self, tmp_path, capsys):
         # mu = 1e300 on quadrature printed a raw overflow RuntimeWarning
         path = tmp_path / "quad-mu.cfg"
         path.write_text(
@@ -255,8 +255,23 @@ class TestEvolve:
         )
         assert main(["evolve", "--config", str(path), "--points", "3"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "exponent" in err
-        assert err.count("\n") == 1
+        assert_one_error_line(err)
+        assert "overflows a double" in err
+
+    def test_quadrature_moment_overflow_is_a_domain_error(self, tmp_path, capsys):
+        # the r kernel and phi overflow a double, the overlap does not: the
+        # quadrature warned and exited 1 with the ConvergenceError 'level gap
+        # nan > inf', the closed form exits 2
+        path = tmp_path / "quad-moment.cfg"
+        path.write_text(
+            "alpha = 1.93e-72\nmu = 29\nomega_c = 4.48e42\ngamma = 0.00918\nnu = 0.5\n"
+            "lambda1 = 0.25\nt_min = 1e-42\nt_max = 1e-40\nbackend = quad\n",
+            encoding="utf-8",
+        )
+        assert main(["evolve", "--config", str(path), "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "overflows a double" in err
 
     def test_huge_relative_tolerance_accepts_every_row(self, tmp_path, capsys):
         # rel_tol * |value| overflowed with a raw RuntimeWarning; an infinite

@@ -210,13 +210,14 @@ def _time_terms(omega_c, t) -> tuple:
 def _kernel_setup(rows: list, omega_c, ndim: int = 0, scales: tuple | None = None) -> tuple:
     """What _closed_kernel takes from kernel rows ``(c, p)`` of broadcastable
     arguments sharing omega_c, whatever the times: ``(c, q, -q, q/2, moment,
-    small, pole)`` on a leading axis of rows, with room for ``ndim`` axes of
-    the times.  q is p, or 1 where |p| < SMALL_EXPONENT_LIMIT (so Gamma never
-    meets its pole at 0); moment is c * Gamma(q) * omega_c**q, 0 where p is
-    small; small masks the p -> 0 limits and pole the brace of q < -1/2, each
-    None where it holds nowhere (pole: where every q >= 0).  The brace of q > 0
-    is at most 2, and at most 1 (q atan x <= pi/2) up to rounding for q <= 1:
-    DomainError where that bound times moment and the row's ``scales`` overflows."""
+    small, pole, scales)``, all but the row ``scales`` (1 by default) on a
+    leading axis of rows, with room for ``ndim`` axes of the times.  q is p,
+    or 1 where |p| < SMALL_EXPONENT_LIMIT (so Gamma never meets its pole at
+    0); moment is c * Gamma(q) * omega_c**q, 0 where p is small; small masks
+    the p -> 0 limits and pole the brace of q < -1/2, each None where it
+    holds nowhere (pole: where every q >= 0).  The brace of q > 0 is at most
+    2, and at most 1 (q atan x <= pi/2) up to rounding for q <= 1:
+    DomainError where that bound times moment and the row's scale overflows."""
     scales = scales or (1.0,) * len(rows)
     if isinstance(omega_c, float) and all(isinstance(x, float) for row in rows for x in row):
         # one model: each row through gamma_moment's float path, no Gamma for a
@@ -253,7 +254,7 @@ def _kernel_setup(rows: list, omega_c, ndim: int = 0, scales: tuple | None = Non
         raise DomainError(f"closed-form kernel overflows a double: scaled by {scales}, it nears "
                           f"c * gamma(p) * omega_c**p = {np.max(np.where(q > 0, moment, 0))} "
                           "times 2 (1 where p <= 1)")
-    return c, q, minus_q, half_q, moment, small, q < -0.5 if negative else None
+    return c, q, minus_q, half_q, moment, small, q < -0.5 if negative else None, scales
 
 
 def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
@@ -262,8 +263,27 @@ def _closed_kernel(setup: tuple, terms: tuple, sine: int | None = None):
     With ``sine``, a row, the pair of the kernels and that row's ``c *
     Int_0^inf w**(p-1) e**(-w/omega_c) sin(w t) dw``: the same moment times
     ``sin(p*atan(x)) / (1+x^2)**(p/2)`` (shared Gamma and damping).
+
+    The set-up bounds the rows of q > 0.  The small-exponent limit and q < 0
+    grow with t, so where the set-up has either, each evaluation is checked:
+    DomainError where a kernel times its row's scale, or the sine, overflows.
     """
-    c, q, minus_q, half_q, moment, small, pole = setup
+    small, pole, scales = setup[5:]
+    if small is None and pole is None:
+        return _kernel_values(setup, terms, sine)
+    with np.errstate(over="ignore"):
+        values = _kernel_values(setup, terms, sine)
+        kernel, sines = values if sine is not None else (values, 0.0)
+        scaled = np.reshape(scales, (-1,) + (1,) * (kernel.ndim - 1)) * kernel
+    if not (np.isfinite(scaled).all() and np.isfinite(sines).all()):
+        raise DomainError(f"closed-form kernel overflows a double: scaled by {scales}, at "
+                          f"omega_c * t <= {np.max(terms[2])}")
+    return values
+
+
+def _kernel_values(setup: tuple, terms: tuple, sine: int | None):
+    """_closed_kernel unchecked."""
+    c, q, minus_q, half_q, moment, small, pole, _ = setup
     half_log, atan, x = terms
     minus_b = minus_q * half_log
     damp = np.exp(minus_b)

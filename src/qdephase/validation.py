@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import (
-    BathSpec,
-    DecoherenceProfile,
-    DisplacementSpec,
-    ModelSpec,
-    _ProfilePlan,
-    ground_coherent_overlap,
-    limit_exponents,
-)
+from .bath import DecoherenceProfile, _log_overlap, _ProfilePlan, limit_exponents
 from .dynamics import (
     InitialStateSpec,
     QubitAmplitudes,
@@ -71,18 +63,17 @@ class SuiteResult:
         )
 
 
-def _random_model(rng: np.random.Generator) -> ModelSpec:
+def _random_model(rng: np.random.Generator) -> tuple:
+    """One model's parameter row ``(alpha, mu, omega_c, gamma_coef, nu,
+    epsilon)``, drawn in the rng order alpha, gamma_coef, mu, nu, omega_c,
+    epsilon that fixes the samples."""
     alpha = 10.0 ** rng.uniform(-4, 0)
     gamma_coef = 10.0 ** rng.uniform(-4, 0)
     mu = rng.uniform(-1.0, 2.0)
     nu = rng.uniform(1e-3, 2.0)
     omega_c = rng.uniform(0.5, 2.0)
     epsilon = rng.uniform(0.0, 2.0)
-    return ModelSpec(
-        epsilon=epsilon,
-        bath=BathSpec(alpha=alpha, mu=mu, omega_c=omega_c),
-        displacement=DisplacementSpec(gamma_coef=gamma_coef, nu=nu),
-    )
+    return alpha, mu, omega_c, gamma_coef, nu, epsilon
 
 
 def _random_amplitudes(rng: np.random.Generator) -> tuple[complex, complex]:
@@ -96,9 +87,10 @@ def _random_amplitudes(rng: np.random.Generator) -> tuple[complex, complex]:
 
 
 def _draw(samples: int, seed: int, draw_one) -> tuple:
-    """``samples`` seeded draws ``draw_one(rng, i) = (model, x, ...)`` as
-    columns: the models, then one array per further value.  The draws stay a
-    loop because their rng order fixes the samples."""
+    """``samples`` seeded draws ``draw_one(rng, i) = (_random_model(rng), x,
+    ...)`` as columns: the (6, samples) parameter rows, then one array per
+    further value.  The draws stay a loop because their rng order fixes the
+    samples."""
     try:
         operator.index(samples)
     except TypeError:
@@ -108,35 +100,26 @@ def _draw(samples: int, seed: int, draw_one) -> tuple:
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
-    models, *values = zip(*[draw_one(rng, i) for i in range(samples)])
-    return models, *map(np.array, values)
+    params, *values = zip(*[draw_one(rng, i) for i in range(samples)])
+    return np.array(params).T, *map(np.array, values)
 
 
-def _params(models) -> np.ndarray:
-    """alpha, mu, omega_c, gamma_coef, nu (rows) of every model (columns)."""
-    return np.array(
-        [(m.bath.alpha, m.bath.mu, m.bath.omega_c, m.displacement.gamma_coef, m.displacement.nu)
-         for m in models]
-    ).T
-
-
-def _sample_fields(models, t: np.ndarray, backends) -> np.ndarray:
-    """r, s, phi (rows) of every sample (columns) on its backend, one name for
-    all or one per sample, from one array evaluation per backend."""
-    params = _params(models)
-    backends = np.broadcast_to(backends, len(models))
-    fields = np.empty((3, len(models)))
+def _sample_fields(params: np.ndarray, t: np.ndarray, backends) -> np.ndarray:
+    """r, s, phi (rows) of every sample (columns of the parameter rows) on its
+    backend, one name for all or one per sample, from one array evaluation
+    per backend."""
+    backends = np.broadcast_to(backends, t.shape)
+    fields = np.empty((3, t.size))
     for backend in dict.fromkeys(backends.tolist()):
         rows = backends == backend
-        fields[:, rows] = _ProfilePlan(*params[:, rows], backend)(t[rows])
+        fields[:, rows] = _ProfilePlan(*params[:5, rows], backend)(t[rows])
     return fields
 
 
-def _overlaps_and_epsilons(models) -> np.ndarray:
-    """The ground-coherent overlap (row 0) and epsilon (row 1) of each model."""
-    return np.array(
-        [(ground_coherent_overlap(m.displacement, m.bath.omega_c), m.epsilon) for m in models]
-    ).T
+def _overlaps(params: np.ndarray) -> np.ndarray:
+    """ground_coherent_overlap of every sample, elementwise."""
+    omega_c, gamma_coef, nu = params[2:5]
+    return np.exp(_log_overlap(gamma_coef, nu, omega_c))
 
 
 def _result(name: str, errors: np.ndarray, failed: np.ndarray, tolerance: str) -> SuiteResult:
@@ -157,25 +140,24 @@ def check_backend_agreement(samples: int, rel_tol: float = 1e-6, seed: int = 42)
     """Closed-form r, s, phi against the quadrature backend on random tuples."""
     if not 0.0 < rel_tol < math.inf:
         raise DomainError(f"rel_tol must be finite and positive, got {rel_tol}")
-    models, t = _draw(samples, seed, lambda rng, i: (
+    params, t = _draw(samples, seed, lambda rng, i: (
         _random_model(rng), 0.0 if i % 25 == 0 else rng.uniform(0.0, 100.0)))
-    closed = _sample_fields(models, t, "closed_form")
-    quadr = _sample_fields(models, t, "quadrature")
+    closed = _sample_fields(params, t, "closed_form")
+    quadr = _sample_fields(params, t, "quadrature")
     errors, tolerance = _agreement(closed, quadr, rel_tol)
     return _result("backend-agreement", errors, errors > 1.0, tolerance)
 
 
 def check_physicality(samples: int, seed: int = 42) -> SuiteResult:
     """|A_lambda(t)| <= 1 + 1e-9 and valid density matrices, both backends."""
-    models, t, lam, b_plus, b_minus = _draw(samples, seed, lambda rng, i: (
+    params, t, lam, b_plus, b_minus = _draw(samples, seed, lambda rng, i: (
         _random_model(rng), rng.uniform(0.0, 100.0), rng.uniform(0.0, 1.0),
         *_random_amplitudes(rng)))
     backends = ["quadrature" if i % 2 else "closed_form" for i in range(samples)]
     # odd samples hold quadrature fields; nothing downstream reads the backend tag
-    profile = DecoherenceProfile(t, *_sample_fields(models, t, backends), "closed_form")
-    overlap, epsilon = _overlaps_and_epsilons(models)
+    profile = DecoherenceProfile(t, *_sample_fields(params, t, backends), "closed_form")
     amps = QubitAmplitudes(b_plus, b_minus)
-    factor = coherence_factor(InitialStateSpec(amps, lam), profile, epsilon, overlap)
+    factor = coherence_factor(InitialStateSpec(amps, lam), profile, params[5], _overlaps(params))
     excess = np.abs(factor) - 1.0
     valid = np.logical_and.reduce(_density_checks(_reduced_entries(amps, factor))[0])
     tolerance = "|A| - 1 <= 1e-9; density matrix PSD/trace/Hermitian"
@@ -207,8 +189,8 @@ def _quadrature_identities(
     sqrt(alpha gamma_coef), kappa).  The limits are compared with
     limit_exponents, the Gamma route of every gain ratio, at
     max(1e-8, limit_tol*rel)."""
-    (models,) = _draw(samples, seed, lambda rng, i: (_random_model(rng),))
-    alpha, mu, omega_c, gamma_coef, nu = params = _params(models)
+    (params,) = _draw(samples, seed, lambda rng, i: (_random_model(rng),))
+    alpha, mu, omega_c, gamma_coef, nu, _ = params
     on = mu > 0.0
     totals = total_moment(
         np.concatenate([0.5 * gamma_coef, 4.0 * alpha[on], 2.0 * np.sqrt(alpha * gamma_coef)[on]]),
@@ -220,9 +202,9 @@ def _quadrature_identities(
     quadrature = np.stack([totals[samples:n], totals[n:] + s0[on]])
     if double_s_offset:
         s0 = 2.0 * s0
-    overlap = _overlaps_and_epsilons(models)[0]
+    overlap = _overlaps(params)
     err = np.abs(np.exp(s0) - overlap) / overlap
-    closed = np.stack(limit_exponents(*params[:, on])[1:])
+    closed = np.stack(limit_exponents(*params[:5, on])[1:])
     errors, tolerance = _agreement(closed, quadrature, limit_tol)
     return (
         _result("overlap-consistency", err, err > overlap_tol, f"{overlap_tol:g} relative"),
@@ -238,15 +220,15 @@ def check_distance_equivalence(
     """Closed-form distances against the eigenvalue trace distance: the
     shared-amplitude pair (amps at lam1, lam2) and the shared-environment
     pair (amps, amps_b at lam1)."""
-    models, t, lam1, lam2, *b = _draw(samples, seed, lambda rng, i: (
+    params, t, lam1, lam2, *b = _draw(samples, seed, lambda rng, i: (
         _random_model(rng), rng.uniform(0.0, 50.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
         *_random_amplitudes(rng), *_random_amplitudes(rng)))
     b = np.array(b)  # b_plus, b_minus of amps, then of amps_b
     amps, amps_b = QubitAmplitudes(b[0], b[1]), QubitAmplitudes(b[2], b[3])
-    profile = DecoherenceProfile(t, *_sample_fields(models, t, "closed_form"), "closed_form")
-    overlap, epsilon = _overlaps_and_epsilons(models)
+    profile = DecoherenceProfile(t, *_sample_fields(params, t, "closed_form"), "closed_form")
+    overlap = _overlaps(params)
     state = InitialStateSpec(amps, np.stack([lam1, lam2]))
-    a1, a2 = coherence_factor(state, profile, epsilon, overlap)
+    a1, a2 = coherence_factor(state, profile, params[5], overlap)
     # one stack of the states (amps, a1), (amps, a2) and (amps_b, a1)
     rho = reduced_state(QubitAmplitudes(b[[0, 0, 2]], b[[1, 1, 3]]), np.stack([a1, a2, a1])).entries
     closed = np.stack([

@@ -174,16 +174,18 @@ class TestProfileAt:
         # odd samples on the quadrature backend, as check_physicality draws them;
         # the closed-form rows are evaluated first
         rng = np.random.default_rng(3)
-        models = [random_model(rng) for _ in range(6)]
+        # validation's parameter rows: alpha, mu, omega_c, gamma_coef, nu, epsilon
+        params = np.array([(m.bath.alpha, m.bath.mu, m.bath.omega_c, m.displacement.gamma_coef,
+                            m.displacement.nu, m.epsilon) for m in
+                           (random_model(rng) for _ in range(6))]).T
         t = np.array([0.5, 1.0, 2.0, 3.0, 4.0, 5.0])
         t[bad_row] = -1.0
         backends = ["quadrature" if i % 2 else "closed_form" for i in range(6)]
         rows = np.arange(6) % 2 == bad_row % 2
-        omega_c = np.array([m.bath.omega_c for m in models])
         with pytest.raises(DomainError) as want:
-            KernelArgs(1.0, 0.5, omega_c[rows], t[rows])
+            KernelArgs(1.0, 0.5, params[2, rows], t[rows])
         with pytest.raises(DomainError) as got:
-            validation._sample_fields(models, t, backends)
+            validation._sample_fields(params, t, backends)
         assert str(got.value) == str(want.value)
 
     def test_time_bound_scales_with_cutoff(self, benchmark_model):
@@ -345,11 +347,13 @@ class TestProfileAt:
             (BathSpec(1.42e270, -0.5, 1.41e-4), 6.16e123),
             # the small-exponent limit 2 alpha log(1 + x^2) at x = 1e150
             (BathSpec(1e306, 1e-13, 1.0), 1e150),
+            # a finite limit kernel (6.9e307) whose r = 4 kernels is not
+            (BathSpec(2e305, 1e-13, 1.0), 1e150),
             # q = 1: r nears 4 moments = 2e308 at late times, refused at set-up
             # whatever the time (r(1e-3) is ~2e302)
             (BathSpec(5e307, 1.0, 1.0), 1e-3),
         ],
-        ids=["negative-exponent", "small-exponent", "bounded-by-moment"],
+        ids=["negative-exponent", "small-exponent", "small-exponent-scaled", "bounded-by-moment"],
     )
     def test_closed_form_overflow_is_a_domain_error(self, bath, t):
         m = ModelSpec(1.0, bath, DisplacementSpec(0.0, 6.6e-6))
@@ -787,3 +791,40 @@ class TestOverlapProfileConsistency:
             overlap = ground_coherent_overlap(m.displacement, m.bath.omega_c)
             s0 = profile_at(m, 0.0).s
             assert math.exp(s0) == pytest.approx(overlap, rel=1e-12)
+
+
+class TestQuadratureFormsNoGamma:
+    """The quadrature backend is the oracle of the Gamma closed forms, so it
+    must reach its values without them."""
+
+    @pytest.fixture
+    def no_gamma(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the quadrature route formed a Gamma closed form")
+
+        for module, name in [
+            (numerics, "gamma_moment"), (numerics, "_gamma_and_power"), (numerics, "_GAMMA"),
+            (numerics, "_POWER"), (numerics, "_GAMMA_AND_POWER"), (bath, "gamma_moment"),
+            (bath, "_LGAMMA"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+
+    @pytest.mark.parametrize("mu", [-0.5, 0.0, 1.5], ids=["sub-ohmic", "ohmic", "super-ohmic"])
+    def test_profile(self, request, mu):
+        model = ModelSpec(0.3, BathSpec(0.05, mu, 1.5), DisplacementSpec(0.2, 0.7))
+        t = np.array([0.0, 0.5, 3.0, 40.0])
+        closed = profile_at(model, t)
+        request.getfixturevalue("no_gamma")
+        quadrature = profile_at(model, t, backend="quadrature")
+        for got, want in zip((quadrature.r, quadrature.s, quadrature.phi),
+                             (closed.r, closed.s, closed.phi)):
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
+
+    def test_moments_and_kernel(self, request):
+        c, p, omega_c = np.array([0.5, 1.0, 2.0]), np.array([-0.5, 0.0, 1.5]), np.array([1.0, 2.0, 0.5])
+        args = KernelArgs(c, p, omega_c, np.array([[0.5], [3.0]]))
+        closed = numerics.gamma_moment(c, p + 1.0, omega_c), decay_kernel(args)
+        request.getfixturevalue("no_gamma")
+        assert total_moment(c, p + 1.0, omega_c) == pytest.approx(closed[0], rel=1e-8)
+        assert np.all(np.isfinite(sine_moment(c, p, omega_c, args.t)))
+        assert kernel_by_quadrature(args) == pytest.approx(closed[1], rel=1e-8)

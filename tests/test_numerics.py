@@ -295,6 +295,21 @@ class TestDecayKernel:
         with pytest.raises(DomainError, match="overflows a double"):
             decay_kernel(KernelArgs(c, 2.0, 1.0, 1e3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "c, p, t",
+        [(1e300, -0.5, 1e100), (1e307, 1e-13, 1e150), (1e300, -0.9, 1e100)],
+        ids=["negative-exponent", "small-exponent", "pole-brace"],
+    )
+    @pytest.mark.parametrize("array", [False, True])
+    def test_unbounded_kernel_overflow_is_a_domain_error(self, c, p, t, array):
+        # the small-exponent limit and p < 0 grow with t past any set-up bound:
+        # these returned inf with a raw overflow RuntimeWarning
+        times = np.array([1.0, t]) if array else t
+        with pytest.raises(DomainError, match="overflows a double"):
+            decay_kernel(KernelArgs(c, p, 1.0, times))
+        assert np.isfinite(decay_kernel(KernelArgs(c, p, 1.0, 1.0)))
+
     def test_exponent_below_minus_one_rejected(self):
         with pytest.raises(DomainError):
             KernelArgs(1.0, -1.5, 1.0, 1.0)

@@ -196,3 +196,15 @@ def test_a_mutated_long_time_route_fails_validate(monkeypatch, capsys, mutation)
     assert main(["validate", "--samples", "8"]) == 1
     out = capsys.readouterr().out
     assert "long-time-limits: FAIL" in out and "overlap-consistency: pass" in out
+
+
+def test_a_mutated_overlap_route_fails_validate(monkeypatch, capsys):
+    # the closed-form counterpart of --debug-double-s-offset: a closed-form
+    # overlap off by a factor 1 + 1e-9 breaks the identity on every sample
+    real = validation._log_overlap
+    monkeypatch.setattr(validation, "_log_overlap", lambda *args: real(*args) + math.log1p(1e-9))
+    overlap = validation.check_overlap_consistency(100)
+    assert overlap.failures == overlap.samples == 100
+    assert main(["validate", "--samples", "8"]) == 1
+    out = capsys.readouterr().out
+    assert "overlap-consistency: FAIL 0/8" in out and "long-time-limits: pass" in out

@@ -9,6 +9,7 @@ loss, and ``region_map`` classifies whole parameter planes.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from .dynamics import (
     _pair_weights,
 )
 from .errors import DomainError, NoBracketError
-from .numerics import QuadratureSettings, all_true, gamma_moment
+from .numerics import QuadratureSettings, all_true
 
 __all__ = [
     "TimeGrid",
@@ -83,15 +84,30 @@ class TimeGrid:
             raise DomainError("log grids require t_min > 0")
 
     def times(self) -> np.ndarray:
-        """The grid's times; a log grid has np.geomspace's bits, at half its cost."""
+        """The grid's times, computed once per grid value and copied out; a log
+        grid has np.geomspace's bits, at half its cost."""
         try:
-            if self.kind == "linear":
-                return np.linspace(self.t_min, self.t_max, self.points)
-            times = np.logspace(*np.log10([self.t_min, self.t_max]), self.points)
-        except (ValueError, MemoryError):
-            raise DomainError(f"a grid of {self.points} points does not fit in memory") from None
-        times[[0, -1]] = self.t_min, self.t_max
-        return times
+            times = _grid_times(self.kind, self.t_min, self.t_max, self.points)
+        except TypeError:  # a field numpy takes and hash does not, e.g. a 0-d array
+            times = _grid_times.__wrapped__(self.kind, self.t_min, self.t_max, self.points)
+        return times.copy()
+
+
+# one entry: a series' default grid or a CLI evolve grid recurs call after call;
+# typed, as equal keys of other types (0.5, np.float32(0.5)) may give other bits
+@functools.lru_cache(maxsize=1, typed=True)
+def _grid_times(kind, t_min, t_max, points) -> np.ndarray:
+    """TimeGrid.times' array, read-only; an exception is not cached."""
+    try:
+        if kind == "linear":
+            times = np.linspace(t_min, t_max, points)
+        else:
+            times = np.logspace(*np.log10([t_min, t_max]), points)
+            times[[0, -1]] = t_min, t_max
+    except (ValueError, MemoryError):
+        raise DomainError(f"a grid of {points} points does not fit in memory") from None
+    times.flags.writeable = False
+    return times
 
 
 def default_grid(omega_c: float = 1.0, points: int = 400) -> TimeGrid:
@@ -198,24 +214,25 @@ def distance_series(
 
 
 def _distance_evaluator(model, lambda1, lambda2, amps, backend, settings, normalized):
-    """The scenario's checks, profile plan, overlap, pair weights and C_lambda,
-    once; then ``evaluate(times)`` gives D, or with ``moduli`` ((r, s, phi), D,
-    |A1|, |A2|), as distance_same_amplitudes and unphased_coherence_factor on
-    profile_at's profile would.  The overlap is exp(s0), ground_coherent_overlap's
-    bits; a quadrature plan holds no Gamma moment, so s0 is formed here."""
+    """The scenario's checks and profile plan, once; then ``evaluate(times)``
+    gives D, or with ``moduli`` ((r, s, phi), D, |A1|, |A2|), as
+    distance_same_amplitudes and unphased_coherence_factor on profile_at's
+    profile would.  The overlap exp(s0), pair weights and C_lambda come from
+    the plan's s0 at the first evaluation: a quadrature plan forms no Gamma."""
     InitialStateSpec(amps, lambda1), InitialStateSpec(amps, lambda2)
     b, d = model.bath, model.displacement
     plan = _ProfilePlan(b.alpha, b.mu, b.omega_c, d.gamma_coef, d.nu, backend, settings)
-    # s0 of either plan: a DomainError where it overflows, as s(t) does
-    s0 = -gamma_moment(0.5 * d.gamma_coef, d.nu, b.omega_c) if plan.s0 is None else plan.s0
-    overlap = float(np.exp(s0))
-    # the weights are checked above, and an overlap exp(s0), s0 <= 0, lies in [0, 1]
-    weights = _pair_weights(lambda1, lambda2, overlap)
-    c1, c2 = _normalization(lambda1, overlap), _normalization(lambda2, overlap)
     bscale = _checked_bscale(amps.coherence_scale)
+    weights = c1 = c2 = None
 
     def evaluate(times: np.ndarray, moduli: bool = False):
+        nonlocal weights, c1, c2
         profile = plan(times)
+        if weights is None:
+            overlap = float(np.exp(plan.s0))
+            # the weights are checked above, and an overlap exp(s0), s0 <= 0, lies in [0, 1]
+            weights = _pair_weights(lambda1, lambda2, overlap)
+            c1, c2 = _normalization(lambda1, overlap), _normalization(lambda2, overlap)
         exponentials = _exponentials(*profile)
         dist = bscale * np.abs(_mix(*weights, exponentials))
         if normalized:

@@ -15,11 +15,12 @@ and a gamma-free quadrature route that serves as its oracle; ``profile_at``
 exposes both as interchangeable backends, for one time or an array of times.
 
 Evaluation comes in two steps.  A plan (``_ProfilePlan``) holds what one
-scenario settles whatever the times: its checked arguments, s(0), and the
-closed form's Gamma moments and branch choices (small-exponent limit, pole
-brace) or the quadrature's checked table parts.  An evaluation takes times,
-checks them and runs one array pass.  ``profile_at`` is one plan evaluated
-once; a distance series and its extremum zoom rounds keep one plan.
+scenario settles whatever the times: its checked arguments, and the closed
+form's s(0), Gamma moments and branch choices (small-exponent limit, pole
+brace) or the quadrature's checked table parts, whose total moment row gives
+s(0) at every evaluation.  An evaluation takes times, checks them and runs
+one array pass.  ``profile_at`` is one plan evaluated once; a distance
+series and its extremum zoom rounds keep one plan.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ class _ProfilePlan:
     of that dimension (the rows lead, with room for the times' axes); phi
     comes from the s row.  The quadrature's parts are the r and s kernels,
     the total moment of s(0) and the phi sine moment: 3N + 1 rows for one
-    model at N times > 0."""
+    model at N times > 0.  ``s0`` is s(0), on the quadrature from its last
+    evaluation."""
 
     __slots__ = ("omega_c", "settings", "s0", "_rows", "_setups", "_parts")
 
@@ -211,7 +213,8 @@ class _ProfilePlan:
                 [part if part[-1] is not None else (*part[:-1], times) for part in self._parts],
                 self.settings,
             )
-            return np.maximum(4.0 * r, 0.0), 2.0 * s_kernel - 0.5 * total, phi
+            self.s0 = -0.5 * total
+            return np.maximum(4.0 * r, 0.0), 2.0 * s_kernel + self.s0, phi
         setup = self._setups.get(times.ndim)
         if setup is None:
             # r is 4 and s - s(0) 2 kernels, each checked against a double at that scale

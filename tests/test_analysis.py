@@ -199,10 +199,47 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("kind", ["linear", "log"])
     def test_unallocatable_point_count_is_a_domain_error(self, kind):
-        # numpy refuses 10**20 points before it allocates (a raw ValueError before)
+        # numpy refuses 10**20 points before it allocates (a raw ValueError
+        # before); an exception is not cached, so every call raises
         grid = TimeGrid(kind, 1e-3, 1.0, 10**20)
-        with pytest.raises(DomainError, match=f"grid of {10**20} points"):
-            grid.times()
+        for _ in range(3):
+            with pytest.raises(DomainError, match=f"grid of {10**20} points"):
+                grid.times()
+
+    @pytest.mark.parametrize("kind,t_min", [("linear", 0.0), ("linear", 0.3), ("log", 1e-3)])
+    def test_cached_times_are_the_uncached_bits(self, kind, t_min):
+        # each grid after the first has a key equal to an earlier one's: 0.0
+        # and -0.0, an int and an np.int64 point count, a float and a float32
+        uncached = analysis._grid_times.__wrapped__
+        variants = [(t_min, 9), (-t_min if t_min == 0.0 else t_min, np.int64(9)),
+                    (np.float32(t_min), 9), (t_min, 9)]
+        for lo, points in variants:
+            want = uncached(kind, lo, 40.0, points)
+            for _ in range(2):
+                times = TimeGrid(kind, lo, 40.0, points).times()
+                assert times.dtype == want.dtype and times.tobytes() == want.tobytes()
+                assert times.flags.writeable
+
+    def test_unhashable_fields_are_computed_uncached(self):
+        # numpy takes 0-d arrays, which hash refuses
+        assert TimeGrid("linear", np.array(0.0), 1.0, np.array(3)).times().tolist() == [0, 0.5, 1]
+        times = TimeGrid("log", 1e-3, np.array(1e3), 3).times()
+        assert times.tobytes() == np.geomspace(1e-3, 1e3, 3).tobytes()
+
+    def test_returned_times_are_the_callers_own(self):
+        grid = TimeGrid("log", 1e-3, 1e4, 50)
+        times = grid.times()
+        want = times.copy()
+        times[:] = -1.0
+        assert grid.times().tolist() == want.tolist()
+
+    def test_default_grid_is_built_once(self, benchmark_model):
+        analysis._grid_times.cache_clear()
+        series = [distance_series(benchmark_model, 0.25, 0.0) for _ in range(20)]
+        info = analysis._grid_times.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 19, 1)
+        assert len({id(s.times) for s in series}) == 20
+        assert all(s.times.tolist() == series[0].times.tolist() for s in series)
 
 
 class TestDistanceSeries:
@@ -254,6 +291,26 @@ class TestDistanceSeries:
         w = pair_weights(0.25, 0.0, overlap)
         d_inf = distance_same_amplitudes(w, overlap_limit, 0.5)
         assert series.distance[-1] == pytest.approx(d_inf, rel=1e-3)
+
+    def test_quadrature_series_takes_s0_from_its_own_moment(self):
+        # Gamma(200) overflows a double, the overlap moment 0.025 * Gamma(200) *
+        # 0.01**200 ~ 1e-29 does not: the quadrature series and its extremum
+        # take s(0) from the table's total moment, as profile_at does, while
+        # the closed form refuses the model
+        model = ModelSpec(1.0, BathSpec(0.01, 0.5, 0.01), DisplacementSpec(0.05, 200.0))
+        grid = TimeGrid("log", 1e-3, 1e4, 8)
+        series = distance_series(model, 0.25, 0.0, grid=grid, backend="quadrature")
+        profile = profile_at(model, series.times, backend="quadrature")
+        for got, want in ((series.r, profile.r), (series.s, profile.s), (series.phi, profile.phi)):
+            assert got.tobytes() == want.tobytes()
+        overlap = float(np.exp(profile_at(model, 0.0, backend="quadrature").s))
+        bscale = QubitAmplitudes.balanced().coherence_scale
+        dist = distance_same_amplitudes(pair_weights(0.25, 0.0, overlap), profile, bscale)
+        assert series.distance.tobytes() == dist.tobytes()
+        result = find_extremum(series)
+        assert result.kind == "none" or math.isfinite(result.value)
+        with pytest.raises(DomainError, match="overflows a double"):
+            distance_series(model, 0.25, 0.0, grid=grid)
 
     def test_rejects_zero_amplitudes(self, benchmark_model):
         with pytest.raises(DomainError):
@@ -1359,12 +1416,13 @@ class TestFindExtremum:
         # the zoom rounds only evaluate the series' own plan: none is set up,
         # and no Gamma moment formed, for 1 to 3 rounds.  A series made by
         # dataclasses.replace carries no evaluator: one plan, and for the
-        # closed form one set of Gamma moments (r and s kernels, s(0))
+        # closed form one set of Gamma moments (r and s kernels, s(0)); the
+        # quadrature forms none
         plans, moments = [], []
         plan_init, moment = bath._ProfilePlan.__init__, numerics.gamma_moment
         monkeypatch.setattr(
             bath._ProfilePlan, "__init__", lambda *a: plans.append(a) or plan_init(*a))
-        for module in (analysis, bath, numerics):
+        for module in (bath, numerics):
             monkeypatch.setattr(module, "gamma_moment", lambda *a: moments.append(a) or moment(*a))
         rounds = set()
         for grid in (TimeGrid("log", 1e-3, 1e4, 12), TimeGrid("log", 1.0, 1e4, 60),
@@ -1376,7 +1434,7 @@ class TestFindExtremum:
                     assert find_extremum(made).kind == "minimum"
                 rounds.add(len(calls))
                 assert len(plans) == want[0]
-                assert len(moments) == (want[1] if backend == "closed_form" else want[0])
+                assert len(moments) == (want[1] if backend == "closed_form" else 0)
         assert len(rounds) > 1
 
     def test_replaced_series_zooms_its_own_model(self, benchmark_model, strong_model):

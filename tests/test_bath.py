@@ -620,6 +620,14 @@ class TestQuadratureTable:
         profile_at(benchmark_model, np.geomspace(1e-2, 1e3, 8))
         assert tables == [4, 4]
 
+    def test_one_table_per_series_evaluation(self, benchmark_model, tables):
+        # s(0), and with it the overlap, comes from the table's total moment row
+        grid = TimeGrid("log", 1e-2, 1e3, 8)
+        series = distance_series(benchmark_model, 0.25, 0.0, grid=grid, backend="quadrature")
+        assert tables == [4]
+        series._evaluate(np.array([0.5, 2.0]))
+        assert tables == [4, 4]
+
     @pytest.mark.parametrize(
         "suite", [validation.check_backend_agreement, validation.check_physicality]
     )
@@ -808,6 +816,20 @@ class TestQuadratureFormsNoGamma:
             (bath, "_LGAMMA"),
         ]:
             monkeypatch.setattr(module, name, forbidden)
+        # a module that imported it by name would bypass the patches above
+        monkeypatch.setattr(analysis, "gamma_moment", forbidden, raising=False)
+
+    @pytest.mark.parametrize("mu", [-0.5, 0.0, 1.5], ids=["sub-ohmic", "ohmic", "super-ohmic"])
+    def test_series(self, request, mu):
+        # the overlap, the pair weights and C_lambda come from the quadrature's s(0)
+        model = ModelSpec(0.3, BathSpec(0.05, mu, 1.5), DisplacementSpec(0.2, 0.7))
+        grid = TimeGrid("log", 0.5, 40.0, 4)
+        closed = distance_series(model, 0.8, 0.15, grid=grid)
+        request.getfixturevalue("no_gamma")
+        quadrature = distance_series(model, 0.8, 0.15, grid=grid, backend="quadrature")
+        for column in ("distance", "abs_a1", "abs_a2"):
+            got, want = getattr(quadrature, column), getattr(closed, column)
+            assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
 
     @pytest.mark.parametrize("mu", [-0.5, 0.0, 1.5], ids=["sub-ohmic", "ohmic", "super-ohmic"])
     def test_profile(self, request, mu):

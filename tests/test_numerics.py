@@ -519,6 +519,20 @@ class TestDoubleExponentialRules:
         quadrature = profile_at(model, 1e80, backend="quadrature")
         assert quadrature.r == pytest.approx(profile_at(model, 1e80).r, rel=1e-6)
 
+    @pytest.mark.xfail(strict=True, raises=(RuntimeWarning, DomainError),
+                       reason="the split pi/t overflows a double below t ~ 1.7e-308")
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e-308, 5e-324])
+    def test_profile_at_the_least_times(self, t):
+        # the closed form serves r = 0, s = -1/2, phi = t; the quadrature warns
+        # 'overflow encountered in divide', then refuses the sine moment
+        model = ModelSpec(1.0, BathSpec(1.0, 1.0, 1.0), DisplacementSpec(1.0, 1.0))
+        closed = profile_at(model, t)
+        quadrature = profile_at(model, t, backend="quadrature")
+        for got, want in ((quadrature.r, closed.r), (quadrature.s, closed.s),
+                          (quadrature.phi, closed.phi)):
+            assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+
     # the envelope's v**-(p+1) overflowed before delta**p scaled it (a raw
     # RuntimeWarning); at these times the kernel is Gamma(p) to the last digits
     @pytest.mark.parametrize("p,t,want", [(5.0, 1e60, 24.0), (2.0, 1e148, 1.0)])
